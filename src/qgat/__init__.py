@@ -7,7 +7,6 @@ synthetic datasets, noise-robustness protocols, link prediction, and a CLI.
 
 from .attention import GatLayer, Gatv2Layer, QgatLayer
 from .graph import Graph, load_graph, synth_sbm
-from .statevector import GateOp, StateVector, amplitude_encode, angle_encode, apply_gate, expect_z
 from .training import TrainConfig, build_model, run_training, train
 from .vqc import CircuitParams, EntanglingLayout, build_layout, circuit_backward, circuit_forward
 
@@ -17,20 +16,14 @@ __all__ = [
     "CircuitParams",
     "EntanglingLayout",
     "GatLayer",
-    "GateOp",
     "Gatv2Layer",
     "Graph",
     "QgatLayer",
-    "StateVector",
     "TrainConfig",
-    "amplitude_encode",
-    "angle_encode",
-    "apply_gate",
     "build_layout",
     "build_model",
     "circuit_backward",
     "circuit_forward",
-    "expect_z",
     "load_graph",
     "run_training",
     "synth_sbm",

@@ -268,18 +268,6 @@ def qgat_logits(a_prime: np.ndarray, layer: QgatLayer) -> np.ndarray:
     return expectations.reshape(-1)[: layer.heads]
 
 
-def qgat_forward(graph: Graph, features, layer: QgatLayer) -> np.ndarray:
-    return layer.forward(graph, features).data
-
-
-def gat_forward(graph: Graph, features, layer: GatLayer) -> np.ndarray:
-    return layer.forward(graph, features).data
-
-
-def gatv2_forward(graph: Graph, features, layer: Gatv2Layer) -> np.ndarray:
-    return layer.forward(graph, features).data
-
-
 def qgat_backward(graph: Graph, features, layer: QgatLayer,
                   upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Exact gradients of sum(upstream * output) for every layer parameter

@@ -317,12 +317,40 @@ def segment_max(values: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndar
     return out
 
 
+def central_difference(f: Callable[[], float], x: np.ndarray, eps: float) -> np.ndarray:
+    """Central-difference gradient of the scalar ``f()`` with respect to ``x``.
+
+    Each entry of ``x`` is perturbed in place by +/- ``eps`` and restored.
+    """
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        orig = x.flat[i]
+        x.flat[i] = orig + eps
+        hi = f()
+        x.flat[i] = orig - eps
+        lo = f()
+        x.flat[i] = orig
+        grad.flat[i] = (hi - lo) / (2 * eps)
+    return grad
+
+
+def relative_error(analytic: np.ndarray, numeric: np.ndarray, atol: float = 1e-8,
+                   rtol: float = 1e-5) -> np.ndarray:
+    """Elementwise |analytic - numeric| / max(|numeric|, atol / rtol).
+
+    Differences within ``atol`` count as zero: they are finite-difference noise.
+    """
+    diff = np.abs(analytic - numeric)
+    scaled = diff / np.maximum(np.abs(numeric), atol / rtol)
+    return np.where(diff <= atol, 0.0, scaled)
+
+
 def gradcheck(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float = 1e-6,
               rtol: float = 1e-5, atol: float = 1e-8) -> float:
     """Compare tape gradients of ``sum(fn(*tensors))`` against central differences.
 
     Returns the worst relative error across all inputs; raises AssertionError
-    beyond tolerance.  Used by tests and the gradcheck CLI command.
+    beyond tolerance.
     """
     out = fn(*tensors)
     for t in tensors:
@@ -333,19 +361,13 @@ def gradcheck(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float =
         if not t.requires_grad:
             continue
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat = t.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = fn(*tensors).data.sum()
-            flat[i] = orig - eps
-            lo = fn(*tensors).data.sum()
-            flat[i] = orig
-            fd = (hi - lo) / (2 * eps)
-            err = abs(analytic.ravel()[i] - fd) / max(abs(fd), atol / rtol)
-            worst = max(worst, err)
-            if err > rtol:
-                raise AssertionError(
-                    f"gradient mismatch at flat index {i}: analytic={analytic.ravel()[i]}, fd={fd}"
-                )
+        numeric = central_difference(lambda: fn(*tensors).data.sum(), t.data, eps)
+        err = relative_error(analytic, numeric, atol, rtol)
+        i = int(np.argmax(err))
+        if not err.flat[i] <= rtol:
+            raise AssertionError(
+                f"gradient mismatch at flat index {i}: analytic={analytic.flat[i]}, "
+                f"fd={numeric.flat[i]}"
+            )
+        worst = max(worst, float(err.flat[i]))
     return worst

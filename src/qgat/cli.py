@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vqc
 from .attention import QgatLayer, qgat_backward
-from .autodiff import Tensor
+from .autodiff import Tensor, central_difference, relative_error
 from .config import Config, ConfigError, apply_overrides, make_train_config, parse_config
 from .graph import (
     FEATURE_NOISE_GRID,
@@ -35,6 +35,7 @@ from .graph import (
 from .inductive import save_collection, synth_collection
 from .svgplot import Series, line_plot
 from .training import (
+    MODEL_KINDS,
     TrainingDivergedError,
     build_model,
     link_eval,
@@ -143,7 +144,7 @@ def cmd_noise_sweep(spec: ExperimentSpec) -> int:
         raise ConfigError(f"noise.kind must be 'feature' or 'structural', got {kind!r}")
     models = cfg.get("experiment", "models")
     for name in models:
-        if name not in ("qgat", "gat", "gatv2"):
+        if name not in MODEL_KINDS:
             raise ConfigError(f"unknown model {name!r} in experiment.models")
     levels = cfg.get("noise", "levels")
     if not levels:
@@ -220,37 +221,6 @@ def cmd_linkpred(spec: ExperimentSpec) -> int:
 # -- gradient checking ---------------------------------------------------------------
 
 
-def _relative_error(analytic: np.ndarray, numeric: np.ndarray, atol: float = 1e-8,
-                    rtol: float = 1e-5) -> float:
-    """Worst relative error; differences below ``atol`` count as zero (FD noise)."""
-    diff = np.abs(analytic - numeric)
-    scaled = diff / np.maximum(np.abs(numeric), atol / rtol)
-    return float(np.max(np.where(diff <= atol, 0.0, scaled)))
-
-
-def _fd_circuit(inputs, angles, layout, upstream, step=1e-5):
-    grad_a = np.zeros_like(angles)
-    flat = angles.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = vqc.circuit_forward_batch(inputs[None, :], angles, layout)[0] @ upstream
-        flat[i] = orig - step
-        lo = vqc.circuit_forward_batch(inputs[None, :], angles, layout)[0] @ upstream
-        flat[i] = orig
-        grad_a.ravel()[i] = (hi - lo) / (2 * step)
-    grad_x = np.zeros_like(inputs)
-    for i in range(inputs.size):
-        orig = inputs[i]
-        inputs[i] = orig + step
-        hi = vqc.circuit_forward_batch(inputs[None, :], angles, layout)[0] @ upstream
-        inputs[i] = orig - step
-        lo = vqc.circuit_forward_batch(inputs[None, :], angles, layout)[0] @ upstream
-        inputs[i] = orig
-        grad_x[i] = (hi - lo) / (2 * step)
-    return grad_a, grad_x
-
-
 def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
                      corrupt: bool = False) -> dict[str, float]:
     """Worst relative gradient error per component, adjoint vs central differences."""
@@ -265,11 +235,15 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
                 upstream = rng.standard_normal(n_q)
                 params = vqc.CircuitParams(n_layers, n_q, angles)
                 ga, gx = vqc.circuit_backward(x, params, layout, upstream)
-                fa, fx = _fd_circuit(x.copy(), angles.copy(), layout, upstream)
-                report["circuit.angles"] = max(report["circuit.angles"],
-                                               _relative_error(ga, fa))
-                report["circuit.inputs"] = max(report["circuit.inputs"],
-                                               _relative_error(gx, fx))
+
+                def circuit_value() -> float:
+                    return vqc.circuit_forward_batch(x[None, :], angles, layout)[0] @ upstream
+
+                for name, analytic, wrt in (("circuit.angles", ga, angles),
+                                            ("circuit.inputs", gx, x)):
+                    numeric = central_difference(circuit_value, wrt, 1e-5)
+                    report[name] = max(report[name],
+                                       float(np.max(relative_error(analytic, numeric))))
 
     # end-to-end layer on a 4-node path graph
     g = Graph(rng.standard_normal((4, 3)),
@@ -283,19 +257,10 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
     def layer_value() -> float:
         return float(np.sum(layer.forward(g, Tensor(g.features)).data * upstream))
 
-    step = 1e-6
     for name, tensor in layer.params().items():
-        numeric = np.zeros_like(tensor.data)
-        flat = tensor.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = layer_value()
-            flat[i] = orig - step
-            lo = layer_value()
-            flat[i] = orig
-            numeric.ravel()[i] = (hi - lo) / (2 * step)
-        report[f"qgat_layer.{name}"] = _relative_error(grads[name], numeric, atol=1e-7)
+        numeric = central_difference(layer_value, tensor.data, 1e-6)
+        report[f"qgat_layer.{name}"] = float(np.max(
+            relative_error(grads[name], numeric, atol=1e-7)))
     return report
 
 
@@ -324,7 +289,7 @@ def cmd_params(spec: ExperimentSpec) -> int:
     graph_dim = cfg.get("data", "feature_dim")
     n_classes = cfg.get("data", "n_classes")
     print(f"{'model':<8}{'layer':<10}{'component':<16}{'parameters':>12}")
-    for model_name in ("qgat", "gat", "gatv2"):
+    for model_name in MODEL_KINDS:
         tc = make_train_config(cfg, model_name, 0)
         model = build_model(tc, graph_dim, n_classes)
         total = 0

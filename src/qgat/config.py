@@ -41,10 +41,40 @@ def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+# (section, key) -> (parser, TrainConfig field) for the keys that configure one
+# training run; their defaults are read from TrainConfig() and nowhere else.
+TRAIN_KEYS: dict[tuple[str, str], tuple[Any, str]] = {
+    ("experiment", "task"): (str, "task"),
+    ("model", "hidden_dims"): (_int_list, "hidden_dims"),
+    ("model", "heads"): (_int_list, "heads_per_layer"),
+    ("model", "n_qubits"): (int, "n_qubits"),
+    ("model", "entangling_layers"): (int, "entangling_layers"),
+    ("model", "dropout"): (float, "dropout"),
+    ("model", "merge"): (str, "merge"),
+    ("model", "activation"): (str, "activation"),
+    ("model", "separate_value_weights"): (_bool, "separate_value_weights"),
+    ("training", "lr"): (float, "learning_rate"),
+    ("training", "lr_min"): (float, "lr_min"),
+    ("training", "weight_decay"): (float, "weight_decay"),
+    ("training", "epochs"): (int, "epochs"),
+    ("training", "patience"): (int, "patience"),
+}
+
+
+def _with_train_defaults(schema: dict[str, dict[str, tuple[Any, Any]]]):
+    """Each section's TRAIN_KEYS entries first, defaulted from TrainConfig()."""
+    defaults = TrainConfig()
+    merged: dict[str, dict[str, tuple[Any, Any]]] = {section: {} for section in schema}
+    for (section, key), (parser, name) in TRAIN_KEYS.items():
+        merged[section][key] = (parser, getattr(defaults, name))
+    for section, entries in schema.items():
+        merged[section].update(entries)
+    return merged
+
+
 # (parser, default) per key; parsers also serve as type documentation.
-SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
+SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
     "experiment": {
-        "task": (str, "node-class"),
         "models": (_str_list, ["qgat"]),
         "seeds": (_int_list, [0]),
     },
@@ -59,23 +89,8 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "class_sep": (float, 1.0),
         "seed": (int, 0),
     },
-    "model": {
-        "hidden_dims": (_int_list, [8, 8]),
-        "heads": (_int_list, [4, 4, 4]),
-        "n_qubits": (int, 4),
-        "entangling_layers": (int, 2),
-        "dropout": (float, 0.5),
-        "merge": (str, "concat"),
-        "activation": (str, "elu"),
-        "separate_value_weights": (_bool, False),
-    },
-    "training": {
-        "lr": (float, 2e-3),
-        "lr_min": (float, 0.0),
-        "weight_decay": (float, 5e-4),
-        "epochs": (int, 200),
-        "patience": (int, 30),
-    },
+    "model": {},
+    "training": {},
     "noise": {
         "kind": (str, "feature"),  # feature | structural
         "levels": (_float_list, []),  # empty -> protocol grid for the kind
@@ -92,7 +107,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = {
         "trials": (int, 10),
         "threshold": (float, 1e-4),
     },
-}
+})
 
 
 def _format_value(value: Any) -> str:
@@ -163,24 +178,12 @@ def apply_overrides(cfg: Config, overrides: list[str]) -> None:
 
 
 def make_train_config(cfg: Config, model: str, seed: int, task: str | None = None) -> TrainConfig:
-    tc = TrainConfig(
-        learning_rate=cfg.get("training", "lr"),
-        lr_min=cfg.get("training", "lr_min"),
-        weight_decay=cfg.get("training", "weight_decay"),
-        epochs=cfg.get("training", "epochs"),
-        patience=cfg.get("training", "patience"),
-        hidden_dims=list(cfg.get("model", "hidden_dims")),
-        heads_per_layer=list(cfg.get("model", "heads")),
-        n_qubits=cfg.get("model", "n_qubits"),
-        entangling_layers=cfg.get("model", "entangling_layers"),
-        dropout=cfg.get("model", "dropout"),
-        merge=cfg.get("model", "merge"),
-        task=task or cfg.get("experiment", "task"),
-        seed=seed,
-        model=model,
-        activation=cfg.get("model", "activation"),
-        separate_value_weights=cfg.get("model", "separate_value_weights"),
-    )
+    fields = {}
+    for (section, key), (_, name) in TRAIN_KEYS.items():
+        value = cfg.get(section, key)
+        fields[name] = list(value) if isinstance(value, list) else value
+    fields["task"] = task or fields["task"]
+    tc = TrainConfig(**fields, seed=seed, model=model)
     try:
         tc.validate()
     except ValueError as exc:

@@ -104,16 +104,6 @@ class Graph:
             self._loop_edges = (src, dst)
         return self._loop_edges
 
-    def neighborhood(self, include_self: bool = True) -> "Neighborhood":
-        nbrs: list[list[int]] = [[] for _ in range(self.n_nodes)]
-        for s, d in self.edges:
-            nbrs[d].append(int(s))
-        if include_self:
-            for i in range(self.n_nodes):
-                if i not in nbrs[i]:
-                    nbrs[i].append(i)
-        return Neighborhood([np.array(sorted(v), dtype=np.int64) for v in nbrs], include_self)
-
     def replace(self, *, features: np.ndarray | None = None,
                 edges: np.ndarray | None = None) -> "Graph":
         return Graph(
@@ -125,26 +115,6 @@ class Graph:
 
     def reset_feature_reads(self) -> None:
         self.feature_reads = 0
-
-
-@dataclass
-class Neighborhood:
-    """Per-node in-neighbor index lists (j in N_i iff edge (j, i) exists)."""
-
-    in_neighbors: list[np.ndarray]
-    includes_self: bool
-
-    def rebuild_edges(self) -> np.ndarray:
-        """Canonical directed edge array recovered from the lists (loops dropped)."""
-        pairs = [
-            (int(j), i)
-            for i, nbrs in enumerate(self.in_neighbors)
-            for j in nbrs
-            if j != i
-        ]
-        if not pairs:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
 
 
 # -- file loading ---------------------------------------------------------

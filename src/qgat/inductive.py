@@ -2,15 +2,16 @@
 
 Graphs are combined by disjoint union with node-index offsets, which keeps
 per-graph semantics exactly (attention never crosses graph boundaries) while
-amortizing the forward pass.  The training step only ever receives the
-batched train union, so val/test features are structurally unreachable
-during gradient computation; ``Graph.feature_reads`` lets tests verify it.
+amortizing the forward pass.  Each split's union is built once per
+training run, and the early-stopping loop is ``training.fit``.  The
+training step only ever receives the batched train union, so val/test
+features are structurally unreachable during gradient computation;
+``Graph.feature_reads`` lets tests verify it.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,17 +19,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .graph import Graph, load_graph, save_graph_json, synth_sbm
-from .training import (
-    AdamWState,
-    Model,
-    MetricsRecord,
-    TrainConfig,
-    TrainResult,
-    cosine_lr,
-    loss,
-    stream_rng,
-    training_step,
-)
+from .training import Model, TrainConfig, TrainResult, fit, loss
+from .training import training_step  # noqa: F401 -- perfbench's tracer patches it here
 
 SPLITS = ("train", "val", "test")
 
@@ -118,73 +110,44 @@ def batch_graphs(graphs: list[Graph]) -> tuple[Graph, list[np.ndarray]]:
     return union, node_ids
 
 
-def _split_eval(model: Model, graphs: list[Graph], task: str) -> tuple[float, float]:
-    union, _ = batch_graphs(graphs)
+def _split_unions(collection: GraphCollection) -> dict[str, Graph]:
+    """The batched union of each split's graphs, keyed in ``SPLITS`` order."""
+    unions = {}
+    for split in SPLITS:
+        graphs = collection.by_split(split)
+        if not graphs:
+            raise ValueError(f"collection has no {split!r} graphs")
+        unions[split], _ = batch_graphs(graphs)
+    return unions
+
+
+def _split_eval(model: Model, union: Graph, task: str) -> tuple[float, float]:
     out = model.forward(union).data
-    loss_value, _ = loss(task, out, union.labels)
-    if task == "node-class":
-        score = metrics_mod.accuracy(out, union.labels)
-    else:
-        score = metrics_mod.micro_f1(out, union.labels)
-    return loss_value, score
+    return loss(task, out, union.labels), metrics_mod.task_metric(task, out, union.labels)
+
+
+def _evaluate_unions(model: Model, unions: dict[str, Graph], task: str
+                     ) -> tuple[dict[str, float], dict[str, float]]:
+    losses, scores = {}, {}
+    for split, union in unions.items():
+        losses[split], scores[split] = _split_eval(model, union, task)
+    return losses, scores
 
 
 def eval_inductive(model: Model, collection: GraphCollection,
                    task: str = "multi-label") -> dict[str, dict[str, float]]:
     """Loss and metric per split, each computed on that split's batched union."""
-    report = {}
-    for split in SPLITS:
-        graphs = collection.by_split(split)
-        if not graphs:
-            raise ValueError(f"collection has no {split!r} graphs")
-        loss_value, score = _split_eval(model, graphs, task)
-        report[split] = {"loss": loss_value, "metric": score}
-    return report
+    losses, scores = _evaluate_unions(model, _split_unions(collection), task)
+    return {split: {"loss": losses[split], "metric": scores[split]} for split in SPLITS}
 
 
 def train_inductive(model: Model, collection: GraphCollection,
                     cfg: TrainConfig) -> TrainResult:
     """Early-stopped training on the train-graph union; val/test stay held out."""
-    cfg.validate()
     if cfg.task == "link-pred":
         raise ValueError("inductive harness covers node-level tasks only")
-    train_union, _ = batch_graphs(collection.by_split("train"))
-    drop_rng = stream_rng(cfg.seed, "dropout")
-    opt = AdamWState()
-    history: list[MetricsRecord] = []
-    best_epoch, stale = 0, 0
-    best_state = model.state_dict()
-
-    def record(epoch: int, lr_now: float, start: float) -> MetricsRecord:
-        losses, scores = {}, {}
-        for split in SPLITS:
-            losses[split], scores[split] = _split_eval(model, collection.by_split(split), cfg.task)
-        rec = MetricsRecord(epoch, losses, scores, lr_now, time.perf_counter() - start)
-        history.append(rec)
-        return rec
-
-    def goodness(rec: MetricsRecord) -> tuple[float, float]:
-        return rec.metrics["val"], -rec.losses["val"]
-
-    rec = record(0, cfg.learning_rate, time.perf_counter())
-    best = goodness(rec)
-    for epoch in range(1, cfg.epochs + 1):
-        start = time.perf_counter()
-        lr_now = cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate, cfg.lr_min)
-        training_step(model, train_union, cfg, opt, lr_now, drop_rng)
-        rec = record(epoch, lr_now, start)
-        if goodness(rec) > best:
-            best, best_epoch, stale = goodness(rec), epoch, 0
-            best_state = model.state_dict()
-        else:
-            stale += 1
-            if stale > cfg.patience:
-                break
-
-    model.load_state_dict(best_state)
-    best_rec = history[best_epoch]
-    return TrainResult(history, best_state, best_epoch,
-                       best_rec.metrics["val"], best_rec.metrics["test"])
+    unions = _split_unions(collection)
+    return fit(model, cfg, unions["train"], lambda: _evaluate_unions(model, unions, cfg.task))
 
 
 # -- manifests -----------------------------------------------------------------

@@ -4,79 +4,19 @@ States live in the computational basis with qubit 0 as the most
 significant bit of the basis index, so ``|10>`` is index 2.  Rotation
 conventions are R(theta) = exp(-i*theta*G/2) for G in {Y, Z}.
 
-Single-state operations mutate amplitudes in place with stride-based bit
-indexing.  The ``*_batch`` kernels apply one gate to a whole (B, 2^n)
-block of states at once; the variational-circuit layer runs every edge of
-a graph through these batched kernels in a single sweep.
+The ``*_batch`` kernels apply one gate to a whole (B, 2^n) block of
+states at once, with stride-based bit indexing; the variational-circuit
+layer runs every edge of a graph through them in a single sweep.  A single
+state is the B = 1 case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-GATE_KINDS = ("RY", "RZ", "CNOT", "CPHASE")
 NORM_EPS = 1e-12
-
-
-@dataclass
-class StateVector:
-    """Pure n-qubit state as a length-2^n complex amplitude array."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"amplitude vector has length {self.amplitudes.shape}, "
-                f"expected {1 << self.n_qubits} for {self.n_qubits} qubits"
-            )
-
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
-
-@dataclass(frozen=True)
-class GateOp:
-    """One gate: kind in {RY, RZ, CNOT, CPHASE}, wires, optional angle."""
-
-    kind: str
-    wires: int | tuple[int, int]
-    angle: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.kind in ("RY", "RZ"):
-            if not isinstance(self.wires, (int, np.integer)):
-                raise ValueError(f"{self.kind} takes a single wire")
-            if self.angle is None:
-                raise ValueError(f"{self.kind} requires an angle")
-        else:
-            if not (isinstance(self.wires, tuple) and len(self.wires) == 2):
-                raise ValueError(f"{self.kind} takes a (control, target) pair")
-            if self.wires[0] == self.wires[1]:
-                raise ValueError("control and target must be distinct")
-            if self.kind == "CNOT" and self.angle is not None:
-                raise ValueError("CNOT takes no angle")
-            if self.kind == "CPHASE" and self.angle is None:
-                raise ValueError("CPHASE requires an angle")
 
 
 # -- cached index machinery ---------------------------------------------
@@ -91,17 +31,15 @@ def _cnot_permutation(n: int, control: int, target: int) -> np.ndarray:
     return perm
 
 
-@lru_cache(maxsize=None)
-def _both_ones_mask(n: int, a: int, b: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    mask = (((idx >> (n - 1 - a)) & 1) & ((idx >> (n - 1 - b)) & 1)).astype(bool)
-    mask.setflags(write=False)
-    return mask
+def _check_qubit(n: int, qubit: int) -> None:
+    if not 0 <= qubit < n:
+        raise IndexError(f"qubit {qubit} out of range for {n} qubits")
 
 
 @lru_cache(maxsize=None)
 def z_signs(n: int, qubit: int) -> np.ndarray:
     """Diagonal of Z on ``qubit``: +1 where the qubit's bit is 0, else -1."""
+    _check_qubit(n, qubit)
     idx = np.arange(1 << n)
     signs = 1.0 - 2.0 * ((idx >> (n - 1 - qubit)) & 1)
     signs.setflags(write=False)
@@ -117,8 +55,7 @@ def z_sign_matrix(n: int) -> np.ndarray:
 
 
 def _axis_view(states: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    if not 0 <= qubit < n:
-        raise IndexError(f"qubit {qubit} out of range for {n} qubits")
+    _check_qubit(n, qubit)
     b = states.shape[0]
     return states.reshape(b, 1 << qubit, 2, 1 << (n - 1 - qubit))
 
@@ -148,13 +85,6 @@ def cnot_batch(states: np.ndarray, n: int, control: int, target: int) -> np.ndar
     if not (0 <= control < n and 0 <= target < n):
         raise IndexError(f"wires ({control}, {target}) out of range for {n} qubits")
     return states[:, _cnot_permutation(n, control, target)]
-
-
-def cphase_batch(states: np.ndarray, n: int, control: int, target: int, angle: float) -> np.ndarray:
-    if not (0 <= control < n and 0 <= target < n):
-        raise IndexError(f"wires ({control}, {target}) out of range for {n} qubits")
-    states[:, _both_ones_mask(n, control, target)] *= np.exp(1j * angle)
-    return states
 
 
 def pauli_y_half_batch(states: np.ndarray, n: int, qubit: int) -> np.ndarray:
@@ -202,49 +132,3 @@ def expect_z_all_batch(states: np.ndarray, n: int) -> np.ndarray:
     probs = np.abs(states) ** 2
     return probs @ z_sign_matrix(n)
 
-
-# -- public single-state operations ---------------------------------------
-
-
-def amplitude_encode(x, n_qubits: int) -> StateVector:
-    """Embed a real vector into state amplitudes (zero-pad, L2-normalize).
-
-    A vector with norm below 1e-12 maps to |0...0> instead of erroring, so
-    all-zero features produced upstream cannot abort a run.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    states, _ = encode_batch(x[None, :], n_qubits)
-    return StateVector(n_qubits, states[0])
-
-
-def angle_encode(x) -> StateVector:
-    """Tensor product of R_Y(x_i)|0> over one qubit per feature."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite entries")
-    amps = np.array([1.0], dtype=np.complex128)
-    for xi in x:
-        amps = np.kron(amps, np.array([np.cos(xi / 2.0), np.sin(xi / 2.0)]))
-    return StateVector(len(x), amps)
-
-
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate, updating the state's amplitudes in place."""
-    n = state.n_qubits
-    batch = state.amplitudes.reshape(1, -1)
-    if gate.kind == "RY":
-        ry_batch(batch, n, int(gate.wires), gate.angle)
-    elif gate.kind == "RZ":
-        rz_batch(batch, n, int(gate.wires), gate.angle)
-    elif gate.kind == "CNOT":
-        state.amplitudes = cnot_batch(batch, n, *gate.wires)[0]
-    else:
-        cphase_batch(batch, n, *gate.wires, gate.angle)
-    return state
-
-
-def expect_z(state: StateVector, qubit: int) -> float:
-    """Exact <Z_qubit> expectation (infinite-shot limit)."""
-    if not 0 <= qubit < state.n_qubits:
-        raise IndexError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    return float(state.probabilities() @ z_signs(state.n_qubits, qubit))

@@ -3,7 +3,9 @@
 Training is full batch: one forward/backward over the whole graph per
 epoch, evaluation on every split each epoch, early stopping on the
 validation metric, and the test figure reported at the best-validation
-checkpoint.  Everything is driven by explicit seeded generators so a
+checkpoint.  ``fit`` is the one early-stopping loop: ``train`` runs it on a
+graph or link split, ``inductive.train_inductive`` on a union of training
+graphs.  Everything is driven by explicit seeded generators so a
 (seed, config) pair reproduces its metric history bit-exactly.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, asdict
 from math import cos, pi
+from typing import Callable
 
 import json
 import numpy as np
@@ -42,7 +45,7 @@ class TrainConfig:
     weight_decay: float = 5e-4
     epochs: int = 200
     patience: int = 30
-    hidden_dims: list[int] = field(default_factory=lambda: [8, 8])
+    hidden_dims: list[int] = field(default_factory=lambda: [8, 8, 8])
     heads_per_layer: list[int] = field(default_factory=lambda: [4, 4, 4])
     n_qubits: int = 4
     entangling_layers: int = 2
@@ -157,24 +160,19 @@ def edge_scores(embeddings: Tensor, pairs: np.ndarray) -> Tensor:
     return tsum(mul(u, v), axis=1)
 
 
-def loss(task: str, predictions: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Task loss and its gradient with respect to ``predictions``.
+def loss(task: str, predictions: np.ndarray, labels) -> float:
+    """Task loss value for evaluation; records no tape.
 
     node-class: softmax cross-entropy against integer labels.
     multi-label: per-cell binary cross-entropy with logits.
     link-pred: binary cross-entropy on edge scores against 0/1 labels.
     """
-    pred = Tensor(predictions, requires_grad=True)
+    pred = Tensor(predictions)
     if task == "node-class":
-        value = cross_entropy_logits(pred, labels)
-    elif task == "multi-label":
-        value = bce_with_logits(pred, labels)
-    elif task == "link-pred":
-        value = bce_with_logits(pred, labels)
-    else:
-        raise ValueError(f"unknown task {task!r}")
-    value.backward()
-    return value.item(), pred.grad
+        return cross_entropy_logits(pred, labels).item()
+    if task in ("multi-label", "link-pred"):
+        return bce_with_logits(pred, labels).item()
+    raise ValueError(f"unknown task {task!r}")
 
 
 # -- model assembly -----------------------------------------------------------
@@ -328,7 +326,7 @@ def evaluate(model: Model, data: Graph | LinkSplit, cfg: TrainConfig
             if split.positives.shape[0] == 0:
                 continue
             pairs, labels = _link_pairs(split)
-            losses[name], _ = loss("link-pred", _score_pairs(emb, pairs), labels)
+            losses[name] = loss("link-pred", _score_pairs(emb, pairs), labels)
             task_scores[name] = metrics_mod.mrr(
                 _score_pairs(emb, split.positives), _score_pairs(emb, split.negatives)
             )
@@ -338,11 +336,8 @@ def evaluate(model: Model, data: Graph | LinkSplit, cfg: TrainConfig
         idx = np.flatnonzero(mask)
         if idx.size == 0:
             continue
-        losses[name], _ = loss(cfg.task, out[idx], data.labels[idx])
-        if cfg.task == "node-class":
-            task_scores[name] = metrics_mod.accuracy(out[idx], data.labels[idx])
-        else:
-            task_scores[name] = metrics_mod.micro_f1(out[idx], data.labels[idx])
+        losses[name] = loss(cfg.task, out[idx], data.labels[idx])
+        task_scores[name] = metrics_mod.task_metric(cfg.task, out[idx], data.labels[idx])
     return losses, task_scores
 
 
@@ -375,12 +370,16 @@ class TrainResult:
     test_metric: float
 
 
-def train(model: Model, data: Graph | LinkSplit, cfg: TrainConfig) -> TrainResult:
-    """Full-batch training with early stopping on the validation metric.
+def fit(model: Model, cfg: TrainConfig, data: Graph | LinkSplit,
+        evaluate_splits: Callable[[], tuple[dict[str, float], dict[str, float]]]
+        ) -> TrainResult:
+    """Early-stopped training: ``training_step`` on ``data`` once per epoch.
 
-    Epoch 0 records the initial-weights evaluation; ``epochs=0`` therefore
-    returns that evaluation alone.  The reported test metric is the one
-    observed at the best-validation epoch.
+    ``evaluate_splits()`` returns (losses, metrics) keyed by split.  Epoch 0
+    records the initial-weights evaluation; ``epochs=0`` therefore returns
+    that evaluation alone.  The monitored split is "val" when evaluation
+    reports one, else "train".  The reported test metric is the one
+    observed at the best-monitored epoch.
     """
     cfg.validate()
     drop_rng = stream_rng(cfg.seed, "dropout")
@@ -391,7 +390,7 @@ def train(model: Model, data: Graph | LinkSplit, cfg: TrainConfig) -> TrainResul
     stale = 0
 
     def record(epoch: int, lr_now: float, t0: float) -> MetricsRecord:
-        losses, scores = evaluate(model, data, cfg)
+        losses, scores = evaluate_splits()
         rec = MetricsRecord(epoch, losses, scores, lr_now, time.perf_counter() - t0)
         history.append(rec)
         return rec
@@ -431,6 +430,11 @@ def train(model: Model, data: Graph | LinkSplit, cfg: TrainConfig) -> TrainResul
         val_metric=best_rec.metrics.get("val", float("nan")),
         test_metric=best_rec.metrics.get("test", float("nan")),
     )
+
+
+def train(model: Model, data: Graph | LinkSplit, cfg: TrainConfig) -> TrainResult:
+    """Full-batch training with early stopping on the validation metric."""
+    return fit(model, cfg, data, lambda: evaluate(model, data, cfg))
 
 
 def run_training(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[Model, TrainResult]:

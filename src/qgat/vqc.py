@@ -24,6 +24,7 @@ from .autodiff import Tensor, make_op
 from .statevector import (
     cnot_batch,
     encode_batch,
+    expect_z_all_batch,
     pauli_y_half_batch,
     pauli_z_half_batch,
     ry_batch,
@@ -144,8 +145,7 @@ def circuit_forward_batch(inputs: np.ndarray, angles: np.ndarray,
     _check_shapes(np.asarray(angles), layout)
     states, _ = _run_batch(inputs, np.asarray(angles), layout)
     _count_executions(inputs.shape[0])
-    probs = np.abs(states) ** 2
-    return probs @ z_sign_matrix(layout.n_qubits)
+    return expect_z_all_batch(states, layout.n_qubits)
 
 
 def circuit_forward(input_amplitudes, params: CircuitParams,
@@ -225,7 +225,7 @@ def expectations_op(inputs: Tensor, angles: Tensor, layout: EntanglingLayout) ->
     _check_shapes(angles.data, layout)
     states, norms = _run_batch(inputs.data, angles.data, layout)
     _count_executions(inputs.data.shape[0])
-    expectations = (np.abs(states) ** 2) @ z_sign_matrix(layout.n_qubits)
+    expectations = expect_z_all_batch(states, layout.n_qubits)
 
     def vjp(g: np.ndarray):
         grad_angles, grad_inputs = _adjoint_batch(

@@ -48,11 +48,6 @@ def cnot_unitary(control: int, target: int, n: int) -> np.ndarray:
     return controlled_unitary(X, control, target, n)
 
 
-def cphase_unitary(control: int, target: int, n: int, angle: float) -> np.ndarray:
-    phase = np.array([[1, 0], [0, np.exp(1j * angle)]], dtype=complex)
-    return controlled_unitary(phase, control, target, n)
-
-
 def z_expectation(state: np.ndarray, qubit: int, n: int) -> float:
     zmat = single_qubit_unitary(Z, qubit, n)
     return float(np.real(np.conj(state) @ zmat @ state))

@@ -11,7 +11,6 @@ from qgat.attention import (
     neighborhood_softmax,
     qgat_backward,
     qgat_edge_input,
-    qgat_forward,
     qgat_logits,
 )
 from qgat.autodiff import Tensor
@@ -132,7 +131,7 @@ class TestQgatForward:
         layer = make_layer("qgat", 2, 2, 1, n_qubits=1, entangling_layers=1)
         assert layer.shortcut is None  # in_dim == out_dim: identity residual
         g = Graph(np.array([[0.7, -0.3]]), np.empty((0, 2)))
-        out = qgat_forward(g, g.features, layer)
+        out = layer.forward(g, g.features).data
         x = g._features[0]
         want = elu_ref(x @ layer.feat_proj.data) + x
         np.testing.assert_allclose(out[0], want, atol=1e-12)
@@ -143,7 +142,7 @@ class TestQgatForward:
         layer = make_layer("qgat", 1, 1, 1, n_qubits=1, entangling_layers=1, seed=7)
         feats = rng.standard_normal((3, 1))
         g = Graph(feats, [[0, 1], [1, 2]], undirected=True)
-        got = qgat_forward(g, g.features, layer)
+        got = layer.forward(g, g.features).data
 
         w = layer.feat_proj.data  # (1,1)
         p = layer.compress.data  # (4,2)
@@ -168,13 +167,13 @@ class TestQgatForward:
     def test_mean_merge(self):
         layer = make_layer("qgat", 3, 2, 2, merge="mean")
         g = random_graph(6, 0.5, 3, seed=2)
-        out = qgat_forward(g, g.features, layer)
+        out = layer.forward(g, g.features).data
         assert out.shape == (6, 2)
 
     def test_concat_merge_shape(self):
         layer = make_layer("qgat", 3, 2, 4, n_qubits=2)
         g = random_graph(6, 0.5, 3, seed=2)
-        assert qgat_forward(g, g.features, layer).shape == (6, 8)
+        assert layer.forward(g, g.features).data.shape == (6, 8)
 
 
 class TestSoftmaxAndBounds:
@@ -410,5 +409,5 @@ class TestSeparateValueWeights:
         assert "value_proj" in split.params()
         assert "value_proj" not in shared.params()
         assert not np.array_equal(
-            qgat_forward(g, g.features, shared), qgat_forward(g, g.features, split)
+            shared.forward(g, g.features).data, split.forward(g, g.features).data
         )

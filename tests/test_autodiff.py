@@ -5,12 +5,14 @@ import pytest
 
 from qgat.autodiff import (
     Tensor,
+    central_difference,
     concat,
     elu,
     exp,
     gradcheck,
     leaky_relu,
     log,
+    make_op,
     matmul,
     mul,
     relu,
@@ -168,3 +170,20 @@ class TestBackwardMechanics:
             y = y + Tensor(0.0)
         y.backward(np.ones(2))
         np.testing.assert_array_equal(x.grad, [1.0, 1.0])
+
+
+class TestGradcheck:
+    @pytest.mark.parametrize("scale", [4.0, np.nan], ids=["doubled", "nan"])
+    def test_wrong_vjp_is_caught(self, scale):
+        def square_with_wrong_vjp(t):
+            return make_op(t.data ** 2, (t,), lambda g: (scale * g * t.data,))
+
+        with pytest.raises(AssertionError, match="flat index"):
+            gradcheck(square_with_wrong_vjp, [leaf((3, 2))])
+
+    def test_central_difference_restores_input(self):
+        x = rng.standard_normal((3, 4))[:, ::2]  # strided view: perturbed in place all the same
+        before = x.copy()
+        grad = central_difference(lambda: float(np.sum(x ** 3)), x, 1e-6)
+        np.testing.assert_array_equal(x, before)
+        np.testing.assert_allclose(grad, 3 * before ** 2, rtol=1e-6)

@@ -158,6 +158,13 @@ class TestLinkpred:
         assert set(rows[0]) == {"model", "seed", "hits@5", "mrr"}
         assert 0.0 <= float(rows[0]["mrr"]) <= 1.0
 
+    def test_default_hidden_dims_cover_link_prediction(self, tmp_path):
+        # link prediction needs one hidden dim per layer, the output layer included
+        assert main(["linkpred", "--out", str(tmp_path / "lp"),
+                     "--override", "experiment.models=gat",
+                     "--override", "data.n_per_class=10",
+                     "--override", "training.epochs=2"]) == 0
+
 
 class TestGradcheck:
     ARGS = ["--override", "gradcheck.trials=2", "--override", "gradcheck.qubits=2,3",

@@ -113,17 +113,6 @@ class TestGraphInvariants:
             Graph(np.zeros((2, 1)), [[0, 1]],
                   masks={"train": m, "val": m, "test": ~m})
 
-    def test_neighborhood_roundtrip(self):
-        g = synth_sbm(6, 2, 0.4, 0.1, 3, 1.0, seed=9)
-        nbhd = g.neighborhood()
-        np.testing.assert_array_equal(nbhd.rebuild_edges(), g.edges)
-
-    def test_neighborhood_includes_self(self):
-        g = Graph(np.zeros((3, 1)), [[0, 1]])
-        nbhd = g.neighborhood()
-        assert 1 in nbhd.in_neighbors[1]
-        assert 2 in nbhd.in_neighbors[2]  # isolated node still attends to itself
-
 
 class TestSbm:
     def test_disjoint_cliques(self):

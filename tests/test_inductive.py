@@ -152,3 +152,14 @@ class TestEvaluation:
         model = build_model(cfg, 8, 4)
         with pytest.raises(ValueError, match="val"):
             eval_inductive(model, no_val, "multi-label")
+
+    def test_training_on_empty_split_rejected(self):
+        coll = fixture_collection()
+        no_val = GraphCollection(
+            [g for g, t in zip(coll.graphs, coll.splits) if t != "val"],
+            [t for t in coll.splits if t != "val"],
+        )
+        cfg = fixture_cfg(epochs=2)
+        model = build_model(cfg, 8, 4)
+        with pytest.raises(ValueError, match="no 'val' graphs"):
+            train_inductive(model, no_val, cfg)

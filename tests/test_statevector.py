@@ -1,211 +1,188 @@
-"""Statevector core: gate application, encoders, expectations."""
+"""Statevector kernels against dense oracles: gates, encoding, expectations.
+
+States are (B, 2^n) blocks, the layout the circuit runs every edge in.
+"""
 
 import numpy as np
 import pytest
 
 from qgat.statevector import (
-    GateOp,
-    StateVector,
-    amplitude_encode,
-    angle_encode,
-    apply_gate,
-    expect_z,
+    cnot_batch,
+    encode_batch,
+    expect_z_all_batch,
+    pauli_z_half_batch,
+    ry_batch,
+    rz_batch,
+    z_signs,
 )
 
 from oracles import (
     cnot_unitary,
-    cphase_unitary,
     ry_matrix,
     rz_matrix,
     single_qubit_unitary,
+    z_expectation,
 )
 
 S2 = 1 / np.sqrt(2)
 
 
-def random_state(n, rng):
-    amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+def basis(n, index):
+    states = np.zeros((1, 1 << n), dtype=complex)
+    states[0, index] = 1.0
+    return states
+
+
+def random_states(n, rng, rows=3):
+    amps = rng.standard_normal((rows, 1 << n)) + 1j * rng.standard_normal((rows, 1 << n))
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
 def random_gate(n, rng):
-    kind = rng.choice(["RY", "RZ", "CNOT", "CPHASE"] if n >= 2 else ["RY", "RZ"])
-    angle = float(rng.uniform(0, 2 * np.pi))
-    if kind in ("RY", "RZ"):
-        return GateOp(kind, int(rng.integers(n)), angle)
-    c, t = rng.choice(n, size=2, replace=False)
-    return GateOp(kind, (int(c), int(t)), None if kind == "CNOT" else angle)
+    """(kind, wires, angle) for one of the gates the circuit emits."""
+    kind = rng.choice(["RY", "RZ", "CNOT"] if n >= 2 else ["RY", "RZ"])
+    if kind == "CNOT":
+        c, t = rng.choice(n, size=2, replace=False)
+        return kind, (int(c), int(t)), None
+    return kind, int(rng.integers(n)), float(rng.uniform(0, 2 * np.pi))
+
+
+def apply(states, n, gate):
+    kind, wires, angle = gate
+    if kind == "RY":
+        return ry_batch(states, n, wires, angle)
+    if kind == "RZ":
+        return rz_batch(states, n, wires, angle)
+    return cnot_batch(states, n, *wires)
 
 
 def gate_unitary(gate, n):
-    if gate.kind == "RY":
-        return single_qubit_unitary(ry_matrix(gate.angle), gate.wires, n)
-    if gate.kind == "RZ":
-        return single_qubit_unitary(rz_matrix(gate.angle), gate.wires, n)
-    if gate.kind == "CNOT":
-        return cnot_unitary(*gate.wires, n)
-    return cphase_unitary(*gate.wires, n, gate.angle)
+    kind, wires, angle = gate
+    if kind == "RY":
+        return single_qubit_unitary(ry_matrix(angle), wires, n)
+    if kind == "RZ":
+        return single_qubit_unitary(rz_matrix(angle), wires, n)
+    return cnot_unitary(*wires, n)
+
+
+def encode(x, n):
+    states, _ = encode_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :], n)
+    return states[0]
 
 
 class TestAmplitudeEncode:
     def test_identity_case(self):
-        sv = amplitude_encode([1, 0, 0, 0], 2)
-        np.testing.assert_array_equal(sv.amplitudes, [1, 0, 0, 0])
+        np.testing.assert_array_equal(encode([1, 0, 0, 0], 2), [1, 0, 0, 0])
 
     def test_normalization(self):
-        sv = amplitude_encode([3, 4], 1)
-        np.testing.assert_allclose(sv.amplitudes, [0.6, 0.8], atol=0)
+        np.testing.assert_allclose(encode([3, 4], 1), [0.6, 0.8], atol=0)
 
     def test_padding(self):
-        sv = amplitude_encode([1, 1, 1], 2)
         r3 = 1 / np.sqrt(3)
-        np.testing.assert_allclose(sv.amplitudes, [r3, r3, r3, 0], atol=1e-15)
+        np.testing.assert_allclose(encode([1, 1, 1], 2), [r3, r3, r3, 0], atol=1e-15)
 
     def test_zero_vector_maps_to_ground_state(self):
-        sv = amplitude_encode([0.0, 0.0, 0.0], 2)
-        np.testing.assert_array_equal(sv.amplitudes, [1, 0, 0, 0])
+        states, norms = encode_batch(np.zeros((2, 3)), 2)
+        np.testing.assert_array_equal(states, [[1, 0, 0, 0]] * 2)
+        np.testing.assert_array_equal(norms, [0.0, 0.0])
 
     def test_exact_roundtrip_for_power_of_two(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(8)
-        sv = amplitude_encode(x, 3)
-        np.testing.assert_array_equal(sv.amplitudes, (x / np.linalg.norm(x)).astype(complex))
+        np.testing.assert_array_equal(encode(x, 3), (x / np.linalg.norm(x)).astype(complex))
 
     def test_too_long_raises(self):
         with pytest.raises(ValueError, match="exceeds"):
-            amplitude_encode([1, 2, 3], 1)
+            encode([1, 2, 3], 1)
 
     def test_non_finite_raises(self):
         with pytest.raises(ValueError, match="finite"):
-            amplitude_encode([1.0, np.nan], 1)
-
-
-class TestAngleEncode:
-    def test_zero_angle_is_identity(self):
-        np.testing.assert_allclose(angle_encode([0.0]).amplitudes, [1, 0], atol=0)
-
-    def test_pi_flips(self):
-        np.testing.assert_allclose(angle_encode([np.pi]).amplitudes, [0, 1], atol=1e-16)
-
-    def test_half_pi_superposition(self):
-        np.testing.assert_allclose(angle_encode([np.pi / 2]).amplitudes, [S2, S2], atol=1e-15)
-
-    def test_tensor_structure(self):
-        sv = angle_encode([np.pi, 0.0])
-        np.testing.assert_allclose(sv.amplitudes, [0, 0, 1, 0], atol=1e-15)
-
-    def test_non_finite_raises(self):
-        with pytest.raises(ValueError, match="finite"):
-            angle_encode([np.inf])
+            encode([1.0, np.nan], 1)
 
 
 class TestApplyGate:
     def test_ry_pi_flips_zero(self):
-        sv = apply_gate(StateVector.zero_state(1), GateOp("RY", 0, np.pi))
-        assert abs(abs(sv.amplitudes[1]) - 1) < 1e-15
+        states = ry_batch(basis(1, 0), 1, 0, np.pi)
+        assert abs(abs(states[0, 1]) - 1) < 1e-15
 
     def test_cnot_truth_table(self):
         # |10> -> |11>: qubit 0 (most significant bit) controls qubit 1
-        sv = StateVector(2, [0, 0, 1, 0])
-        apply_gate(sv, GateOp("CNOT", (0, 1)))
-        np.testing.assert_allclose(sv.amplitudes, [0, 0, 0, 1], atol=0)
+        np.testing.assert_allclose(cnot_batch(basis(2, 2), 2, 0, 1), basis(2, 3), atol=0)
 
     def test_cnot_zero_control_is_identity(self):
-        sv = StateVector(2, [0, 1, 0, 0])  # |01>
-        apply_gate(sv, GateOp("CNOT", (0, 1)))
-        np.testing.assert_allclose(sv.amplitudes, [0, 1, 0, 0], atol=0)
+        np.testing.assert_allclose(cnot_batch(basis(2, 1), 2, 0, 1), basis(2, 1), atol=0)
 
     def test_rz_phase_only(self):
         theta = 0.731
-        sv = apply_gate(StateVector.zero_state(1), GateOp("RZ", 0, theta))
-        np.testing.assert_allclose(sv.amplitudes[0], np.exp(-1j * theta / 2), atol=1e-15)
-        assert expect_z(sv, 0) == pytest.approx(1.0, abs=1e-15)
-
-    def test_cphase_applies_phase_on_11(self):
-        sv = StateVector(2, np.full(4, 0.5))
-        apply_gate(sv, GateOp("CPHASE", (0, 1), np.pi / 3))
-        np.testing.assert_allclose(sv.amplitudes[3], 0.5 * np.exp(1j * np.pi / 3), atol=1e-15)
-        np.testing.assert_allclose(sv.amplitudes[:3], [0.5] * 3, atol=0)
+        states = rz_batch(basis(1, 0), 1, 0, theta)
+        np.testing.assert_allclose(states[0, 0], np.exp(-1j * theta / 2), atol=1e-15)
+        assert expect_z_all_batch(states, 1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_wire_out_of_range(self):
         with pytest.raises(IndexError):
-            apply_gate(StateVector.zero_state(2), GateOp("RY", 2, 0.1))
+            ry_batch(basis(2, 0), 2, 2, 0.1)
+        with pytest.raises(IndexError):
+            rz_batch(basis(2, 0), 2, -1, 0.1)
+        with pytest.raises(IndexError):
+            cnot_batch(basis(2, 0), 2, 0, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_dense_oracle(self, n):
         rng = np.random.default_rng(100 + n)
         for _ in range(25):
-            sv = random_state(n, rng)
-            expected = sv.amplitudes.copy()
+            states = random_states(n, rng)
+            expected = states.copy()
             for _ in range(6):
                 gate = random_gate(n, rng)
-                expected = gate_unitary(gate, n) @ expected
-                apply_gate(sv, gate)
-            np.testing.assert_allclose(sv.amplitudes, expected, atol=1e-12)
+                expected = expected @ gate_unitary(gate, n).T
+                states = apply(states, n, gate)
+            np.testing.assert_allclose(states, expected, atol=1e-12)
 
     def test_norm_preserved_over_long_sequences(self):
         rng = np.random.default_rng(17)
         for n in (2, 3, 4):
-            sv = random_state(n, rng)
+            states = random_states(n, rng)
             for _ in range(100):
-                apply_gate(sv, random_gate(n, rng))
-            assert abs(sv.norm() ** 2 - 1.0) <= 1e-10
+                states = apply(states, n, random_gate(n, rng))
+            np.testing.assert_allclose(np.linalg.norm(states, axis=1) ** 2, 1.0, atol=1e-10)
 
     def test_gate_then_inverse_restores_state(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            sv = random_state(n, rng)
-            before = sv.amplitudes.copy()
-            gate = random_gate(n, rng)
-            apply_gate(sv, gate)
-            if gate.kind == "CNOT":
-                inverse = gate
-            else:
-                inverse = GateOp(gate.kind, gate.wires, -gate.angle)
-            apply_gate(sv, inverse)
-            np.testing.assert_allclose(sv.amplitudes, before, atol=1e-12)
+            states = random_states(n, rng)
+            before = states.copy()
+            kind, wires, angle = gate = random_gate(n, rng)
+            inverse = gate if kind == "CNOT" else (kind, wires, -angle)
+            states = apply(apply(states, n, gate), n, inverse)
+            np.testing.assert_allclose(states, before, atol=1e-12)
 
 
 class TestExpectZ:
     def test_basis_states(self):
-        assert expect_z(StateVector(1, [1, 0]), 0) == 1.0
-        assert expect_z(StateVector(1, [0, 1]), 0) == -1.0
+        assert expect_z_all_batch(basis(1, 0), 1)[0, 0] == 1.0
+        assert expect_z_all_batch(basis(1, 1), 1)[0, 0] == -1.0
 
     def test_superposition(self):
-        assert expect_z(StateVector(1, [S2, S2]), 0) == pytest.approx(0.0, abs=1e-15)
+        states = np.array([[S2, S2]], dtype=complex)
+        assert expect_z_all_batch(states, 1)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_multi_qubit_orientation(self):
-        sv = StateVector(2, [0, 1, 0, 0])  # |01>
-        assert expect_z(sv, 0) == 1.0
-        assert expect_z(sv, 1) == -1.0
+        np.testing.assert_array_equal(expect_z_all_batch(basis(2, 1), 2), [[1.0, -1.0]])  # |01>
 
     def test_bounds_on_random_states(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 5))
-            sv = random_state(n, rng)
-            for q in range(n):
-                assert -1.0 <= expect_z(sv, q) <= 1.0
+            states = random_states(n, rng)
+            got = expect_z_all_batch(states, n)
+            assert got.shape == (states.shape[0], n)
+            assert np.all((-1.0 <= got) & (got <= 1.0))
+            want = [[z_expectation(row, q, n) for q in range(n)] for row in states]
+            np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_index_error(self):
         with pytest.raises(IndexError):
-            expect_z(StateVector.zero_state(2), 2)
-
-
-class TestGateOpValidation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            GateOp("HADAMARD", 0, 0.0)
-
-    def test_cnot_needs_pair(self):
-        with pytest.raises(ValueError):
-            GateOp("CNOT", 0)
-
-    def test_cnot_distinct_wires(self):
-        with pytest.raises(ValueError):
-            GateOp("CNOT", (1, 1))
-
-    def test_rotation_needs_angle(self):
-        with pytest.raises(ValueError):
-            GateOp("RY", 0)
+            z_signs(2, 2)
+        with pytest.raises(IndexError):
+            pauli_z_half_batch(basis(2, 0), 2, -1)
