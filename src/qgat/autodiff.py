@@ -9,9 +9,10 @@ Two properties matter for callers:
 
 * graph nodes are only recorded when some input requires a gradient, so
   evaluation-mode forward passes carry no tape overhead;
-* ``segment_sum`` accumulates each segment in value-sorted order, which
-  makes the result independent of the order rows appear in -- required
-  for bit-exact permutation equivariance of neighborhood aggregation.
+* ``segment_sum``, ``segment_max`` and the ``take_rows`` backward share
+  ``_segment_reduce``, which sums each segment in value-sorted order, so
+  results do not depend on row order -- required for bit-exact permutation
+  equivariance of neighborhood aggregation and of its gradients.
 """
 
 from __future__ import annotations
@@ -272,49 +273,47 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
-
-    def vjp(g: np.ndarray):
-        full = np.zeros_like(x.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return make_op(x.data[idx], (x,), vjp)
+    return make_op(x.data[idx], (x,), lambda g: (_segment_reduce(g, idx, len(x.data), "sum"),))
 
 
 # -- segment ops --------------------------------------------------------
 
 
-def _sorted_segment_sum(values: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
-    """Per-segment sums with value-sorted accumulation order.
+def _segment_reduce(values: np.ndarray, seg: np.ndarray, n_segments: int, kind: str) -> np.ndarray:
+    """Per-segment sums (``kind="sum"``) or maxima (``"max"``) of the rows of ``values``.
 
-    Sorting addends by value before reduction makes each segment's sum a
-    function of the multiset of values only, so reordering rows (e.g.
-    relabeling graph nodes) reproduces results bit-exactly.
+    Segments are padded to power-of-two widths with the reduction identity
+    and reduced one width at a time as dense ``(segments, width, cols)``
+    blocks.  Sums add each segment's values in sorted order, so the result
+    depends on the multiset of values only, not on the order of the rows.
     """
-    cols = 1 if values.ndim == 1 else int(np.prod(values.shape[1:]))
-    flat = values.reshape(values.shape[0], cols)
-    group = (seg[:, None] * cols + np.arange(cols)[None, :]).ravel()
-    vals = flat.ravel()
-    order = np.lexsort((vals, group))
-    vals_sorted = vals[order]
-    group_sorted = group[order]
-    out = np.zeros(n_segments * cols, dtype=values.dtype)
-    if vals_sorted.size:
-        starts = np.flatnonzero(np.r_[True, group_sorted[1:] != group_sorted[:-1]])
-        out[group_sorted[starts]] = np.add.reduceat(vals_sorted, starts)
+    flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
+    order = np.argsort(seg, kind="stable")
+    counts = np.bincount(seg, minlength=n_segments)
+    starts = np.cumsum(counts) - counts
+    out = np.full((n_segments, flat.shape[1]), -np.inf if kind == "max" else 0.0)
+    filled = np.flatnonzero(counts)
+    log_widths = np.frexp(counts[filled] - 1)[1]  # smallest w with 2**w >= count
+    for w in np.unique(log_widths):
+        members = filled[log_widths == w]
+        lanes = np.arange(1 << w)
+        pad = lanes >= counts[members, None]
+        block = flat[order[np.where(pad, 0, starts[members, None] + lanes)]]
+        block[pad] = -np.inf if kind == "max" else -0.0  # the reduction's identity
+        if kind == "sum":
+            block.sort(axis=1)
+        out[members] = block.max(axis=1) if kind == "max" else block.sum(axis=1)
     return out.reshape((n_segments,) + values.shape[1:])
 
 
 def segment_sum(x: Tensor, seg: np.ndarray, n_segments: int) -> Tensor:
     seg = np.asarray(seg)
-    return make_op(_sorted_segment_sum(x.data, seg, n_segments), (x,), lambda g: (g[seg],))
+    return make_op(_segment_reduce(x.data, seg, n_segments, "sum"), (x,), lambda g: (g[seg],))
 
 
 def segment_max(values: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
     """Per-segment maxima (plain numpy; used detached for softmax shifts)."""
-    out = np.full((n_segments,) + values.shape[1:], -np.inf, dtype=values.dtype)
-    np.maximum.at(out, seg, values)
-    return out
+    return _segment_reduce(values, seg, n_segments, "max")
 
 
 def central_difference(f: Callable[[], float], x: np.ndarray, eps: float) -> np.ndarray:

@@ -82,8 +82,8 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     """
     if len(pos_scores) == 0:
         raise ValueError("empty positive set")
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    ranks = 1 + np.sum(neg[None, :] > np.asarray(pos_scores)[:, None], axis=1)
+    neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
+    ranks = 1 + len(neg) - np.searchsorted(neg, pos_scores, side="right")
     return math.fsum(1.0 / r for r in ranks) / len(ranks)
 
 

@@ -166,7 +166,10 @@ def loss(task: str, predictions: np.ndarray, labels) -> float:
     node-class: softmax cross-entropy against integer labels.
     multi-label: per-cell binary cross-entropy with logits.
     link-pred: binary cross-entropy on edge scores against 0/1 labels.
+    Non-finite predictions raise ``TrainingDivergedError``.
     """
+    if not np.all(np.isfinite(predictions)):
+        raise TrainingDivergedError("non-finite model output")
     pred = Tensor(predictions)
     if task == "node-class":
         return cross_entropy_logits(pred, labels).item()
@@ -210,7 +213,11 @@ class Model:
         if set(own) != set(state):
             raise ValueError("checkpoint parameter names do not match the model")
         for name, tensor in own.items():
-            tensor.data = np.asarray(state[name], dtype=np.float64).reshape(tensor.shape)
+            value = np.array(state[name], dtype=np.float64)
+            if value.shape != tensor.shape:
+                raise ValueError(f"checkpoint parameter {name!r} has shape {value.shape}, "
+                                 f"the model expects {tensor.shape}")
+            tensor.data = value
 
     def param_counts(self) -> dict[str, int]:
         return {f"layer{i}": layer.param_count() for i, layer in enumerate(self.layers)}
@@ -389,8 +396,14 @@ def fit(model: Model, cfg: TrainConfig, data: Graph | LinkSplit,
     best_state = model.state_dict()
     stale = 0
 
-    def record(epoch: int, lr_now: float, t0: float) -> MetricsRecord:
-        losses, scores = evaluate_splits()
+    def run_epoch(epoch: int, lr_now: float) -> MetricsRecord:
+        t0 = time.perf_counter()
+        try:
+            if epoch:
+                training_step(model, data, cfg, opt, lr_now, drop_rng)
+            losses, scores = evaluate_splits()
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(f"{exc} (epoch {epoch})") from None
         rec = MetricsRecord(epoch, losses, scores, lr_now, time.perf_counter() - t0)
         history.append(rec)
         return rec
@@ -399,20 +412,13 @@ def fit(model: Model, cfg: TrainConfig, data: Graph | LinkSplit,
         # metric first; loss breaks ties once the metric saturates
         return rec.metrics.get(monitor, -np.inf), -rec.losses.get(monitor, np.inf)
 
-    t0 = time.perf_counter()
-    rec = record(0, cfg.learning_rate, t0)
+    rec = run_epoch(0, cfg.learning_rate)
     # monitor validation when present; fall back to train (e.g. 0-fraction splits)
     monitor = "val" if "val" in rec.metrics else "train"
     best = goodness(rec)
 
     for epoch in range(1, cfg.epochs + 1):
-        t0 = time.perf_counter()
-        lr_now = cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate, cfg.lr_min)
-        try:
-            training_step(model, data, cfg, opt, lr_now, drop_rng)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(f"{exc} (epoch {epoch})") from None
-        rec = record(epoch, lr_now, t0)
+        rec = run_epoch(epoch, cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate, cfg.lr_min))
         if goodness(rec) > best:
             best, best_epoch, stale = goodness(rec), epoch, 0
             best_state = model.state_dict()

@@ -95,12 +95,6 @@ def build_layout(n_qubits: int, n_layers: int) -> EntanglingLayout:
     return EntanglingLayout(n_qubits, ranges)
 
 
-def param_count(n_layers: int, n_qubits: int) -> int:
-    if n_layers < 0 or n_qubits < 1:
-        raise ValueError("layer count must be >= 0 and qubit count >= 1")
-    return n_layers * n_qubits * 3
-
-
 def executions_needed(n_heads: int, n_qubits: int) -> int:
     """Circuit executions required to produce ``n_heads`` expectation values."""
     return ceil(n_heads / n_qubits)

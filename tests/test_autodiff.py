@@ -93,14 +93,29 @@ class TestMatmulAndShape:
         gradcheck(lambda t: tmean(t, axis=1), [x])
 
 
+def skewed_segments(n_segments=60):
+    """Segment ids with one 300-row segment, many of 1-40 rows and ten empty ones."""
+    sizes = np.r_[300, rng.integers(1, 41, n_segments - 11), np.zeros(10, dtype=int)]
+    return rng.permutation(np.repeat(np.arange(n_segments), sizes))
+
+
+def segment_inputs():
+    """(values, seg, n_segments): random, skewed across block widths, and zero-row."""
+    seg = skewed_segments()
+    return [
+        (rng.standard_normal((10, 4)), rng.integers(0, 3, 10), 3),
+        (rng.standard_normal((len(seg), 2, 3)), seg, 60),
+        (np.empty((0, 4)), np.empty(0, dtype=np.int64), 3),
+    ]
+
+
 class TestSegmentOps:
     def test_segment_sum_matches_direct(self):
-        vals = rng.standard_normal((10, 4))
-        seg = rng.integers(0, 3, 10)
-        direct = np.zeros((3, 4))
-        np.add.at(direct, seg, vals)
-        got = segment_sum(Tensor(vals), seg, 3).data
-        np.testing.assert_allclose(got, direct, atol=1e-12)
+        for vals, seg, n in segment_inputs():
+            direct = np.zeros((n,) + vals.shape[1:])
+            np.add.at(direct, seg, vals)
+            got = segment_sum(Tensor(vals), seg, n).data
+            np.testing.assert_allclose(got, direct, atol=1e-12)
 
     def test_segment_sum_gradient(self):
         x = leaf((8, 3))
@@ -108,13 +123,13 @@ class TestSegmentOps:
         gradcheck(lambda t: segment_sum(t, seg, 3), [x])
 
     def test_segment_sum_order_independent(self):
-        vals = rng.standard_normal((50, 2))
-        seg = rng.integers(0, 7, 50)
-        base = segment_sum(Tensor(vals), seg, 7).data
-        for _ in range(5):
-            perm = rng.permutation(50)
-            again = segment_sum(Tensor(vals[perm]), seg[perm], 7).data
-            np.testing.assert_array_equal(base, again)
+        for seg, n in ((rng.integers(0, 7, 50), 7), (skewed_segments(), 60)):
+            vals = rng.standard_normal((len(seg), 2))
+            base = segment_sum(Tensor(vals), seg, n).data
+            for _ in range(5):
+                perm = rng.permutation(len(seg))
+                again = segment_sum(Tensor(vals[perm]), seg[perm], n).data
+                np.testing.assert_array_equal(base, again)
 
     def test_segment_sum_empty_segment_is_zero(self):
         got = segment_sum(Tensor(np.ones((2, 2))), np.array([0, 2]), 4).data
@@ -131,6 +146,21 @@ class TestSegmentOps:
         seg = np.array([0, 0, 1])
         got = segment_max(vals, seg, 2)
         np.testing.assert_array_equal(got, [[3.0, 0.0], [-1.0, 5.0]])
+        for vals, seg, n in segment_inputs():
+            direct = np.full((n,) + vals.shape[1:], -np.inf)
+            np.maximum.at(direct, seg, vals)
+            np.testing.assert_array_equal(segment_max(vals, seg, n), direct)
+
+    def test_take_rows_backward_order_independent(self):
+        idx = skewed_segments()
+        x = leaf((60, 3))
+        upstream = rng.standard_normal((len(idx), 3))
+        take_rows(x, idx).backward(upstream)
+        base = x.grad
+        perm = rng.permutation(len(idx))
+        x.zero_grad()
+        take_rows(x, idx[perm]).backward(upstream[perm])
+        np.testing.assert_array_equal(x.grad, base)
 
 
 class TestBackwardMechanics:

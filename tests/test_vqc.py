@@ -54,23 +54,6 @@ class TestLayout:
             assert all(0 < r < m for r in layout.ranges)
 
 
-class TestParamCount:
-    def test_minimal(self):
-        assert vqc.param_count(1, 1) == 3
-
-    def test_direct_product(self):
-        assert vqc.param_count(2, 5) == 30
-
-    def test_layer_increment_is_three_per_qubit(self):
-        for n_q in (2, 4, 12):
-            for layers in (1, 2, 3):
-                delta = vqc.param_count(layers + 1, n_q) - vqc.param_count(layers, n_q)
-                assert delta == 3 * n_q
-
-    def test_zero_layers(self):
-        assert vqc.param_count(0, 6) == 0
-
-
 class TestForward:
     def test_identity_circuit_on_ground_state(self):
         layout = build_layout(3, 2)
