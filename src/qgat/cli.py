@@ -231,13 +231,14 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
             layout = vqc.build_layout(n_q, n_layers)
             for _ in range(trials):
                 angles = rng.uniform(0, 2 * np.pi, (n_layers, n_q, 3))
-                x = rng.standard_normal(1 << n_q)
-                upstream = rng.standard_normal(n_q)
-                params = vqc.CircuitParams(n_layers, n_q, angles)
-                ga, gx = vqc.circuit_backward(x, params, layout, upstream)
+                x = rng.standard_normal((3, 1 << n_q))
+                upstream = rng.standard_normal((3, n_q))
+                inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
+                vqc.expectations_op(inputs, angle_t, layout).backward(upstream)
+                ga, gx = angle_t.grad, inputs.grad
 
                 def circuit_value() -> float:
-                    return vqc.circuit_forward_batch(x[None, :], angles, layout)[0] @ upstream
+                    return float(np.sum(vqc.circuit_forward_batch(x, angles, layout) * upstream))
 
                 for name, analytic, wrt in (("circuit.angles", ga, angles),
                                             ("circuit.inputs", gx, x)):

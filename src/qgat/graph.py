@@ -303,14 +303,27 @@ def add_feature_noise(g: Graph, epsilon: float, seed: int) -> Graph:
     return g.replace(features=noisy)
 
 
-def _free_pairs(g: Graph) -> np.ndarray:
-    iu, ju = np.triu_indices(g.n_nodes, k=1)
-    adj = np.zeros((g.n_nodes, g.n_nodes), dtype=bool)
-    if g.edges.size:
-        adj[g.edges[:, 0], g.edges[:, 1]] = True
-        adj[g.edges[:, 1], g.edges[:, 0]] = True
-    free = ~adj[iu, ju]
-    return np.stack([iu[free], ju[free]], axis=1)
+def _free_pairs(g: Graph, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` distinct non-adjacent pairs (u < v), uniform without replacement.
+
+    Draws ranks among the free pairs in row-major upper-triangle order and
+    maps each rank to its pair past the sorted ranks of the taken pairs, so
+    memory is linear in the edge count rather than quadratic in the nodes.
+    """
+    n = g.n_nodes
+    rows = np.arange(n, dtype=np.int64)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2  # rank of (u, u + 1)
+    lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
+    hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
+    off_diagonal = lo < hi
+    taken = np.unique(row_start[lo[off_diagonal]] + hi[off_diagonal] - lo[off_diagonal] - 1)
+    n_free = n * (n - 1) // 2 - taken.size
+    if size > n_free:
+        raise ValueError(f"cannot draw {size} pairs: only {n_free} non-adjacent pairs remain")
+    rank = rng.choice(n_free, size=size, replace=False)
+    linear = rank + np.searchsorted(taken - np.arange(taken.size), rank, side="right")
+    u = np.searchsorted(row_start, linear, side="right") - 1
+    return np.stack([u, linear - row_start[u] + u + 1], axis=1)
 
 
 def add_structural_noise(g: Graph, eta: float, seed: int) -> Graph:
@@ -320,13 +333,7 @@ def add_structural_noise(g: Graph, eta: float, seed: int) -> Graph:
     n_new = int(np.floor(eta * g.undirected_pairs().shape[0]))
     if n_new == 0:
         return g.replace()
-    candidates = _free_pairs(g)
-    if n_new > candidates.shape[0]:
-        raise ValueError(
-            f"cannot add {n_new} edges: only {candidates.shape[0]} non-adjacent pairs remain"
-        )
-    rng = np.random.default_rng(seed)
-    chosen = candidates[rng.choice(candidates.shape[0], size=n_new, replace=False)]
+    chosen = _free_pairs(g, np.random.default_rng(seed), n_new)
     new_edges = np.concatenate([g.edges, chosen, chosen[:, ::-1]], axis=0)
     return g.replace(edges=new_edges)
 
@@ -373,11 +380,7 @@ def split_link_prediction(g: Graph, frac_val: float, frac_test: float,
     counts = {"train": train_pos.shape[0] * neg_ratio,
               "val": val_pos.shape[0] * neg_ratio,
               "test": test_pos.shape[0] * neg_ratio}
-    candidates = _free_pairs(g)
-    total = sum(counts.values())
-    if total > candidates.shape[0]:
-        raise ValueError("not enough non-edges to sample negatives")
-    picked = candidates[rng.choice(candidates.shape[0], size=total, replace=False)]
+    picked = _free_pairs(g, rng, sum(counts.values()))
     neg = {}
     offset = 0
     for name in ("train", "val", "test"):

@@ -5,9 +5,10 @@ significant bit of the basis index, so ``|10>`` is index 2.  Rotation
 conventions are R(theta) = exp(-i*theta*G/2) for G in {Y, Z}.
 
 The ``*_batch`` kernels apply one gate to a whole (B, 2^n) block of
-states at once, with stride-based bit indexing; the variational-circuit
-layer runs every edge of a graph through them in a single sweep.  A single
-state is the B = 1 case.
+states at once, with stride-based bit indexing.  The variational circuit
+runs them on the 2^n basis rows to build its unitary and in its adjoint
+sweep; the edges of a graph never pass through them.  A single state is
+the B = 1 case.
 """
 
 from __future__ import annotations

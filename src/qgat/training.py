@@ -12,7 +12,7 @@ graphs.  Everything is driven by explicit seeded generators so a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from math import cos, pi
 from typing import Callable
 
@@ -468,9 +468,17 @@ def load_checkpoint(path) -> tuple[TrainConfig, dict[str, np.ndarray]]:
         payload = json.load(fh)
     if payload.get("version") != 1:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    unknown = sorted(set(payload["config"]) - {f.name for f in fields(TrainConfig)})
+    if unknown:
+        raise ValueError(f"checkpoint config has unknown keys {unknown}")
     cfg = TrainConfig(**payload["config"])
+    cfg.validate()
+    shapes = payload.get("shapes", {})
+    missing = sorted(set(payload["weights"]) - set(shapes))
+    if missing:
+        raise ValueError(f"checkpoint has no shape for parameters {missing}")
     state = {
-        name: np.asarray(values, dtype=np.float64).reshape(payload["shapes"][name])
+        name: np.asarray(values, dtype=np.float64).reshape(shapes[name])
         for name, values in payload["weights"].items()
     }
     return cfg, state

@@ -86,6 +86,23 @@ def circuit_expectations_reference(x: np.ndarray, angles: np.ndarray,
     return np.array([z_expectation(state, q, n) for q in range(n)])
 
 
+# -- graph references -----------------------------------------------------
+
+
+def free_pairs_reference(n_nodes: int, edges, rng: np.random.Generator,
+                         size: int) -> np.ndarray:
+    """Enumerate every non-adjacent pair (u < v) row by row, then index it by
+    the ranks ``rng.choice`` draws."""
+    adj = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    free = [(u, v) for u in range(n_nodes) for v in range(u + 1, n_nodes) if not adj[u, v]]
+    if size > len(free):
+        raise ValueError(f"only {len(free)} non-adjacent pairs")
+    ranks = rng.choice(len(free), size=size, replace=False)
+    return np.array([free[r] for r in ranks], dtype=np.int64).reshape(-1, 2)
+
+
 # -- metric references ---------------------------------------------------
 
 

@@ -15,6 +15,9 @@ from qgat.graph import (
     split_link_prediction,
     synth_sbm,
 )
+from qgat.graph import _free_pairs
+
+from oracles import free_pairs_reference
 
 
 def write_csv_bundle(tmp_path, features_lines, edges_lines):
@@ -233,6 +236,35 @@ class TestStructuralNoise:
         a = add_structural_noise(g, 0.4, seed=1)
         b = add_structural_noise(g, 0.4, seed=2)
         assert not np.array_equal(a.edges, b.edges)
+
+
+class TestFreePairs:
+    def test_matches_dense_enumeration(self):
+        rng = np.random.default_rng(0)
+        for trial in range(40):
+            n = int(rng.integers(2, 14))
+            m = int(rng.integers(0, 2 * n))
+            edges = rng.integers(0, n, (m, 2))  # self-loops and duplicates included
+            edges = np.concatenate([edges, edges[: m // 2, ::-1], edges[: m // 3]])
+            g = Graph(np.zeros((n, 1)), edges)
+            n_free = n * (n - 1) // 2 - g.undirected_pairs().shape[0]
+            size = int(rng.integers(0, n_free + 1))
+            got = _free_pairs(g, np.random.default_rng(trial), size)
+            want = free_pairs_reference(n, edges, np.random.default_rng(trial), size)
+            np.testing.assert_array_equal(got, want)
+
+    def test_edgeless_graph_yields_every_pair(self):
+        g = Graph(np.zeros((6, 1)), np.empty((0, 2)))
+        got = _free_pairs(g, np.random.default_rng(5), 15)
+        np.testing.assert_array_equal(
+            got, free_pairs_reference(6, [], np.random.default_rng(5), 15))
+        assert {tuple(p) for p in got} == {(u, v) for u in range(6) for v in range(u + 1, 6)}
+
+    def test_complete_graph_raises(self):
+        g = Graph(np.zeros((4, 1)), [[u, v] for u in range(4) for v in range(u + 1, 4)],
+                  undirected=True)
+        with pytest.raises(ValueError, match="non-adjacent"):
+            _free_pairs(g, np.random.default_rng(0), 1)
 
 
 class TestLinkSplit:

@@ -1,5 +1,7 @@
 """Optimizer, schedule, losses, and the training loop."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,30 @@ class TestPersistence:
         fresh = build_model(cfg2, g.feature_dim, 2)
         fresh.load_state_dict(state)
         np.testing.assert_array_equal(fresh.forward(g).data, model.forward(g).data)
+
+    def saved_checkpoint(self, tmp_path, edit):
+        model = build_model(small_cfg(), 8, 2)
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, small_cfg(), model.state_dict())
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_load_checkpoint_rejects_unknown_config_key(self, tmp_path):
+        path = self.saved_checkpoint(tmp_path, lambda p: p["config"].update(heads=3))
+        with pytest.raises(ValueError, match="unknown keys.*'heads'"):
+            load_checkpoint(path)
+
+    def test_load_checkpoint_rejects_weight_without_shape(self, tmp_path):
+        path = self.saved_checkpoint(tmp_path, lambda p: p["shapes"].pop("layer0.attn_dst"))
+        with pytest.raises(ValueError, match=r"no shape.*'layer0\.attn_dst'"):
+            load_checkpoint(path)
+
+    def test_load_checkpoint_validates_config(self, tmp_path):
+        path = self.saved_checkpoint(tmp_path, lambda p: p["config"].update(model="nope"))
+        with pytest.raises(ValueError, match="model.*'nope'"):
+            load_checkpoint(path)
 
     def test_load_state_dict_rejects_wrong_shape(self):
         model = build_model(small_cfg(), 8, 2)

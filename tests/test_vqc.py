@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qgat import vqc
+from qgat.autodiff import Tensor, gradcheck
 from qgat.vqc import CircuitParams, EntanglingLayout, build_layout
 
 from oracles import circuit_expectations_reference
@@ -210,6 +211,51 @@ class TestBackward:
 
         assert rel_err(gx, finite_difference(value, x)) <= 1e-5
         assert rel_err(ga, finite_difference(value, angles)) <= 1e-5
+
+
+def batch_case(n_q, layers, batch, seed):
+    """Layout, angles and a (batch, 2^n) input block whose middle row is all zero."""
+    rng = np.random.default_rng(seed)
+    layout = build_layout(n_q, layers) if n_q > 1 else EntanglingLayout(1, (0,) * layers)
+    angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
+    x = rng.standard_normal((batch, 1 << n_q))
+    if batch > 1:
+        x[batch // 2] = 0.0
+    return layout, angles, x
+
+
+class TestBatch:
+    """Batches of many rows: the costate E^T Lambda sums over every row."""
+
+    @pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("above", [False, True])
+    def test_expectations_op_gradcheck(self, n_q, above):
+        batch = (1 << n_q) + 3 if above else max(1, (1 << n_q) - 1)
+        layout, angles, x = batch_case(n_q, 2, batch, seed=n_q + 10 * above)
+        weights = Tensor(np.random.default_rng(n_q).standard_normal((batch, n_q)))
+        gradcheck(lambda inputs, a: vqc.expectations_op(inputs, a, layout) * weights,
+                  [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)])
+
+    @pytest.mark.parametrize("n_q,batch", [(2, 9), (3, 5), (4, 40)])
+    def test_gradients_equal_sum_of_rows(self, n_q, batch):
+        layout, angles, x = batch_case(n_q, 3, batch, seed=batch)
+        upstream = np.random.default_rng(batch).standard_normal((batch, n_q))
+        inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
+        vqc.expectations_op(inputs, angle_t, layout).backward(upstream)
+        params = CircuitParams(3, n_q, angles)
+        rows = [vqc.circuit_backward(x[b], params, layout, upstream[b]) for b in range(batch)]
+        np.testing.assert_allclose(angle_t.grad, sum(ga for ga, _ in rows), rtol=1e-10,
+                                   atol=1e-12)
+        np.testing.assert_allclose(inputs.grad, np.stack([gx for _, gx in rows]), rtol=1e-10,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("n_q,batch", [(1, 4), (3, 12), (5, 7)])
+    def test_forward_matches_dense_oracle_per_row(self, n_q, batch):
+        layout, angles, x = batch_case(n_q, 2, batch, seed=3 * batch)
+        got = vqc.circuit_forward_batch(x, angles, layout)
+        for b in range(batch):
+            want = circuit_expectations_reference(x[b], angles, layout.ranges, n_q)
+            np.testing.assert_allclose(got[b], want, atol=1e-12)
 
 
 class TestExecutionCounter:
