@@ -8,12 +8,11 @@ synthetic datasets, noise-robustness protocols, link prediction, and a CLI.
 from .attention import GatLayer, Gatv2Layer, QgatLayer
 from .graph import Graph, load_graph, synth_sbm
 from .training import TrainConfig, build_model, run_training, train
-from .vqc import CircuitParams, EntanglingLayout, build_layout, circuit_backward, circuit_forward
+from .vqc import EntanglingLayout, build_layout
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CircuitParams",
     "EntanglingLayout",
     "GatLayer",
     "Gatv2Layer",
@@ -22,8 +21,6 @@ __all__ = [
     "TrainConfig",
     "build_layout",
     "build_model",
-    "circuit_backward",
-    "circuit_forward",
     "load_graph",
     "run_training",
     "synth_sbm",

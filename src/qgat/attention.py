@@ -12,6 +12,9 @@ per execution) become the per-head logits, surplus tail values dropped.  No
 LeakyReLU is applied to quantum logits.  Value projections reuse per-head
 column slices of the shared multi-head projection unless a separate value
 matrix is requested.
+
+``forward`` is the one way into a layer; it records the circuit through
+``vqc.expectations_op`` so the tape carries its adjoint gradients.
 """
 
 from __future__ import annotations
@@ -133,9 +136,6 @@ class _AttentionLayer:
         residual = x if self.shortcut is None else matmul(x, self.shortcut)
         return out + residual
 
-    def param_count(self) -> int:
-        return sum(int(np.prod(t.shape)) for t in self.params().values())
-
 
 class QgatLayer(_AttentionLayer):
     def __init__(self, in_dim: int, head_dim: int, heads: int, n_qubits: int,
@@ -148,7 +148,7 @@ class QgatLayer(_AttentionLayer):
         if n_qubits < 1 or entangling_layers < 1:
             raise ValueError("qubit and circuit-layer counts must be >= 1")
         self.n_qubits = n_qubits
-        self.n_exec = vqc.executions_needed(heads, n_qubits)
+        self.n_exec = -(-heads // n_qubits)  # circuit executions per edge
         if n_qubits >= 2:
             self.layout = vqc.build_layout(n_qubits, entangling_layers)
         else:
@@ -241,43 +241,3 @@ class Gatv2Layer(_AttentionLayer):
         values = reshape(take_rows(pl, src), (n_edges, self.heads, self.head_dim))
         return logits, values
 
-
-# -- functional views used by spec-level tests and the gradcheck command ----
-
-
-def qgat_edge_input(h_i: np.ndarray, h_j: np.ndarray, layer: QgatLayer) -> np.ndarray:
-    """Quantum input for one edge: P @ [W h_i || W h_j || h_i || h_j]."""
-    h_i = np.atleast_1d(np.asarray(h_i, dtype=np.float64))
-    h_j = np.atleast_1d(np.asarray(h_j, dtype=np.float64))
-    if h_i.shape[0] != layer.in_dim or h_j.shape[0] != layer.in_dim:
-        raise ValueError(f"feature dim {h_i.shape[0]} != layer input dim {layer.in_dim}")
-    w = layer.feat_proj.data
-    stacked = np.concatenate([w.T @ h_i, w.T @ h_j, h_i, h_j])
-    return stacked @ layer.compress.data
-
-
-def qgat_logits(a_prime: np.ndarray, layer: QgatLayer) -> np.ndarray:
-    """Per-head logits: chunk, amplitude-encode, run circuit, keep first h values."""
-    a_prime = np.atleast_1d(np.asarray(a_prime, dtype=np.float64))
-    if a_prime.shape[0] != layer.encoding_dim:
-        raise ValueError(
-            f"quantum input length {a_prime.shape[0]} != 2^n_q * n_exec = {layer.encoding_dim}"
-        )
-    chunks = a_prime.reshape(layer.n_exec, 1 << layer.n_qubits)
-    expectations = vqc.circuit_forward_batch(chunks, layer.angles.data, layer.layout)
-    return expectations.reshape(-1)[: layer.heads]
-
-
-def qgat_backward(graph: Graph, features, layer: QgatLayer,
-                  upstream: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of sum(upstream * output) for every layer parameter
-    and the input features (key ``"features"``)."""
-    x = Tensor(features, requires_grad=True)
-    for t in layer.params().values():
-        t.zero_grad()
-    out = layer.forward(graph, x)
-    out.backward(np.asarray(upstream, dtype=np.float64))
-    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-             for name, t in layer.params().items()}
-    grads["features"] = x.grad if x.grad is not None else np.zeros_like(x.data)
-    return grads

@@ -333,40 +333,35 @@ def central_difference(f: Callable[[], float], x: np.ndarray, eps: float) -> np.
     return grad
 
 
-def relative_error(analytic: np.ndarray, numeric: np.ndarray, atol: float = 1e-8,
-                   rtol: float = 1e-5) -> np.ndarray:
-    """Elementwise |analytic - numeric| / max(|numeric|, atol / rtol).
+def gradient_errors(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float = 1e-6,
+                    rtol: float = 1e-5, atol: float = 1e-8) -> list[float]:
+    """Worst relative error of the tape gradient of ``sum(fn(*tensors))`` for each
+    of ``tensors``, leaves that require a gradient.
 
-    Differences within ``atol`` count as zero: they are finite-difference noise.
-    """
-    diff = np.abs(analytic - numeric)
-    scaled = diff / np.maximum(np.abs(numeric), atol / rtol)
-    return np.where(diff <= atol, 0.0, scaled)
-
-
-def gradcheck(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float = 1e-6,
-              rtol: float = 1e-5, atol: float = 1e-8) -> float:
-    """Compare tape gradients of ``sum(fn(*tensors))`` against central differences.
-
-    Returns the worst relative error across all inputs; raises AssertionError
-    beyond tolerance.
+    Each gradient is compared with central differences entry by entry as
+    |analytic - numeric| / max(|numeric|, atol / rtol); differences within
+    ``atol`` count as zero, being finite-difference noise.  A NaN anywhere
+    makes that tensor's error NaN.
     """
     out = fn(*tensors)
     for t in tensors:
         t.zero_grad()
     out.backward(np.ones_like(out.data))
-    worst = 0.0
+    worst = []
     for t in tensors:
-        if not t.requires_grad:
-            continue
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
         numeric = central_difference(lambda: fn(*tensors).data.sum(), t.data, eps)
-        err = relative_error(analytic, numeric, atol, rtol)
-        i = int(np.argmax(err))
-        if not err.flat[i] <= rtol:
-            raise AssertionError(
-                f"gradient mismatch at flat index {i}: analytic={analytic.flat[i]}, "
-                f"fd={numeric.flat[i]}"
-            )
-        worst = max(worst, float(err.flat[i]))
+        diff = np.abs(analytic - numeric)
+        scaled = diff / np.maximum(np.abs(numeric), atol / rtol)
+        worst.append(float(np.max(np.where(diff <= atol, 0.0, scaled))))
     return worst
+
+
+def gradcheck(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float = 1e-6,
+              rtol: float = 1e-5, atol: float = 1e-8) -> float:
+    """Assert ``gradient_errors`` stays within ``rtol`` for every tensor; returns the worst."""
+    errors = gradient_errors(fn, tensors, eps, rtol, atol)
+    for i, err in enumerate(errors):
+        if not err <= rtol:
+            raise AssertionError(f"gradient mismatch in tensor {i}: relative error {err:.3e}")
+    return max(errors, default=0.0)

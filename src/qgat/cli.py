@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import vqc
-from .attention import QgatLayer, qgat_backward
-from .autodiff import Tensor, central_difference, relative_error
+from .attention import QgatLayer
+from .autodiff import Tensor, gradient_errors, make_op
 from .config import Config, ConfigError, apply_overrides, make_train_config, parse_config
 from .graph import (
     FEATURE_NOISE_GRID,
@@ -188,10 +188,12 @@ def cmd_noise_sweep(spec: ExperimentSpec) -> int:
 
 
 def cmd_linkpred(spec: ExperimentSpec) -> int:
-    out = _prepare_out(spec)
     cfg = spec.config
-    graph = _load_data(cfg)
     k = cfg.get("linkpred", "hits_k")
+    if k < 1:
+        raise ConfigError(f"linkpred.hits_k must be >= 1, got {k}")
+    out = _prepare_out(spec)
+    graph = _load_data(cfg)
     split = split_link_prediction(
         graph,
         cfg.get("linkpred", "frac_val"),
@@ -223,7 +225,11 @@ def cmd_linkpred(spec: ExperimentSpec) -> int:
 
 def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
                      corrupt: bool = False) -> dict[str, float]:
-    """Worst relative gradient error per component, adjoint vs central differences."""
+    """Worst relative gradient error per component, adjoint vs central differences.
+
+    ``corrupt`` adds a zero-valued node to the layer check whose vjp puts
+    1e-2 on ``compress``: a negative control that must fail.
+    """
     rng = np.random.default_rng(7)
     report = {"circuit.angles": 0.0, "circuit.inputs": 0.0}
     for n_q in qubit_grid:
@@ -232,36 +238,30 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
             for _ in range(trials):
                 angles = rng.uniform(0, 2 * np.pi, (n_layers, n_q, 3))
                 x = rng.standard_normal((3, 1 << n_q))
-                upstream = rng.standard_normal((3, n_q))
-                inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
-                vqc.expectations_op(inputs, angle_t, layout).backward(upstream)
-                ga, gx = angle_t.grad, inputs.grad
-
-                def circuit_value() -> float:
-                    return float(np.sum(vqc.circuit_forward_batch(x, angles, layout) * upstream))
-
-                for name, analytic, wrt in (("circuit.angles", ga, angles),
-                                            ("circuit.inputs", gx, x)):
-                    numeric = central_difference(circuit_value, wrt, 1e-5)
-                    report[name] = max(report[name],
-                                       float(np.max(relative_error(analytic, numeric))))
+                upstream = Tensor(rng.standard_normal((3, n_q)))
+                errors = gradient_errors(
+                    lambda inputs, a: vqc.expectations_op(inputs, a, layout) * upstream,
+                    [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)],
+                    eps=1e-5)
+                for name, err in zip(("circuit.inputs", "circuit.angles"), errors):
+                    report[name] = float(np.maximum(report[name], err))  # keeps a NaN
 
     # end-to-end layer on a 4-node path graph
     g = Graph(rng.standard_normal((4, 3)),
               np.array([[0, 1], [1, 2], [2, 3]]), undirected=True)
     layer = QgatLayer(3, 2, 2, 2, 2, rng=rng)
-    upstream = rng.standard_normal((4, layer.out_dim))
-    grads = qgat_backward(g, g.features, layer, upstream)
-    if corrupt:
-        grads["compress"] = grads["compress"] + 1e-2
+    upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
+    params = layer.params()
 
-    def layer_value() -> float:
-        return float(np.sum(layer.forward(g, Tensor(g.features)).data * upstream))
+    def layer_value(*_) -> Tensor:
+        out = layer.forward(g, g.features) * upstream
+        if corrupt:
+            out = out + make_op(np.zeros(out.shape), (layer.compress,),
+                                lambda _: (np.full(layer.compress.shape, 1e-2),))
+        return out
 
-    for name, tensor in layer.params().items():
-        numeric = central_difference(layer_value, tensor.data, 1e-6)
-        report[f"qgat_layer.{name}"] = float(np.max(
-            relative_error(grads[name], numeric, atol=1e-7)))
+    errors = gradient_errors(layer_value, list(params.values()), eps=1e-6, atol=1e-7)
+    report.update((f"qgat_layer.{name}", err) for name, err in zip(params, errors))
     return report
 
 
@@ -276,9 +276,9 @@ def cmd_gradcheck(spec: ExperimentSpec) -> int:
     threshold = cfg.get("gradcheck", "threshold")
     failed = False
     for name in sorted(report):
-        status = "ok" if report[name] <= threshold else "FAIL"
-        print(f"{name}: max relative error {report[name]:.3e} [{status}]")
-        failed |= report[name] > threshold
+        ok = report[name] <= threshold  # False for NaN
+        print(f"{name}: max relative error {report[name]:.3e} [{'ok' if ok else 'FAIL'}]")
+        failed |= not ok
     return 1 if failed else 0
 
 

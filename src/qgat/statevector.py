@@ -9,6 +9,10 @@ states at once, with stride-based bit indexing.  The variational circuit
 runs them on the 2^n basis rows to build its unitary and in its adjoint
 sweep; the edges of a graph never pass through them.  A single state is
 the B = 1 case.
+
+``encode_batch`` returns real float64 rows: amplitude-encoded real features
+carry no phase, and the circuit multiplies them into its complex unitary as
+a real GEMM.
 """
 
 from __future__ import annotations
@@ -107,7 +111,9 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-encode rows of ``x``: zero-pad to 2^n, L2-normalize.
 
     Rows with norm below NORM_EPS become the |0...0> basis state.  Returns
-    (states (B, 2^n) complex, norms (B,)); zero rows report norm 0.
+    (states (B, 2^n) real float64, norms (B,)); zero rows report norm 0.
+    Real amplitudes are all the circuit needs; cast them to complex before
+    running the gate kernels on them.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -125,11 +131,5 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     padded /= safe[:, None]
     padded[degenerate] = 0.0
     padded[degenerate, 0] = 1.0
-    return padded.astype(np.complex128), np.where(degenerate, 0.0, norms)
-
-
-def expect_z_all_batch(states: np.ndarray, n: int) -> np.ndarray:
-    """(B, n) matrix of <Z_q> for every state row and qubit."""
-    probs = np.abs(states) ** 2
-    return probs @ z_sign_matrix(n)
+    return padded, np.where(degenerate, 0.0, norms)
 

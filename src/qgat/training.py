@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from . import metrics as metrics_mod
-from .attention import GatLayer, Gatv2Layer, QgatLayer, _AttentionLayer
+from .attention import ACTIVATIONS, GatLayer, Gatv2Layer, QgatLayer, _AttentionLayer
 from .autodiff import Tensor, exp, log, mul, softplus, sub, take_rows, tmean, tsum
 from .graph import Graph, LinkSplit
 
@@ -73,6 +73,17 @@ class TrainConfig:
                 f"hidden_dims supplies {len(self.hidden_dims)} dims but "
                 f"{needed} are needed for {n_layers} layers on task {self.task}"
             )
+        if min(self.heads_per_layer) < 1 or min(self.hidden_dims[:needed], default=1) < 1:
+            raise ValueError("head counts and hidden dims must be >= 1")
+        if self.n_qubits < 1 or self.entangling_layers < 1:
+            raise ValueError("n_qubits and entangling_layers must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+        if self.merge not in ("concat", "mean"):
+            raise ValueError(f"merge must be 'concat' or 'mean', got {self.merge!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, "
+                             f"got {self.activation!r}")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError("epochs and patience must be >= 0")
 
@@ -218,9 +229,6 @@ class Model:
                 raise ValueError(f"checkpoint parameter {name!r} has shape {value.shape}, "
                                  f"the model expects {tensor.shape}")
             tensor.data = value
-
-    def param_counts(self) -> dict[str, int]:
-        return {f"layer{i}": layer.param_count() for i, layer in enumerate(self.layers)}
 
 
 def build_model(cfg: TrainConfig, in_dim: int, out_dim: int,

@@ -18,12 +18,15 @@ folds the batch into one GEMM; as E is real, sum_b 2 Re <Lambda_b, dU x_b>
 2 (Re Lambda Re R^T + Im Lambda Im R^T), then the normalization Jacobian.
 One path serves every qubit count: U costs 16 * 4^n bytes, 4 KB at the
 default n = 4 and 16 MB at n = 10.
+
+There are two ways in: ``expectations_op``, the autodiff node the QGAT
+layer records, and ``circuit_forward_batch``, plain arrays in and out.  A
+single input vector is the B = 1 case of either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 import numpy as np
 
@@ -55,27 +58,6 @@ def _count_executions(k: int) -> None:
     _EXECUTIONS += k
 
 
-@dataclass
-class CircuitParams:
-    """Trainable rotation angles, one (u1, u2, u3) triple per layer and qubit."""
-
-    n_layers: int
-    n_qubits: int
-    angles: np.ndarray  # (n_layers, n_qubits, 3), radians
-
-    def __post_init__(self) -> None:
-        self.angles = np.asarray(self.angles, dtype=np.float64)
-        expected = (self.n_layers, self.n_qubits, 3)
-        if self.angles.shape != expected:
-            raise ValueError(f"angle tensor shape {self.angles.shape}, expected {expected}")
-        if not np.all(np.isfinite(self.angles)):
-            raise ValueError("angle tensor contains non-finite entries")
-
-    @classmethod
-    def random(cls, n_layers: int, n_qubits: int, rng: np.random.Generator) -> "CircuitParams":
-        return cls(n_layers, n_qubits, rng.uniform(0.0, 2.0 * np.pi, (n_layers, n_qubits, 3)))
-
-
 @dataclass(frozen=True)
 class EntanglingLayout:
     """Per-layer CNOT ring ranges; layer l pairs qubit i with (i + r_l) mod M."""
@@ -99,11 +81,6 @@ def build_layout(n_qubits: int, n_layers: int) -> EntanglingLayout:
         raise ValueError("entangling layout needs at least 1 layer")
     ranges = tuple((layer % (n_qubits - 1)) + 1 for layer in range(n_layers))
     return EntanglingLayout(n_qubits, ranges)
-
-
-def executions_needed(n_heads: int, n_qubits: int) -> int:
-    """Circuit executions required to produce ``n_heads`` expectation values."""
-    return ceil(n_heads / n_qubits)
 
 
 def _check_shapes(angles: np.ndarray, layout: EntanglingLayout) -> None:
@@ -148,8 +125,7 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
     _check_shapes(angles, layout)
     n = layout.n_qubits
     dim = 1 << n
-    states, norms = encode_batch(inputs, n)
-    encoded = np.ascontiguousarray(states.real)  # E, real (B, 2^n)
+    encoded, norms = encode_batch(inputs, n)  # E, real (B, 2^n)
     rows = _unitary_rows(angles, layout)
     stacked = np.concatenate([rows.real, rows.imag], axis=1)  # [Re R | Im R]
     psi = encoded @ stacked  # [Re Psi | Im Psi], Psi = E R
@@ -194,27 +170,6 @@ def circuit_forward_batch(inputs: np.ndarray, angles: np.ndarray,
     expectations, _ = _circuit(inputs, np.asarray(angles, dtype=np.float64), layout)
     _count_executions(inputs.shape[0])
     return expectations
-
-
-def circuit_forward(input_amplitudes, params: CircuitParams,
-                    layout: EntanglingLayout) -> np.ndarray:
-    """Encode one input vector, run the ansatz, return all <Z_k>."""
-    if params.n_qubits != layout.n_qubits or params.n_layers != len(layout.ranges):
-        raise ValueError("circuit parameters do not match entangling layout")
-    x = np.atleast_1d(np.asarray(input_amplitudes, dtype=np.float64))
-    return circuit_forward_batch(x[None, :], params.angles, layout)[0]
-
-
-def circuit_backward(input_amplitudes, params: CircuitParams, layout: EntanglingLayout,
-                     upstream_grads):
-    """Gradients of sum_k upstream_k * <Z_k> for a single input vector."""
-    if params.n_qubits != layout.n_qubits or params.n_layers != len(layout.ranges):
-        raise ValueError("circuit parameters do not match entangling layout")
-    x = np.atleast_1d(np.asarray(input_amplitudes, dtype=np.float64))
-    up = np.atleast_1d(np.asarray(upstream_grads, dtype=np.float64))
-    _, backward = _circuit(x[None, :], params.angles, layout)
-    grad_angles, grad_inputs = backward(up[None, :])
-    return grad_angles, grad_inputs[0]
 
 
 def expectations_op(inputs: Tensor, angles: Tensor, layout: EntanglingLayout) -> Tensor:

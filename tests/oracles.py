@@ -129,21 +129,6 @@ def micro_f1_reference(logits, labels) -> float:
     return 1.0 if denom == 0 else 2 * tp / denom
 
 
-def roc_auc_reference(scores, labels) -> float:
-    pos = [s for s, l in zip(scores, labels) if l]
-    neg = [s for s, l in zip(scores, labels) if not l]
-    if not pos or not neg:
-        return float("nan")
-    wins = 0.0
-    for p in pos:
-        for q in neg:
-            if p > q:
-                wins += 1.0
-            elif p == q:
-                wins += 0.5
-    return wins / (len(pos) * len(neg))
-
-
 def hits_at_k_reference(pos_scores, neg_scores, k) -> float:
     if len(neg_scores) < k:
         return 1.0

@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from qgat import vqc
-from qgat.attention import (
-    GatLayer,
-    Gatv2Layer,
-    QgatLayer,
-    neighborhood_softmax,
-    qgat_backward,
-    qgat_edge_input,
-    qgat_logits,
-)
-from qgat.autodiff import Tensor
+from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
+from qgat.autodiff import Tensor, gradcheck
 from qgat.graph import Graph, synth_sbm
 
 from oracles import circuit_expectations_reference, encode_reference, ry_matrix, rz_matrix
@@ -41,74 +33,121 @@ def random_graph(n, p, d, seed):
     return Graph(rng.standard_normal((n, d)), edges, undirected=True)
 
 
+def edge_logits(layer, g, features=None):
+    """Per-edge attention logits of ``layer`` on ``g``, in attention-edge order."""
+    src, dst = g.attention_edges()
+    feats = g.features if features is None else features
+    logits, _ = layer._edge_scores(Tensor(feats), src, dst)
+    return logits.data
+
+
+@pytest.fixture
+def circuit_calls(monkeypatch):
+    """(inputs, expectations) of every circuit call the layers make, in order."""
+    calls = []
+    run = vqc.expectations_op
+
+    def recording(inputs, angles, layout):
+        out = run(inputs, angles, layout)
+        calls.append((inputs.data.copy(), out.data.copy()))
+        return out
+
+    monkeypatch.setattr(vqc, "expectations_op", recording)
+    return calls
+
+
+def layer_grads(layer, g, upstream):
+    """Tape gradients of sum(upstream * layer output) for every parameter and,
+    under ``"features"``, the node features."""
+    x = Tensor(g.features, requires_grad=True)
+    for t in layer.params().values():
+        t.zero_grad()
+    layer.forward(g, x).backward(upstream)
+    grads = {name: t.grad for name, t in layer.params().items()}
+    grads["features"] = x.grad
+    return grads
+
+
 class TestEdgeInput:
-    def test_hand_micro_case(self):
+    def test_hand_micro_case(self, circuit_calls):
         # one head, scalar dims, one qubit; replace weights with ones
         layer = make_layer("qgat", 1, 1, 1, n_qubits=1, entangling_layers=1)
         layer.feat_proj.data = np.array([[1.0]])
         layer.compress.data = np.ones((4, 2))
-        out = qgat_edge_input(np.array([1.0]), np.array([2.0]), layer)
+        g = Graph(np.array([[1.0], [2.0]]), [[0, 1]], undirected=True)
+        layer.forward(g, g.features)
+        (inputs, _), = circuit_calls
+        src, dst = g.attention_edges()
+        edge = np.flatnonzero((dst == 0) & (src == 1))[0]
         # [W h_i || W h_j || h_i || h_j] = [1, 2, 1, 2]; each output = row sum = 6
-        np.testing.assert_array_equal(out, [6.0, 6.0])
+        np.testing.assert_array_equal(inputs[edge], [6.0, 6.0])
 
-    def test_zero_features_zero_projection_gives_zero_vector(self):
-        layer = make_layer("qgat", 3, 2, 2, n_qubits=2)
-        out = qgat_edge_input(np.zeros(3), np.zeros(3), layer)
-        np.testing.assert_array_equal(out, np.zeros(layer.encoding_dim))
-        # the amplitude encoder maps this to |0...0> instead of erroring
-        basis = np.zeros(4)
-        basis[0] = 1.0
-        np.testing.assert_array_equal(qgat_logits(out, layer),
-                                      qgat_logits(basis, layer))
-
-    def test_output_length_formula(self):
-        layer = make_layer("qgat", 4, 2, 8, n_qubits=5)
+    def test_output_length_formula(self, circuit_calls):
+        layer = make_layer("qgat", 4, 2, 8, n_qubits=5, seed=3)
         assert layer.encoding_dim == 64  # 2^5 * ceil(8/5)
-        out = qgat_edge_input(np.ones(4), np.ones(4), layer)
-        assert out.shape == (64,)
+        g = random_graph(6, 0.5, 4, seed=5)
+        layer.forward(g, g.features)
+        (inputs, _), = circuit_calls
+        src, dst = g.attention_edges()
+        per_edge = inputs.reshape(len(src), layer.encoding_dim)
+        w, p, h = layer.feat_proj.data, layer.compress.data, g._features
+        for e, (i, j) in enumerate(zip(dst, src)):
+            want = np.concatenate([w.T @ h[i], w.T @ h[j], h[i], h[j]]) @ p
+            np.testing.assert_allclose(per_edge[e], want, rtol=1e-12, atol=1e-12)
+
+    def test_zero_features_zero_projection_gives_zero_vector(self, circuit_calls):
+        layer = make_layer("qgat", 3, 2, 2, n_qubits=2)
+        g = Graph(np.zeros((3, 3)), [[0, 1], [1, 2]], undirected=True)
+        logits = edge_logits(layer, g)
+        (inputs, _), = circuit_calls
+        np.testing.assert_array_equal(inputs, np.zeros((len(logits), layer.encoding_dim)))
+        # the amplitude encoder maps this to |0...0> instead of erroring
+        basis = np.zeros((1, 4))
+        basis[0, 0] = 1.0
+        ground = vqc.circuit_forward_batch(basis, layer.angles.data, layer.layout)
+        np.testing.assert_array_equal(logits, np.tile(ground[:, :2], (len(logits), 1)))
 
     def test_dim_mismatch(self):
         layer = make_layer("qgat", 3, 2, 2)
+        g = random_graph(4, 0.5, 4, seed=1)
         with pytest.raises(ValueError, match="dim"):
-            qgat_edge_input(np.ones(4), np.ones(3), layer)
+            layer.forward(g, g.features)
 
 
 class TestLogits:
-    def test_single_execution_equals_circuit_output(self):
+    def test_single_execution_equals_circuit_output(self, circuit_calls):
         layer = make_layer("qgat", 3, 2, 3, n_qubits=3, entangling_layers=2)
-        a_prime = np.arange(1.0, 9.0)
-        got = qgat_logits(a_prime, layer)
-        want = circuit_expectations_reference(a_prime, layer.angles.data,
-                                              layer.layout.ranges, 3)
-        np.testing.assert_allclose(got, want, atol=1e-10)
+        g = random_graph(5, 0.5, 3, seed=7)
+        logits = edge_logits(layer, g)
+        (inputs, _), = circuit_calls
+        for row, a_prime in zip(logits, inputs):
+            want = circuit_expectations_reference(a_prime, layer.angles.data,
+                                                  layer.layout.ranges, 3)
+            np.testing.assert_allclose(row, want, atol=1e-10)
 
-    def test_head_surplus_truncated(self):
+    def test_head_surplus_truncated(self, circuit_calls):
         layer = make_layer("qgat", 2, 1, 8, n_qubits=5, entangling_layers=1)
         assert layer.n_exec == 2
-        a_prime = np.random.default_rng(1).standard_normal(64)
-        got = qgat_logits(a_prime, layer)
-        assert got.shape == (8,)
-        full = vqc.circuit_forward_batch(a_prime.reshape(2, 32), layer.angles.data,
-                                         layer.layout)
-        np.testing.assert_array_equal(got, full.reshape(-1)[:8])
+        g = random_graph(5, 0.5, 2, seed=1)
+        logits = edge_logits(layer, g)
+        assert logits.shape == (len(g.attention_edges()[0]), 8)
+        (inputs, expectations), = circuit_calls
+        full = vqc.circuit_forward_batch(inputs, layer.angles.data, layer.layout)
+        np.testing.assert_array_equal(expectations, full)
+        np.testing.assert_array_equal(logits, full.reshape(len(logits), 10)[:, :8])
 
     def test_identical_chunks_give_identical_groups(self):
         layer = make_layer("qgat", 2, 1, 4, n_qubits=2, entangling_layers=1)
-        chunk = np.array([0.3, -0.2, 0.5, 0.1])
-        out = qgat_logits(np.concatenate([chunk, chunk]), layer)
-        np.testing.assert_array_equal(out[:2], out[2:])
-
-    def test_length_mismatch(self):
-        layer = make_layer("qgat", 2, 1, 2, n_qubits=2)
-        with pytest.raises(ValueError, match="length"):
-            qgat_logits(np.ones(5), layer)
+        layer.compress.data[:, 4:] = layer.compress.data[:, :4]
+        logits = edge_logits(layer, random_graph(5, 0.5, 2, seed=2))
+        np.testing.assert_array_equal(logits[:, :2], logits[:, 2:])
 
     def test_logit_scale_invariance(self):
         layer = make_layer("qgat", 2, 1, 2, n_qubits=2)
-        a_prime = np.array([0.4, -1.2, 0.7, 0.3])
-        base = qgat_logits(a_prime, layer)
-        np.testing.assert_array_equal(qgat_logits(2.0 * a_prime, layer), base)
-        np.testing.assert_allclose(qgat_logits(3.7 * a_prime, layer), base, atol=1e-12)
+        g = random_graph(5, 0.5, 2, seed=3)
+        base = edge_logits(layer, g)
+        np.testing.assert_array_equal(edge_logits(layer, g, 2.0 * g._features), base)
+        np.testing.assert_allclose(edge_logits(layer, g, 3.7 * g._features), base, atol=1e-12)
 
 
 class TestHeadPacking:
@@ -343,50 +382,18 @@ class TestBackward:
     def test_zero_upstream_zero_gradients(self):
         layer = make_layer("qgat", 3, 2, 2, seed=1)
         g = random_graph(4, 0.6, 3, seed=2)
-        grads = qgat_backward(g, g.features, layer, np.zeros((4, layer.out_dim)))
+        grads = layer_grads(layer, g, np.zeros((4, layer.out_dim)))
         for name, grad in grads.items():
             assert not grad.any(), name
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(8)
         layer = make_layer("qgat", 3, 2, 2, n_qubits=2, entangling_layers=2, seed=6)
-        feats = rng.standard_normal((4, 3))
-        g = Graph(feats, [[0, 1], [1, 2], [2, 3]], undirected=True)
-        upstream = rng.standard_normal((4, layer.out_dim))
-        grads = qgat_backward(g, feats, layer, upstream)
-
-        def value():
-            return float(np.sum(layer.forward(g, Tensor(feats)).data * upstream))
-
-        step = 1e-5
-        tensors = dict(layer.params())
-        for name, tensor in tensors.items():
-            numeric = np.zeros_like(tensor.data)
-            flat = tensor.data.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + step
-                hi = value()
-                flat[i] = orig - step
-                lo = value()
-                flat[i] = orig
-                numeric.ravel()[i] = (hi - lo) / (2 * step)
-            diff = np.abs(grads[name] - numeric)
-            rel = diff / np.maximum(np.abs(numeric), 1e-4)
-            assert np.where(diff <= 1e-7, 0.0, rel).max() <= 1e-4, name
-        # features too
-        numeric = np.zeros_like(feats)
-        for i in range(feats.size):
-            orig = feats.ravel()[i]
-            feats.ravel()[i] = orig + step
-            hi = value()
-            feats.ravel()[i] = orig - step
-            lo = value()
-            feats.ravel()[i] = orig
-            numeric.ravel()[i] = (hi - lo) / (2 * step)
-        diff = np.abs(grads["features"] - numeric)
-        rel = diff / np.maximum(np.abs(numeric), 1e-4)
-        assert np.where(diff <= 1e-7, 0.0, rel).max() <= 1e-4
+        g = Graph(rng.standard_normal((4, 3)), [[0, 1], [1, 2], [2, 3]], undirected=True)
+        upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
+        gradcheck(lambda x, *params: layer.forward(g, x) * upstream,
+                  [Tensor(g.features, requires_grad=True), *layer.params().values()],
+                  eps=1e-5, rtol=1e-4)
 
     def test_unreachable_node_feature_gradient_is_zero(self):
         # loss reads node 0 only; node 3 is two hops away -> zero gradient
@@ -395,7 +402,7 @@ class TestBackward:
         g = Graph(feats, [[0, 1], [1, 2], [2, 3]], undirected=True)
         upstream = np.zeros((4, layer.out_dim))
         upstream[0] = 1.0
-        grads = qgat_backward(g, feats, layer, upstream)
+        grads = layer_grads(layer, g, upstream)
         np.testing.assert_array_equal(grads["features"][3], 0.0)
         np.testing.assert_array_equal(grads["features"][2], 0.0)
         assert grads["features"][1].any()

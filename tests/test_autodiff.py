@@ -10,6 +10,7 @@ from qgat.autodiff import (
     elu,
     exp,
     gradcheck,
+    gradient_errors,
     leaky_relu,
     log,
     make_op,
@@ -208,8 +209,18 @@ class TestGradcheck:
         def square_with_wrong_vjp(t):
             return make_op(t.data ** 2, (t,), lambda g: (scale * g * t.data,))
 
-        with pytest.raises(AssertionError, match="flat index"):
+        with pytest.raises(AssertionError, match="gradient mismatch in tensor 0"):
             gradcheck(square_with_wrong_vjp, [leaf((3, 2))])
+
+    def test_gradient_errors_per_tensor(self):
+        def nan_for_second(a, b):
+            return make_op(a.data * b.data, (a, b),
+                           lambda g: (g * b.data, np.full(b.shape, np.nan)))
+
+        a, b = leaf((2, 3)), leaf((2, 3))
+        err_a, err_b = gradient_errors(nan_for_second, [a, b])
+        assert err_a == 0.0
+        assert np.isnan(err_b)
 
     def test_central_difference_restores_input(self):
         x = rng.standard_normal((3, 4))[:, ::2]  # strided view: perturbed in place all the same

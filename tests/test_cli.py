@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qgat import vqc
 from qgat.cli import main
 
 TINY = """
@@ -84,6 +85,21 @@ class TestTrain:
             for ra, rb in zip(a, b):
                 ra.pop("seconds"), rb.pop("seconds")
                 assert ra == rb
+
+    @pytest.mark.parametrize("command,override", [
+        ("train", "model.dropout=1.5"),
+        ("params", "model.n_qubits=0"),
+        ("params", "model.entangling_layers=0"),
+        ("train", "model.merge=sum"),
+        ("train", "model.activation=gelu"),
+        ("train", "model.heads=0,2"),
+        ("train", "model.hidden_dims=0"),
+    ])
+    def test_value_a_layer_rejects_exits_2(self, tiny_config, tmp_path, capsys,
+                                             command, override):
+        assert main([command, "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                     "--override", override]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -166,6 +182,14 @@ class TestLinkpred:
                      "--override", "training.epochs=2"]) == 0
 
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_hits_k_exit_2(self, tmp_path, capsys, k):
+        out = tmp_path / "lp"
+        assert main(["linkpred", "--out", str(out), "--override", f"linkpred.hits_k={k}"]) == 2
+        assert "hits_k" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGradcheck:
     ARGS = ["--override", "gradcheck.trials=2", "--override", "gradcheck.qubits=2,3",
             "--override", "gradcheck.layers=1,2"]
@@ -181,7 +205,24 @@ class TestGradcheck:
         assert main(["gradcheck", "--corrupt-gradients", "--override",
                      "gradcheck.trials=1", "--override", "gradcheck.qubits=2",
                      "--override", "gradcheck.layers=1"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert "qgat_layer.compress: max relative error 1.000e+00 [FAIL]" in capsys.readouterr().out
+
+    def test_nan_gradient_fails(self, monkeypatch, capsys):
+        run = vqc.expectations_op
+
+        def nan_angle_vjp(inputs, angles, layout):
+            out = run(inputs, angles, layout)
+            vjp = out._vjp
+            out._vjp = lambda g: (vjp(g)[0], np.full(angles.shape, np.nan))
+            return out
+
+        monkeypatch.setattr(vqc, "expectations_op", nan_angle_vjp)
+        assert main(["gradcheck", "--override", "gradcheck.trials=1", "--override",
+                     "gradcheck.qubits=2", "--override", "gradcheck.layers=1"]) == 1
+        printed = capsys.readouterr().out
+        assert "circuit.angles: max relative error nan [FAIL]" in printed
+        assert "qgat_layer.angles: max relative error nan [FAIL]" in printed
+        assert "circuit.inputs: max relative error 0.000e+00 [ok]" in printed
 
 
 class TestParams:

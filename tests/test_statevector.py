@@ -1,4 +1,4 @@
-"""Statevector kernels against dense oracles: gates, encoding, expectations.
+"""Statevector kernels against dense oracles: gates, encoding, Z read-out.
 
 States are (B, 2^n) blocks, the layout the circuit runs every edge in.
 """
@@ -9,10 +9,10 @@ import pytest
 from qgat.statevector import (
     cnot_batch,
     encode_batch,
-    expect_z_all_batch,
     pauli_z_half_batch,
     ry_batch,
     rz_batch,
+    z_sign_matrix,
     z_signs,
 )
 
@@ -65,6 +65,11 @@ def gate_unitary(gate, n):
     return cnot_unitary(*wires, n)
 
 
+def expect_z(states, n):
+    """(B, n) matrix of <Z_q> per state row, the way the circuit reads them out."""
+    return np.abs(states) ** 2 @ z_sign_matrix(n)
+
+
 def encode(x, n):
     states, _ = encode_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :], n)
     return states[0]
@@ -89,7 +94,11 @@ class TestAmplitudeEncode:
     def test_exact_roundtrip_for_power_of_two(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal(8)
-        np.testing.assert_array_equal(encode(x, 3), (x / np.linalg.norm(x)).astype(complex))
+        np.testing.assert_array_equal(encode(x, 3), x / np.linalg.norm(x))
+
+    def test_rows_are_real(self):
+        states, _ = encode_batch(np.ones((2, 3)), 2)
+        assert states.dtype == np.float64
 
     def test_too_long_raises(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -116,7 +125,7 @@ class TestApplyGate:
         theta = 0.731
         states = rz_batch(basis(1, 0), 1, 0, theta)
         np.testing.assert_allclose(states[0, 0], np.exp(-1j * theta / 2), atol=1e-15)
-        assert expect_z_all_batch(states, 1)[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert expect_z(states, 1)[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_wire_out_of_range(self):
         with pytest.raises(IndexError):
@@ -160,22 +169,22 @@ class TestApplyGate:
 
 class TestExpectZ:
     def test_basis_states(self):
-        assert expect_z_all_batch(basis(1, 0), 1)[0, 0] == 1.0
-        assert expect_z_all_batch(basis(1, 1), 1)[0, 0] == -1.0
+        assert expect_z(basis(1, 0), 1)[0, 0] == 1.0
+        assert expect_z(basis(1, 1), 1)[0, 0] == -1.0
 
     def test_superposition(self):
         states = np.array([[S2, S2]], dtype=complex)
-        assert expect_z_all_batch(states, 1)[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert expect_z(states, 1)[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_multi_qubit_orientation(self):
-        np.testing.assert_array_equal(expect_z_all_batch(basis(2, 1), 2), [[1.0, -1.0]])  # |01>
+        np.testing.assert_array_equal(expect_z(basis(2, 1), 2), [[1.0, -1.0]])  # |01>
 
     def test_bounds_on_random_states(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             n = int(rng.integers(1, 5))
             states = random_states(n, rng)
-            got = expect_z_all_batch(states, n)
+            got = expect_z(states, n)
             assert got.shape == (states.shape[0], n)
             assert np.all((-1.0 <= got) & (got <= 1.0))
             want = [[z_expectation(row, q, n) for q in range(n)] for row in states]

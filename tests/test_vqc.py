@@ -5,30 +5,29 @@ import pytest
 
 from qgat import vqc
 from qgat.autodiff import Tensor, gradcheck
-from qgat.vqc import CircuitParams, EntanglingLayout, build_layout
+from qgat.vqc import EntanglingLayout, build_layout
 
 from oracles import circuit_expectations_reference
 
 
-def finite_difference(fn, array, step=1e-5):
-    grad = np.zeros_like(array)
-    flat = array.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = fn()
-        flat[i] = orig - step
-        lo = fn()
-        flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * step)
-    return grad
+def forward(x, angles, layout):
+    """Z expectations of one input vector: the B = 1 case of the batch API."""
+    return vqc.circuit_forward_batch(np.atleast_2d(x), angles, layout)[0]
 
 
-def rel_err(a, b, rtol=1e-5, atol=1e-8):
-    """Worst |a-b| / |b| with an absolute floor: entries where |a-b| <= atol count as 0."""
-    diff = np.abs(a - b)
-    return np.max(np.where(diff <= atol, 0.0, diff / np.maximum(np.abs(b), atol / rtol)))
+def backward(x, angles, layout, upstream):
+    """(grad_angles, grad_inputs) of sum(upstream * expectations) for one input
+    vector, through the autodiff node."""
+    inputs = Tensor(np.atleast_2d(np.asarray(x, dtype=float)), requires_grad=True)
+    angle_t = Tensor(angles, requires_grad=True)
+    vqc.expectations_op(inputs, angle_t, layout).backward(np.atleast_2d(upstream))
+    return angle_t.grad, inputs.grad[0]
+
+
+def weighted_expectations(layout, upstream):
+    """sum(upstream * expectations) as a function of (inputs, angles), for gradcheck."""
+    weights = Tensor(np.atleast_2d(upstream))
+    return lambda inputs, angles: vqc.expectations_op(inputs, angles, layout) * weights
 
 
 class TestLayout:
@@ -58,19 +57,17 @@ class TestLayout:
 class TestForward:
     def test_identity_circuit_on_ground_state(self):
         layout = build_layout(3, 2)
-        params = CircuitParams(2, 3, np.zeros((2, 3, 3)))
         x = np.zeros(8)
         x[0] = 1.0
-        np.testing.assert_allclose(vqc.circuit_forward(x, params, layout), [1, 1, 1], atol=0)
+        np.testing.assert_allclose(forward(x, np.zeros((2, 3, 3)), layout), [1, 1, 1], atol=0)
 
     def test_zero_angles_reduce_to_encoding_plus_cnots(self):
         rng = np.random.default_rng(0)
         layout = build_layout(3, 2)
-        params = CircuitParams(2, 3, np.zeros((2, 3, 3)))
+        angles = np.zeros((2, 3, 3))
         x = rng.standard_normal(8)
-        got = vqc.circuit_forward(x, params, layout)
-        want = circuit_expectations_reference(x, params.angles, layout.ranges, 3)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        want = circuit_expectations_reference(x, angles, layout.ranges, 3)
+        np.testing.assert_allclose(forward(x, angles, layout), want, atol=1e-12)
 
     @pytest.mark.parametrize("n_q,layers", [(2, 1), (3, 2), (4, 3)])
     def test_matches_dense_oracle(self, n_q, layers):
@@ -79,47 +76,46 @@ class TestForward:
         for _ in range(10):
             angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
             x = rng.standard_normal(1 << n_q)
-            got = vqc.circuit_forward(x, CircuitParams(layers, n_q, angles), layout)
             want = circuit_expectations_reference(x, angles, layout.ranges, n_q)
-            np.testing.assert_allclose(got, want, atol=1e-10)
+            np.testing.assert_allclose(forward(x, angles, layout), want, atol=1e-10)
 
     def test_outputs_bounded(self):
         rng = np.random.default_rng(9)
         layout = build_layout(4, 2)
         for _ in range(20):
             angles = rng.uniform(0, 2 * np.pi, (2, 4, 3))
-            x = rng.standard_normal(16)
-            out = vqc.circuit_forward(x, CircuitParams(2, 4, angles), layout)
+            out = forward(rng.standard_normal(16), angles, layout)
             assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(11)
         layout = build_layout(3, 2)
         angles = rng.uniform(0, 2 * np.pi, (2, 3, 3))
-        params = CircuitParams(2, 3, angles)
         x = rng.standard_normal(8)
-        base = vqc.circuit_forward(x, params, layout)
+        base = forward(x, angles, layout)
         # Power-of-two scales commute with IEEE-754 normalization bit-exactly;
         # other scales are limited by rounding in c*x.
         for c in (0.5, 2.0, 1024.0):
-            np.testing.assert_array_equal(vqc.circuit_forward(c * x, params, layout), base)
+            np.testing.assert_array_equal(forward(c * x, angles, layout), base)
         for c in (0.1, 3.0, 1e4):
-            np.testing.assert_allclose(vqc.circuit_forward(c * x, params, layout), base,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(forward(c * x, angles, layout), base, rtol=0, atol=1e-12)
 
     def test_shape_mismatch_is_configuration_error(self):
         layout = build_layout(3, 2)
-        params = CircuitParams(2, 4, np.zeros((2, 4, 3)))
         with pytest.raises(ValueError, match="match"):
-            vqc.circuit_forward(np.ones(8), params, layout)
+            forward(np.ones(8), np.zeros((2, 4, 3)), layout)
+
+    def test_input_longer_than_register_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            forward(np.ones(5), np.zeros((1, 2, 3)), build_layout(2, 1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(21)
         layout = build_layout(3, 2)
         angles = rng.uniform(0, 2 * np.pi, (2, 3, 3))
         x = rng.standard_normal(8)
-        a = vqc.circuit_forward(x, CircuitParams(2, 3, angles), layout)
-        b = vqc.circuit_forward(x.copy(), CircuitParams(2, 3, angles.copy()), layout)
+        a = forward(x, angles, layout)
+        b = forward(x.copy(), angles.copy(), layout)
         np.testing.assert_array_equal(a, b)
 
 
@@ -127,18 +123,17 @@ class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(1)
         layout = build_layout(3, 2)
-        params = CircuitParams(2, 3, rng.uniform(0, 2 * np.pi, (2, 3, 3)))
-        ga, gx = vqc.circuit_backward(rng.standard_normal(8), params, layout, np.zeros(3))
+        angles = rng.uniform(0, 2 * np.pi, (2, 3, 3))
+        ga, gx = backward(rng.standard_normal(8), angles, layout, np.zeros(3))
         assert not ga.any() and not gx.any()
 
     def test_single_ry_analytic(self):
         # <Z> of RY(u2)|0> is cos(u2); only the middle angle matters.
         layout = vqc.EntanglingLayout(1, (0,))
         for u2 in (0.3, 1.2, 2.9):
-            params = CircuitParams(1, 1, np.array([[[0.0, u2, 0.0]]]))
-            out = vqc.circuit_forward([1.0], params, layout)
-            assert out[0] == pytest.approx(np.cos(u2), abs=1e-12)
-            ga, _ = vqc.circuit_backward([1.0], params, layout, [1.0])
+            angles = np.array([[[0.0, u2, 0.0]]])
+            assert forward([1.0], angles, layout)[0] == pytest.approx(np.cos(u2), abs=1e-12)
+            ga, _ = backward([1.0], angles, layout, [1.0])
             assert ga[0, 0, 1] == pytest.approx(-np.sin(u2), abs=1e-12)
 
     @pytest.mark.parametrize("n_q", [2, 3, 4])
@@ -148,20 +143,11 @@ class TestBackward:
         layout = build_layout(n_q, layers)
         for _ in range(6):
             angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
-            x = rng.standard_normal(1 << n_q)
+            x = rng.standard_normal((1, 1 << n_q))
             upstream = rng.standard_normal(n_q)
-            params = CircuitParams(layers, n_q, angles)
-            ga, gx = vqc.circuit_backward(x, params, layout, upstream)
-
-            def value():
-                return float(
-                    vqc.circuit_forward_batch(x[None, :], angles, layout)[0] @ upstream
-                )
-
-            fa = finite_difference(value, angles)
-            fx = finite_difference(value, x)
-            assert rel_err(ga, fa) <= 1e-5
-            assert rel_err(gx, fx) <= 1e-5
+            gradcheck(weighted_expectations(layout, upstream),
+                      [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)],
+                      eps=1e-5)
 
     def test_parameter_shift_agreement(self):
         # For rotations exp(-i theta H/2), +/- pi/2 shifts reproduce the derivative.
@@ -170,14 +156,13 @@ class TestBackward:
         angles = rng.uniform(0, 2 * np.pi, (2, 3, 3))
         x = rng.standard_normal(8)
         upstream = rng.standard_normal(3)
-        params = CircuitParams(2, 3, angles)
-        ga, _ = vqc.circuit_backward(x, params, layout, upstream)
+        ga, _ = backward(x, angles, layout, upstream)
         for idx in [(0, 0, 0), (0, 1, 1), (1, 2, 2), (1, 0, 1)]:
             shifted = angles.copy()
             shifted[idx] += np.pi / 2
-            hi = vqc.circuit_forward_batch(x[None, :], shifted, layout)[0] @ upstream
+            hi = forward(x, shifted, layout) @ upstream
             shifted[idx] -= np.pi
-            lo = vqc.circuit_forward_batch(x[None, :], shifted, layout)[0] @ upstream
+            lo = forward(x, shifted, layout) @ upstream
             assert ga[idx] == pytest.approx((hi - lo) / 2.0, abs=1e-10)
 
     def test_input_gradient_orthogonal_to_input(self):
@@ -186,14 +171,11 @@ class TestBackward:
         for _ in range(20):
             angles = rng.uniform(0, 2 * np.pi, (2, 4, 3))
             x = rng.standard_normal(16)
-            upstream = rng.standard_normal(4)
-            _, gx = vqc.circuit_backward(x, CircuitParams(2, 4, angles), layout, upstream)
+            _, gx = backward(x, angles, layout, rng.standard_normal(4))
             assert abs(np.dot(gx, x)) <= 1e-8
 
     def test_zero_input_has_zero_input_gradient(self):
-        layout = build_layout(2, 1)
-        params = CircuitParams(1, 2, np.ones((1, 2, 3)))
-        _, gx = vqc.circuit_backward(np.zeros(4), params, layout, np.ones(2))
+        _, gx = backward(np.zeros(4), np.ones((1, 2, 3)), build_layout(2, 1), np.ones(2))
         assert not gx.any()
 
     def test_gradient_through_padding(self):
@@ -201,16 +183,12 @@ class TestBackward:
         rng = np.random.default_rng(53)
         layout = build_layout(2, 2)
         angles = rng.uniform(0, 2 * np.pi, (2, 2, 3))
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
         upstream = rng.standard_normal(2)
-        ga, gx = vqc.circuit_backward(x, CircuitParams(2, 2, angles), layout, upstream)
+        _, gx = backward(x, angles, layout, upstream)
         assert gx.shape == (3,)
-
-        def value():
-            return float(vqc.circuit_forward_batch(x[None, :], angles, layout)[0] @ upstream)
-
-        assert rel_err(gx, finite_difference(value, x)) <= 1e-5
-        assert rel_err(ga, finite_difference(value, angles)) <= 1e-5
+        gradcheck(weighted_expectations(layout, upstream),
+                  [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)], eps=1e-5)
 
 
 def batch_case(n_q, layers, batch, seed):
@@ -232,8 +210,8 @@ class TestBatch:
     def test_expectations_op_gradcheck(self, n_q, above):
         batch = (1 << n_q) + 3 if above else max(1, (1 << n_q) - 1)
         layout, angles, x = batch_case(n_q, 2, batch, seed=n_q + 10 * above)
-        weights = Tensor(np.random.default_rng(n_q).standard_normal((batch, n_q)))
-        gradcheck(lambda inputs, a: vqc.expectations_op(inputs, a, layout) * weights,
+        weights = np.random.default_rng(n_q).standard_normal((batch, n_q))
+        gradcheck(weighted_expectations(layout, weights),
                   [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)])
 
     @pytest.mark.parametrize("n_q,batch", [(2, 9), (3, 5), (4, 40)])
@@ -242,8 +220,7 @@ class TestBatch:
         upstream = np.random.default_rng(batch).standard_normal((batch, n_q))
         inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
         vqc.expectations_op(inputs, angle_t, layout).backward(upstream)
-        params = CircuitParams(3, n_q, angles)
-        rows = [vqc.circuit_backward(x[b], params, layout, upstream[b]) for b in range(batch)]
+        rows = [backward(x[b], angles, layout, upstream[b]) for b in range(batch)]
         np.testing.assert_allclose(angle_t.grad, sum(ga for ga, _ in rows), rtol=1e-10,
                                    atol=1e-12)
         np.testing.assert_allclose(inputs.grad, np.stack([gx for _, gx in rows]), rtol=1e-10,
@@ -264,8 +241,3 @@ class TestExecutionCounter:
         layout = build_layout(2, 1)
         vqc.circuit_forward_batch(np.ones((7, 4)), np.zeros((1, 2, 3)), layout)
         assert vqc.execution_count() == 7
-
-    def test_executions_needed_matches_ceiling(self):
-        for heads in range(1, 13):
-            for n_q in range(2, 7):
-                assert vqc.executions_needed(heads, n_q) == -(-heads // n_q)
