@@ -145,15 +145,9 @@ class QgatLayer(_AttentionLayer):
                  rng: np.random.Generator):
         super().__init__(in_dim, head_dim, heads, merge=merge, dropout=dropout,
                          activation=activation, rng=rng)
-        if n_qubits < 1 or entangling_layers < 1:
-            raise ValueError("qubit and circuit-layer counts must be >= 1")
+        self.layout = vqc.build_layout(n_qubits, entangling_layers)
         self.n_qubits = n_qubits
         self.n_exec = -(-heads // n_qubits)  # circuit executions per edge
-        if n_qubits >= 2:
-            self.layout = vqc.build_layout(n_qubits, entangling_layers)
-        else:
-            # One qubit admits no entangling ring; range 0 marks an empty ring.
-            self.layout = vqc.EntanglingLayout(1, (0,) * entangling_layers)
         self.feat_proj = Tensor(glorot(rng, (in_dim, heads * head_dim)), requires_grad=True)
         compress_in = 2 * heads * head_dim + 2 * in_dim
         self.encoding_dim = (1 << n_qubits) * self.n_exec

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import vqc
 from .attention import QgatLayer
-from .autodiff import Tensor, gradient_errors, make_op
+from .autodiff import Tensor, gradient_errors
 from .config import Config, ConfigError, apply_overrides, make_train_config, parse_config
 from .graph import (
     FEATURE_NOISE_GRID,
@@ -38,6 +38,7 @@ from .training import (
     MODEL_KINDS,
     TrainingDivergedError,
     build_model,
+    infer_dims,
     link_eval,
     run_training,
     save_checkpoint,
@@ -49,12 +50,10 @@ log = logging.getLogger("qgat")
 
 @dataclass
 class ExperimentSpec:
-    subcommand: str
     config: Config
     out_dir: Path
     seeds: list[int]
     jobs: int
-    corrupt_gradients: bool = False
 
 
 def _load_data(cfg: Config) -> Graph:
@@ -73,6 +72,15 @@ def _load_data(cfg: Config) -> Graph:
     if not path:
         raise ConfigError("data.path is required when data.source is not 'synth'")
     return load_graph(path, format=source)
+
+
+def _run_training(data, tc):
+    """``run_training``; data that the task cannot read is a configuration error."""
+    try:
+        infer_dims(data, tc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return run_training(data, tc)
 
 
 def _summary_line(model: str, metric_name: str, values: list[float]) -> str:
@@ -101,7 +109,7 @@ def cmd_train(spec: ExperimentSpec) -> int:
         for seed in spec.seeds:
             tc = make_train_config(cfg, model_name, seed)
             log.info("training %s seed %d", model_name, seed)
-            _, result = run_training(graph, tc)
+            _, result = _run_training(graph, tc)
             write_history_csv(result.history, out / f"metrics_{model_name}_seed{seed}.csv")
             save_checkpoint(out / f"checkpoint_{model_name}_seed{seed}.json", tc,
                             result.best_state)
@@ -132,7 +140,7 @@ def _sweep_cell(payload: dict) -> tuple[str, float, int, float]:
         else:
             graph = add_structural_noise(graph, level, seed)
     tc = make_train_config(cfg, model_name, seed)
-    _, result = run_training(graph, tc)
+    _, result = _run_training(graph, tc)
     return model_name, level, seed, result.test_metric
 
 
@@ -223,13 +231,9 @@ def cmd_linkpred(spec: ExperimentSpec) -> int:
 # -- gradient checking ---------------------------------------------------------------
 
 
-def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
-                     corrupt: bool = False) -> dict[str, float]:
-    """Worst relative gradient error per component, adjoint vs central differences.
-
-    ``corrupt`` adds a zero-valued node to the layer check whose vjp puts
-    1e-2 on ``compress``: a negative control that must fail.
-    """
+def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
+                     trials: int) -> dict[str, float]:
+    """Worst relative gradient error per component, adjoint vs central differences."""
     rng = np.random.default_rng(7)
     report = {"circuit.angles": 0.0, "circuit.inputs": 0.0}
     for n_q in qubit_grid:
@@ -253,25 +257,21 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int], trials: int,
     upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
     params = layer.params()
 
-    def layer_value(*_) -> Tensor:
-        out = layer.forward(g, g.features) * upstream
-        if corrupt:
-            out = out + make_op(np.zeros(out.shape), (layer.compress,),
-                                lambda _: (np.full(layer.compress.shape, 1e-2),))
-        return out
-
-    errors = gradient_errors(layer_value, list(params.values()), eps=1e-6, atol=1e-7)
+    errors = gradient_errors(lambda *_: layer.forward(g, g.features) * upstream,
+                             list(params.values()), eps=1e-6, atol=1e-7)
     report.update((f"qgat_layer.{name}", err) for name, err in zip(params, errors))
     return report
 
 
 def cmd_gradcheck(spec: ExperimentSpec) -> int:
     cfg = spec.config
+    for key in ("qubits", "layers"):
+        if min(cfg.get("gradcheck", key), default=1) < 1:
+            raise ConfigError(f"gradcheck.{key} values must be >= 1")
     report = gradcheck_report(
         cfg.get("gradcheck", "qubits"),
         cfg.get("gradcheck", "layers"),
         cfg.get("gradcheck", "trials"),
-        corrupt=spec.corrupt_gradients,
     )
     threshold = cfg.get("gradcheck", "threshold")
     failed = False
@@ -374,10 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated training seeds (overrides config)")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override, repeatable")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
-        if name == "gradcheck":
-            p.add_argument("--corrupt-gradients", action="store_true",
-                           help=argparse.SUPPRESS)  # negative-control test hook
+        if name == "noise-sweep":
+            p.add_argument("--jobs", type=int, default=1, help="worker pool size")
     return parser
 
 
@@ -401,13 +399,14 @@ def main(argv: list[str] | None = None) -> int:
         apply_overrides(cfg, args.override)
         if args.seeds is not None:
             cfg.set("experiment", "seeds", args.seeds)
+        for key in ("n_per_class", "n_classes", "feature_dim"):
+            if cfg.get("data", key) < 1:
+                raise ConfigError(f"data.{key} must be >= 1, got {cfg.get('data', key)}")
         spec = ExperimentSpec(
-            subcommand=args.subcommand,
             config=cfg,
             out_dir=Path(args.out),
             seeds=cfg.get("experiment", "seeds"),
-            jobs=max(1, args.jobs),
-            corrupt_gradients=getattr(args, "corrupt_gradients", False),
+            jobs=max(1, getattr(args, "jobs", 1)),
         )
         return COMMANDS[args.subcommand](spec)
     except ConfigError as exc:

@@ -7,6 +7,10 @@ checkpoint.  ``fit`` is the one early-stopping loop: ``train`` runs it on a
 graph or link split, ``inductive.train_inductive`` on a union of training
 graphs.  Everything is driven by explicit seeded generators so a
 (seed, config) pair reproduces its metric history bit-exactly.
+
+Every task has one readout: ``split_views`` gives each split's selection
+(node ids, or (P, 2) node pairs) with its targets, ``readout`` turns the
+model output into predictions for it, and one task loss and metric score them.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ class TrainConfig:
             raise ValueError("head counts and hidden dims must be >= 1")
         if self.n_qubits < 1 or self.entangling_layers < 1:
             raise ValueError("n_qubits and entangling_layers must be >= 1")
+        if self.lr_min < 0 or self.weight_decay < 0:
+            raise ValueError("lr_min and weight_decay must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.merge not in ("concat", "mean"):
@@ -164,38 +170,30 @@ def bce_with_logits(pred: Tensor, targets: np.ndarray) -> Tensor:
     return tmean(sub(softplus(pred), mul(pred, Tensor(targets))))
 
 
-def edge_scores(embeddings: Tensor, pairs: np.ndarray) -> Tensor:
-    """Inner-product decoder: score(u, v) = <emb_u, emb_v>."""
-    u = take_rows(embeddings, pairs[:, 0])
-    v = take_rows(embeddings, pairs[:, 1])
-    return tsum(mul(u, v), axis=1)
+def _task_loss(task: str, pred: Tensor, targets) -> Tensor:
+    """Softmax cross-entropy for node-class; binary cross-entropy with logits
+    for multi-label cells and link-pred pair scores."""
+    if task == "node-class":
+        return cross_entropy_logits(pred, targets)
+    if task in ("multi-label", "link-pred"):
+        return bce_with_logits(pred, targets)
+    raise ValueError(f"unknown task {task!r}")
 
 
 def loss(task: str, predictions: np.ndarray, labels) -> float:
-    """Task loss value for evaluation; records no tape.
-
-    node-class: softmax cross-entropy against integer labels.
-    multi-label: per-cell binary cross-entropy with logits.
-    link-pred: binary cross-entropy on edge scores against 0/1 labels.
-    Non-finite predictions raise ``TrainingDivergedError``.
-    """
+    """Task loss value for evaluation; non-finite predictions raise
+    ``TrainingDivergedError``."""
     if not np.all(np.isfinite(predictions)):
         raise TrainingDivergedError("non-finite model output")
-    pred = Tensor(predictions)
-    if task == "node-class":
-        return cross_entropy_logits(pred, labels).item()
-    if task in ("multi-label", "link-pred"):
-        return bce_with_logits(pred, labels).item()
-    raise ValueError(f"unknown task {task!r}")
+    return _task_loss(task, Tensor(predictions), labels).item()
 
 
 # -- model assembly -----------------------------------------------------------
 
 
 class Model:
-    def __init__(self, layers: list[_AttentionLayer], task: str):
+    def __init__(self, layers: list[_AttentionLayer]):
         self.layers = layers
-        self.task = task
 
     def forward(self, graph: Graph, features=None, *, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -264,7 +262,7 @@ def build_model(cfg: TrainConfig, in_dim: int, out_dim: int,
             layer = Gatv2Layer(dim, head_dim, cfg.heads_per_layer[i], **common)
         layers.append(layer)
         dim = layer.out_dim
-    return Model(layers, cfg.task)
+    return Model(layers)
 
 
 def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
@@ -274,8 +272,12 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
         return data.train_graph.feature_dim, cfg.hidden_dims[len(cfg.heads_per_layer) - 1]
     if not isinstance(data, Graph):
         raise ValueError(f"task {cfg.task} expects a Graph")
-    if data.labels is None:
-        raise ValueError("graph has no labels")
+    if data.labels is None or data.masks is None:
+        raise ValueError(f"task {cfg.task} needs node labels and train/val/test masks")
+    if data.labels.ndim != (1 if cfg.task == "node-class" else 2):
+        wanted = "one class per node" if cfg.task == "node-class" else "an (N, L) label matrix"
+        raise ValueError(f"task {cfg.task} needs {wanted}, but the graph's labels "
+                         f"have shape {data.labels.shape}")
     if cfg.task == "node-class":
         return data.feature_dim, int(data.labels.max()) + 1
     return data.feature_dim, data.labels.shape[1]
@@ -284,30 +286,38 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
 # -- loop internals ------------------------------------------------------------
 
 
-def _node_loss(model: Model, graph: Graph, mask: np.ndarray, *, training: bool,
-               rng=None) -> Tensor:
-    out = model.forward(graph, training=training, rng=rng)
-    idx = np.flatnonzero(mask)
-    picked = take_rows(out, idx)
-    if model.task == "node-class":
-        return cross_entropy_logits(picked, graph.labels[idx])
-    return bce_with_logits(picked, graph.labels[idx])
+def split_views(data: Graph | LinkSplit, task: str
+                ) -> tuple[Graph, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """The graph the model reads, and (selection, targets) per non-empty split.
+
+    Node tasks select node ids and target their labels; link prediction
+    selects (P, 2) pairs, positives (target 1.0) then negatives (0.0).
+    An empty train split raises ``ValueError``.
+    """
+    views = {}
+    if task == "link-pred":
+        graph = data.train_graph
+        for name, split in data.splits.items():
+            n_pos, n_neg = split.positives.shape[0], split.negatives.shape[0]
+            if n_pos:
+                views[name] = (np.concatenate([split.positives, split.negatives], axis=0),
+                               np.concatenate([np.ones(n_pos), np.zeros(n_neg)]))
+    else:
+        graph = data
+        for name, mask in (data.masks or {}).items():
+            idx = np.flatnonzero(mask)
+            if idx.size:
+                views[name] = (idx, data.labels[idx])
+    if "train" not in views:
+        raise ValueError(f"the 'train' split is empty: task {task} has nothing to fit")
+    return graph, views
 
 
-def _link_pairs(split) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.concatenate([split.positives, split.negatives], axis=0)
-    labels = np.concatenate([
-        np.ones(split.positives.shape[0]),
-        np.zeros(split.negatives.shape[0]),
-    ])
-    return pairs, labels
-
-
-def _link_loss(model: Model, data: LinkSplit, split_name: str, *, training: bool,
-               rng=None) -> Tensor:
-    emb = model.forward(data.train_graph, training=training, rng=rng)
-    pairs, labels = _link_pairs(data.splits[split_name])
-    return bce_with_logits(edge_scores(emb, pairs), labels)
+def readout(out: Tensor, select: np.ndarray) -> Tensor:
+    """Rows of ``out`` for a 1-D selection; <out_u, out_v> for each (u, v) of a 2-D one."""
+    if select.ndim == 1:
+        return take_rows(out, select)
+    return tsum(mul(take_rows(out, select[:, 0]), take_rows(out, select[:, 1])), axis=1)
 
 
 def training_step(model: Model, data: Graph | LinkSplit, cfg: TrainConfig,
@@ -315,10 +325,10 @@ def training_step(model: Model, data: Graph | LinkSplit, cfg: TrainConfig,
                   rng: np.random.Generator) -> float:
     """One full-batch gradient step; returns the training loss."""
     model.zero_grad()
-    if cfg.task == "link-pred":
-        value = _link_loss(model, data, "train", training=True, rng=rng)
-    else:
-        value = _node_loss(model, data, data.masks["train"], training=True, rng=rng)
+    graph, views = split_views(data, cfg.task)
+    select, targets = views["train"]
+    out = model.forward(graph, training=True, rng=rng)
+    value = _task_loss(cfg.task, readout(out, select), targets)
     if not np.isfinite(value.item()):
         raise TrainingDivergedError("training loss diverged")
     value.backward()
@@ -333,42 +343,24 @@ def training_step(model: Model, data: Graph | LinkSplit, cfg: TrainConfig,
 def evaluate(model: Model, data: Graph | LinkSplit, cfg: TrainConfig
              ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-split losses and task metrics in evaluation mode (no dropout)."""
-    losses: dict[str, float] = {}
-    task_scores: dict[str, float] = {}
-    if cfg.task == "link-pred":
-        emb = model.forward(data.train_graph).data
-        for name, split in data.splits.items():
-            if split.positives.shape[0] == 0:
-                continue
-            pairs, labels = _link_pairs(split)
-            losses[name] = loss("link-pred", _score_pairs(emb, pairs), labels)
-            task_scores[name] = metrics_mod.mrr(
-                _score_pairs(emb, split.positives), _score_pairs(emb, split.negatives)
-            )
-        return losses, task_scores
-    out = model.forward(data).data
-    for name, mask in data.masks.items():
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            continue
-        losses[name] = loss(cfg.task, out[idx], data.labels[idx])
-        task_scores[name] = metrics_mod.task_metric(cfg.task, out[idx], data.labels[idx])
+    graph, views = split_views(data, cfg.task)
+    out = model.forward(graph)
+    losses, task_scores = {}, {}
+    for name, (select, targets) in views.items():
+        pred = readout(out, select).data
+        losses[name] = loss(cfg.task, pred, targets)
+        task_scores[name] = metrics_mod.task_metric(cfg.task, pred, targets)
     return losses, task_scores
-
-
-def _score_pairs(emb: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    return np.sum(emb[pairs[:, 0]] * emb[pairs[:, 1]], axis=1)
 
 
 def link_eval(model: Model, data: LinkSplit, k: int) -> dict[str, dict[str, float]]:
     """Hits@k and MRR per split from the current model state."""
-    emb = model.forward(data.train_graph).data
+    graph, views = split_views(data, "link-pred")
+    out = model.forward(graph)
     report: dict[str, dict[str, float]] = {}
-    for name, split in data.splits.items():
-        if split.positives.shape[0] == 0:
-            continue
-        pos = _score_pairs(emb, split.positives)
-        neg = _score_pairs(emb, split.negatives)
+    for name, (pairs, targets) in views.items():
+        scores = readout(out, pairs).data
+        pos, neg = scores[targets == 1], scores[targets == 0]
         report[name] = {
             f"hits@{k}": metrics_mod.hits_at_k(pos, neg, k),
             "mrr": metrics_mod.mrr(pos, neg),

@@ -74,12 +74,13 @@ class EntanglingLayout:
 
 
 def build_layout(n_qubits: int, n_layers: int) -> EntanglingLayout:
-    """Range schedule r = 1, 2, ..., M-1, 1, ... across layers."""
-    if n_qubits < 2:
-        raise ValueError("entangling layout needs at least 2 qubits")
-    if n_layers < 1:
-        raise ValueError("entangling layout needs at least 1 layer")
-    ranges = tuple((layer % (n_qubits - 1)) + 1 for layer in range(n_layers))
+    """Range schedule r = 1, 2, ..., M-1, 1, ... across layers; one qubit has
+    no ring, so its ranges are all 0."""
+    if n_qubits < 1 or n_layers < 1:
+        raise ValueError(f"entangling layout needs at least 1 qubit and 1 layer, "
+                         f"got {n_qubits} and {n_layers}")
+    ranges = tuple(layer % (n_qubits - 1) + 1 if n_qubits > 1 else 0
+                   for layer in range(n_layers))
     return EntanglingLayout(n_qubits, ranges)
 
 

@@ -101,6 +101,31 @@ class TestTrain:
                      "--override", override]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,override", [
+        ("train", "data.feature_dim=0"),
+        ("train", "data.n_per_class=0"),
+        ("synth", "data.n_classes=0"),
+        ("train", "training.lr_min=-1"),
+        ("train", "training.weight_decay=-1"),
+        ("gradcheck", "gradcheck.qubits=0"),
+        ("gradcheck", "gradcheck.layers=0"),
+    ])
+    def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
+        assert main([command, "--out", str(tmp_path / "o"), "--override", override]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_task_the_labels_cannot_serve_exits_2(self, tiny_config, tmp_path, capsys):
+        assert main(["train", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                     "--override", "experiment.task=multi-label"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "multi-label" in err and "shape (20,)" in err
+
+    def test_jobs_belongs_to_noise_sweep_only(self, tiny_config, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["train", "--config", str(tiny_config), "--jobs", "2"])
+        assert err.value.code == 2
+
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
@@ -201,11 +226,27 @@ class TestGradcheck:
                      "qgat_layer.compress", "qgat_layer.angles", "qgat_layer.shortcut"):
             assert name in printed
 
-    def test_corrupted_gradient_fails(self, capsys):
-        assert main(["gradcheck", "--corrupt-gradients", "--override",
-                     "gradcheck.trials=1", "--override", "gradcheck.qubits=2",
-                     "--override", "gradcheck.layers=1"]) == 1
-        assert "qgat_layer.compress: max relative error 1.000e+00 [FAIL]" in capsys.readouterr().out
+    def test_single_qubit_passes(self, capsys):
+        assert main(["gradcheck", "--override", "gradcheck.trials=1",
+                     "--override", "gradcheck.qubits=1"]) == 0
+        assert "[FAIL]" not in capsys.readouterr().out
+
+    def test_corrupted_gradient_fails(self, monkeypatch, capsys):
+        run = vqc.expectations_op
+
+        def doubled_angle_vjp(inputs, angles, layout):
+            out = run(inputs, angles, layout)
+            vjp = out._vjp
+            out._vjp = lambda g: (vjp(g)[0], 2.0 * vjp(g)[1])
+            return out
+
+        monkeypatch.setattr(vqc, "expectations_op", doubled_angle_vjp)
+        assert main(["gradcheck", "--override", "gradcheck.trials=1", "--override",
+                     "gradcheck.qubits=2", "--override", "gradcheck.layers=1"]) == 1
+        printed = capsys.readouterr().out
+        assert "circuit.angles: max relative error 1.000e+00 [FAIL]" in printed
+        assert "qgat_layer.angles: max relative error 1.000e+00 [FAIL]" in printed
+        assert "circuit.inputs: max relative error 0.000e+00 [ok]" in printed
 
     def test_nan_gradient_fails(self, monkeypatch, capsys):
         run = vqc.expectations_op

@@ -82,6 +82,15 @@ class TestOracleAgreement:
             neg = np.round(rng.standard_normal(n_neg), 1)
             assert mrr(pos, neg) == mrr_reference(pos, neg)
 
+    def test_link_pred_task_metric_random_instances(self):
+        local = np.random.default_rng(7)
+        for _ in range(50):
+            n_pos, n_neg = local.integers(1, 20), local.integers(1, 40)
+            scores = np.round(local.standard_normal(n_pos + n_neg), 1)
+            targets = local.permutation(np.r_[np.ones(n_pos), np.zeros(n_neg)])
+            assert task_metric("link-pred", scores, targets) == mrr_reference(
+                scores[targets == 1], scores[targets == 0])
+
     def test_all_metrics_in_unit_interval(self):
         for _ in range(20):
             n = rng.integers(2, 30)

@@ -15,6 +15,7 @@ from qgat.training import (
     build_model,
     cosine_lr,
     cross_entropy_logits,
+    infer_dims,
     link_eval,
     load_checkpoint,
     loss,
@@ -185,6 +186,24 @@ class TestTrainLoop:
             TrainConfig(hidden_dims=[8], heads_per_layer=[2, 2, 2]).validate()
         with pytest.raises(ValueError, match="model"):
             TrainConfig(model="gcn").validate()
+        for bad in ({"lr_min": -1.0}, {"weight_decay": -1e-4}):
+            with pytest.raises(ValueError, match="lr_min and weight_decay"):
+                TrainConfig(**bad).validate()
+
+    def test_empty_train_split_names_the_split(self):
+        g = fixture_graph()
+        g.masks["val"] |= g.masks["train"]
+        g.masks["train"][:] = False
+        with pytest.raises(ValueError, match="'train' split is empty"):
+            run_training(g, small_cfg())
+
+    def test_task_needs_matching_label_shape(self):
+        with pytest.raises(ValueError, match=r"multi-label.*shape \(60,\)"):
+            infer_dims(fixture_graph(), small_cfg(task="multi-label"))
+        g = fixture_graph()
+        unmasked = Graph(g.features, g.edges, labels=g.labels)
+        with pytest.raises(ValueError, match="masks"):
+            infer_dims(unmasked, small_cfg())
 
 
 class TestLinkPrediction:
@@ -213,6 +232,14 @@ class TestLinkPrediction:
         for name in ("train", "val", "test"):
             assert set(report[name]) == {"hits@10", "mrr"}
             assert 0.0 <= report[name]["mrr"] <= 1.0
+
+    def test_history_metric_is_link_eval_mrr(self):
+        split = split_link_prediction(fixture_graph(), 0.1, 0.2, 1, seed=0)
+        cfg = TrainConfig(model="gat", task="link-pred", epochs=10, patience=30,
+                          hidden_dims=[4, 4], heads_per_layer=[2, 2], seed=0)
+        model, result = run_training(split, cfg)
+        assert result.best_epoch > 0
+        assert result.test_metric == link_eval(model, split, 10)["test"]["mrr"]
 
 
 class TestPersistence:

@@ -44,9 +44,12 @@ class TestLayout:
         layout = EntanglingLayout(5, (2,))
         assert layout.cnot_pairs(0)[4] == (4, 1)
 
-    def test_single_qubit_rejected(self):
+    def test_single_qubit_has_no_ring(self):
+        layout = build_layout(1, 2)
+        assert layout.ranges == (0, 0)
+        assert layout.cnot_pairs(0) == [] and layout.cnot_pairs(1) == []
         with pytest.raises(ValueError):
-            build_layout(1, 2)
+            build_layout(0, 1)
 
     def test_all_ranges_legal(self):
         for m in range(2, 8):
@@ -129,7 +132,7 @@ class TestBackward:
 
     def test_single_ry_analytic(self):
         # <Z> of RY(u2)|0> is cos(u2); only the middle angle matters.
-        layout = vqc.EntanglingLayout(1, (0,))
+        layout = build_layout(1, 1)
         for u2 in (0.3, 1.2, 2.9):
             angles = np.array([[[0.0, u2, 0.0]]])
             assert forward([1.0], angles, layout)[0] == pytest.approx(np.cos(u2), abs=1e-12)
@@ -194,7 +197,7 @@ class TestBackward:
 def batch_case(n_q, layers, batch, seed):
     """Layout, angles and a (batch, 2^n) input block whose middle row is all zero."""
     rng = np.random.default_rng(seed)
-    layout = build_layout(n_q, layers) if n_q > 1 else EntanglingLayout(1, (0,) * layers)
+    layout = build_layout(n_q, layers)
     angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
     x = rng.standard_normal((batch, 1 << n_q))
     if batch > 1:
