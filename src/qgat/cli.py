@@ -28,6 +28,7 @@ from .graph import (
     add_feature_noise,
     add_structural_noise,
     load_graph,
+    random_split_masks,
     save_graph_json,
     split_link_prediction,
     synth_sbm,
@@ -68,10 +69,18 @@ def _load_data(cfg: Config) -> Graph:
             cfg.get("data", "class_sep"),
             cfg.get("data", "seed"),
         )
+    if source not in ("csv", "json"):
+        raise ConfigError(f"data.source must be 'synth', 'csv' or 'json', got {source!r}")
     path = cfg.get("data", "path")
     if not path:
         raise ConfigError("data.path is required when data.source is not 'synth'")
-    return load_graph(path, format=source)
+    graph = load_graph(path, format=source)
+    if graph.masks is None:
+        # the seeded 60/20/20 node split that synth_sbm draws
+        rng = np.random.default_rng(cfg.get("data", "seed"))
+        graph = Graph(graph._features, graph.edges, labels=graph.labels,
+                      masks=random_split_masks(graph.n_nodes, rng))
+    return graph
 
 
 def _run_training(data, tc):
@@ -145,16 +154,18 @@ def _sweep_cell(payload: dict) -> tuple[str, float, int, float]:
 
 
 def cmd_noise_sweep(spec: ExperimentSpec) -> int:
-    out = _prepare_out(spec)
     cfg = spec.config
     kind = cfg.get("noise", "kind")
     if kind not in ("feature", "structural"):
         raise ConfigError(f"noise.kind must be 'feature' or 'structural', got {kind!r}")
+    levels = cfg.get("noise", "levels")
+    if min(levels, default=0.0) < 0:
+        raise ConfigError(f"noise.levels must be >= 0, got {levels}")
     models = cfg.get("experiment", "models")
     for name in models:
         if name not in MODEL_KINDS:
             raise ConfigError(f"unknown model {name!r} in experiment.models")
-    levels = cfg.get("noise", "levels")
+    out = _prepare_out(spec)
     if not levels:
         levels = list(FEATURE_NOISE_GRID if kind == "feature" else STRUCTURAL_NOISE_GRID)
 
@@ -200,15 +211,16 @@ def cmd_linkpred(spec: ExperimentSpec) -> int:
     k = cfg.get("linkpred", "hits_k")
     if k < 1:
         raise ConfigError(f"linkpred.hits_k must be >= 1, got {k}")
+    frac_val, frac_test = cfg.get("linkpred", "frac_val"), cfg.get("linkpred", "frac_test")
+    if min(frac_val, frac_test) < 0 or frac_val + frac_test >= 1:
+        raise ConfigError("linkpred.frac_val and linkpred.frac_test must be >= 0 and sum "
+                          f"below 1, got {frac_val} and {frac_test}")
+    neg_ratio = cfg.get("linkpred", "neg_ratio")
+    if neg_ratio < 1:
+        raise ConfigError(f"linkpred.neg_ratio must be >= 1, got {neg_ratio}")
     out = _prepare_out(spec)
     graph = _load_data(cfg)
-    split = split_link_prediction(
-        graph,
-        cfg.get("linkpred", "frac_val"),
-        cfg.get("linkpred", "frac_test"),
-        cfg.get("linkpred", "neg_ratio"),
-        cfg.get("data", "seed"),
-    )
+    split = split_link_prediction(graph, frac_val, frac_test, neg_ratio, cfg.get("data", "seed"))
     rows = []
     for model_name in cfg.get("experiment", "models"):
         hits, mrrs = [], []
@@ -268,11 +280,11 @@ def cmd_gradcheck(spec: ExperimentSpec) -> int:
     for key in ("qubits", "layers"):
         if min(cfg.get("gradcheck", key), default=1) < 1:
             raise ConfigError(f"gradcheck.{key} values must be >= 1")
-    report = gradcheck_report(
-        cfg.get("gradcheck", "qubits"),
-        cfg.get("gradcheck", "layers"),
-        cfg.get("gradcheck", "trials"),
-    )
+    trials = cfg.get("gradcheck", "trials")
+    if trials < 1:
+        raise ConfigError(f"gradcheck.trials must be >= 1, got {trials}")
+    report = gradcheck_report(cfg.get("gradcheck", "qubits"), cfg.get("gradcheck", "layers"),
+                              trials)
     threshold = cfg.get("gradcheck", "threshold")
     failed = False
     for name in sorted(report):
@@ -353,6 +365,13 @@ def cmd_synth(spec: ExperimentSpec) -> int:
 # -- argument plumbing ---------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgat",
@@ -375,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override, repeatable")
         if name == "noise-sweep":
-            p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+            p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size")
     return parser
 
 
@@ -406,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
             config=cfg,
             out_dir=Path(args.out),
             seeds=cfg.get("experiment", "seeds"),
-            jobs=max(1, getattr(args, "jobs", 1)),
+            jobs=getattr(args, "jobs", 1),
         )
         return COMMANDS[args.subcommand](spec)
     except ConfigError as exc:

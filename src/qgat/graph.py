@@ -155,6 +155,8 @@ def _load_csv_bundle(directory: Path) -> Graph:
             raise GraphFormatError(f"{feat_path}:{lineno}: {exc}") from None
         rows.append(values)
 
+    features = np.asarray(rows, dtype=np.float64)
+    n = features.shape[0]
     edges = []
     for lineno, line in enumerate(_read_text(edge_path), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -164,17 +166,14 @@ def _load_csv_bundle(directory: Path) -> Graph:
         if len(parts) != 2:
             raise GraphFormatError(f"{edge_path}:{lineno}: expected 'src dst', got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            s, d = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphFormatError(f"{edge_path}:{lineno}: non-integer endpoint in {line!r}") from None
-
-    features = np.asarray(rows, dtype=np.float64)
-    n = features.shape[0]
-    for lineno, (s, d) in enumerate(edges, start=1):
         if not (0 <= s < n and 0 <= d < n):
             raise GraphFormatError(
                 f"{edge_path}: edge line {lineno} ({s} {d}) references a node outside 0..{n - 1}"
             )
+        edges.append((s, d))
     return Graph(features,
                  np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                  labels=np.asarray(labels, dtype=np.int64) if labels else None,

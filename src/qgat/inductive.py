@@ -3,8 +3,8 @@
 Graphs are combined by disjoint union with node-index offsets, which keeps
 per-graph semantics exactly (attention never crosses graph boundaries) while
 amortizing the forward pass.  Each split's union is built once per
-training run, and the early-stopping loop is ``training.fit``.  The
-training step only ever receives the batched train union, so val/test
+training run and goes to ``training.train`` and ``training.evaluate`` like
+any other data.  The training step only ever reads the train union, so val/test
 features are structurally unreachable during gradient computation;
 ``Graph.feature_reads`` lets tests verify it.
 """
@@ -17,10 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics as metrics_mod
 from .graph import Graph, load_graph, save_graph_json, synth_sbm
-from .training import Model, TrainConfig, TrainResult, fit, loss
-from .training import training_step  # noqa: F401 -- perfbench's tracer patches it here
+from .training import Model, TrainConfig, TrainResult, evaluate, train
+
+# perfbench's tracer patches these names on this module; nothing here calls them
+from .training import evaluate as _split_eval, loss, training_step  # noqa: F401
 
 SPLITS = ("train", "val", "test")
 
@@ -121,23 +122,10 @@ def _split_unions(collection: GraphCollection) -> dict[str, Graph]:
     return unions
 
 
-def _split_eval(model: Model, union: Graph, task: str) -> tuple[float, float]:
-    out = model.forward(union).data
-    return loss(task, out, union.labels), metrics_mod.task_metric(task, out, union.labels)
-
-
-def _evaluate_unions(model: Model, unions: dict[str, Graph], task: str
-                     ) -> tuple[dict[str, float], dict[str, float]]:
-    losses, scores = {}, {}
-    for split, union in unions.items():
-        losses[split], scores[split] = _split_eval(model, union, task)
-    return losses, scores
-
-
 def eval_inductive(model: Model, collection: GraphCollection,
                    task: str = "multi-label") -> dict[str, dict[str, float]]:
     """Loss and metric per split, each computed on that split's batched union."""
-    losses, scores = _evaluate_unions(model, _split_unions(collection), task)
+    losses, scores = evaluate(model, _split_unions(collection), task)
     return {split: {"loss": losses[split], "metric": scores[split]} for split in SPLITS}
 
 
@@ -146,8 +134,7 @@ def train_inductive(model: Model, collection: GraphCollection,
     """Early-stopped training on the train-graph union; val/test stay held out."""
     if cfg.task == "link-pred":
         raise ValueError("inductive harness covers node-level tasks only")
-    unions = _split_unions(collection)
-    return fit(model, cfg, unions["train"], lambda: _evaluate_unions(model, unions, cfg.task))
+    return train(model, _split_unions(collection), cfg)
 
 
 # -- manifests -----------------------------------------------------------------

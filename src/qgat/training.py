@@ -3,14 +3,14 @@
 Training is full batch: one forward/backward over the whole graph per
 epoch, evaluation on every split each epoch, early stopping on the
 validation metric, and the test figure reported at the best-validation
-checkpoint.  ``fit`` is the one early-stopping loop: ``train`` runs it on a
-graph or link split, ``inductive.train_inductive`` on a union of training
-graphs.  Everything is driven by explicit seeded generators so a
+checkpoint.  ``train`` is the one early-stopping loop and ``evaluate`` the
+one evaluator.  Everything is driven by explicit seeded generators so a
 (seed, config) pair reproduces its metric history bit-exactly.
 
-Every task has one readout: ``split_views`` gives each split's selection
-(node ids, or (P, 2) node pairs) with its targets, ``readout`` turns the
-model output into predictions for it, and one task loss and metric score them.
+Every data shape and task has one readout: ``split_views`` gives each split's
+graph, selection (node ids, or (P, 2) node pairs) and targets, ``readout``
+turns the model output into predictions for it, and one task loss and metric
+score them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, asdict
 from math import cos, pi
-from typing import Callable
 
 import json
 import numpy as np
@@ -32,6 +31,9 @@ MODEL_KINDS = ("qgat", "gat", "gatv2")
 TASKS = ("node-class", "multi-label", "link-pred")
 
 _STREAMS = {"init": 0, "dropout": 1, "negatives": 2}
+
+# a graph, a link split, or per-split graph unions (the inductive harness)
+TrainData = Graph | LinkSplit | dict[str, Graph]
 
 
 class TrainingDivergedError(RuntimeError):
@@ -286,31 +288,33 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
 # -- loop internals ------------------------------------------------------------
 
 
-def split_views(data: Graph | LinkSplit, task: str
-                ) -> tuple[Graph, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """The graph the model reads, and (selection, targets) per non-empty split.
+def split_views(data: TrainData, task: str) -> dict[str, tuple[Graph, np.ndarray, np.ndarray]]:
+    """(graph the model reads, selection, targets) per non-empty split.
 
-    Node tasks select node ids and target their labels; link prediction
-    selects (P, 2) pairs, positives (target 1.0) then negatives (0.0).
-    An empty train split raises ``ValueError``.
+    A graph selects its masked node ids; a dict of per-split unions selects
+    every node of each union; link prediction selects (P, 2) pairs of the
+    training graph, positives (target 1.0) then negatives (0.0).  An empty
+    train split raises ``ValueError``.
     """
     views = {}
-    if task == "link-pred":
-        graph = data.train_graph
+    if isinstance(data, dict):
+        for name, graph in data.items():
+            views[name] = (graph, np.arange(graph.n_nodes), graph.labels)
+    elif task == "link-pred":
         for name, split in data.splits.items():
             n_pos, n_neg = split.positives.shape[0], split.negatives.shape[0]
             if n_pos:
-                views[name] = (np.concatenate([split.positives, split.negatives], axis=0),
+                views[name] = (data.train_graph,
+                               np.concatenate([split.positives, split.negatives], axis=0),
                                np.concatenate([np.ones(n_pos), np.zeros(n_neg)]))
     else:
-        graph = data
         for name, mask in (data.masks or {}).items():
             idx = np.flatnonzero(mask)
             if idx.size:
-                views[name] = (idx, data.labels[idx])
+                views[name] = (data, idx, data.labels[idx])
     if "train" not in views:
         raise ValueError(f"the 'train' split is empty: task {task} has nothing to fit")
-    return graph, views
+    return views
 
 
 def readout(out: Tensor, select: np.ndarray) -> Tensor:
@@ -320,13 +324,12 @@ def readout(out: Tensor, select: np.ndarray) -> Tensor:
     return tsum(mul(take_rows(out, select[:, 0]), take_rows(out, select[:, 1])), axis=1)
 
 
-def training_step(model: Model, data: Graph | LinkSplit, cfg: TrainConfig,
+def training_step(model: Model, data: TrainData, cfg: TrainConfig,
                   opt: AdamWState, lr: float,
                   rng: np.random.Generator) -> float:
     """One full-batch gradient step; returns the training loss."""
     model.zero_grad()
-    graph, views = split_views(data, cfg.task)
-    select, targets = views["train"]
+    graph, select, targets = split_views(data, cfg.task)["train"]
     out = model.forward(graph, training=True, rng=rng)
     value = _task_loss(cfg.task, readout(out, select), targets)
     if not np.isfinite(value.item()):
@@ -340,26 +343,33 @@ def training_step(model: Model, data: Graph | LinkSplit, cfg: TrainConfig,
     return value.item()
 
 
-def evaluate(model: Model, data: Graph | LinkSplit, cfg: TrainConfig
+def _predictions(model: Model, views: dict[str, tuple[Graph, np.ndarray, np.ndarray]]
+                 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(predictions, targets) per split in evaluation mode: one forward per
+    graph, since ``split_views`` lists a graph's splits together, and each
+    output is released before the next forward."""
+    preds, read, out = {}, None, None
+    for name, (graph, select, targets) in views.items():
+        if graph is not read:
+            read, out = graph, model.forward(graph)
+        preds[name] = (readout(out, select).data, targets)
+    return preds
+
+
+def evaluate(model: Model, data: TrainData, task: str
              ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-split losses and task metrics in evaluation mode (no dropout)."""
-    graph, views = split_views(data, cfg.task)
-    out = model.forward(graph)
     losses, task_scores = {}, {}
-    for name, (select, targets) in views.items():
-        pred = readout(out, select).data
-        losses[name] = loss(cfg.task, pred, targets)
-        task_scores[name] = metrics_mod.task_metric(cfg.task, pred, targets)
+    for name, (pred, targets) in _predictions(model, split_views(data, task)).items():
+        losses[name] = loss(task, pred, targets)
+        task_scores[name] = metrics_mod.task_metric(task, pred, targets)
     return losses, task_scores
 
 
 def link_eval(model: Model, data: LinkSplit, k: int) -> dict[str, dict[str, float]]:
     """Hits@k and MRR per split from the current model state."""
-    graph, views = split_views(data, "link-pred")
-    out = model.forward(graph)
     report: dict[str, dict[str, float]] = {}
-    for name, (pairs, targets) in views.items():
-        scores = readout(out, pairs).data
+    for name, (scores, targets) in _predictions(model, split_views(data, "link-pred")).items():
         pos, neg = scores[targets == 1], scores[targets == 0]
         report[name] = {
             f"hits@{k}": metrics_mod.hits_at_k(pos, neg, k),
@@ -377,16 +387,13 @@ class TrainResult:
     test_metric: float
 
 
-def fit(model: Model, cfg: TrainConfig, data: Graph | LinkSplit,
-        evaluate_splits: Callable[[], tuple[dict[str, float], dict[str, float]]]
-        ) -> TrainResult:
-    """Early-stopped training: ``training_step`` on ``data`` once per epoch.
+def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
+    """Early-stopped training: ``training_step`` then ``evaluate`` once per epoch.
 
-    ``evaluate_splits()`` returns (losses, metrics) keyed by split.  Epoch 0
-    records the initial-weights evaluation; ``epochs=0`` therefore returns
-    that evaluation alone.  The monitored split is "val" when evaluation
-    reports one, else "train".  The reported test metric is the one
-    observed at the best-monitored epoch.
+    Epoch 0 records the initial-weights evaluation; ``epochs=0`` therefore
+    returns that evaluation alone.  The monitored split is "val" when
+    evaluation reports one, else "train".  The reported test metric is the
+    one observed at the best-monitored epoch.
     """
     cfg.validate()
     drop_rng = stream_rng(cfg.seed, "dropout")
@@ -401,7 +408,7 @@ def fit(model: Model, cfg: TrainConfig, data: Graph | LinkSplit,
         try:
             if epoch:
                 training_step(model, data, cfg, opt, lr_now, drop_rng)
-            losses, scores = evaluate_splits()
+            losses, scores = evaluate(model, data, cfg.task)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{exc} (epoch {epoch})") from None
         rec = MetricsRecord(epoch, losses, scores, lr_now, time.perf_counter() - t0)
@@ -436,11 +443,6 @@ def fit(model: Model, cfg: TrainConfig, data: Graph | LinkSplit,
         val_metric=best_rec.metrics.get("val", float("nan")),
         test_metric=best_rec.metrics.get("test", float("nan")),
     )
-
-
-def train(model: Model, data: Graph | LinkSplit, cfg: TrainConfig) -> TrainResult:
-    """Full-batch training with early stopping on the validation metric."""
-    return fit(model, cfg, data, lambda: evaluate(model, data, cfg))
 
 
 def run_training(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[Model, TrainResult]:

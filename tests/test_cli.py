@@ -109,9 +109,16 @@ class TestTrain:
         ("train", "training.weight_decay=-1"),
         ("gradcheck", "gradcheck.qubits=0"),
         ("gradcheck", "gradcheck.layers=0"),
+        ("gradcheck", "gradcheck.trials=0"),
+        ("train", "data.source=xml data.path=graph.xml"),
+        ("linkpred", "linkpred.frac_val=0.9"),
+        ("linkpred", "linkpred.neg_ratio=0"),
+        ("noise-sweep", "noise.levels=-0.5"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
-        assert main([command, "--out", str(tmp_path / "o"), "--override", override]) == 2
+        # whitespace separates the overrides of one case
+        flags = [arg for item in override.split() for arg in ("--override", item)]
+        assert main([command, "--out", str(tmp_path / "o"), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     def test_task_the_labels_cannot_serve_exits_2(self, tiny_config, tmp_path, capsys):
@@ -125,6 +132,14 @@ class TestTrain:
         with pytest.raises(SystemExit) as err:
             main(["train", "--config", str(tiny_config), "--jobs", "2"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tiny_config, tmp_path, jobs):
+        with pytest.raises(SystemExit) as err:
+            main(["noise-sweep", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+                  "--jobs", jobs])
+        assert err.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -304,6 +319,23 @@ class TestSynth:
         np.testing.assert_array_equal(g_csv.edges, g_json.edges)
         np.testing.assert_array_equal(g_csv._features, g_json._features)
         assert g_csv.n_nodes == 20
+
+    def test_train_on_csv_bundle_draws_seeded_masks(self, tiny_config, tmp_path):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--config", str(tiny_config), "--out", str(ds)]) == 0
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for out in runs:
+            assert main(["train", "--config", str(tiny_config), "--out", str(out),
+                         "--override", "data.source=csv",
+                         "--override", f"data.path={ds}"]) == 0
+        a, b = runs
+        for name in ("summary.csv", "checkpoint_gat_seed0.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        rows_a = read_csv(a / "metrics_gat_seed0.csv")
+        rows_b = read_csv(b / "metrics_gat_seed0.csv")
+        for ra, rb in zip(rows_a, rows_b, strict=True):
+            ra.pop("seconds"), rb.pop("seconds")  # wall time
+            assert ra == rb
 
     def test_multilabel_collection_manifest(self, tmp_path):
         cfg = tmp_path / "ml.ini"

@@ -43,8 +43,9 @@ class TestLoaders:
         np.testing.assert_array_equal(dst, [0, 1])
 
     def test_dangling_edge_names_line(self, tmp_path):
-        write_csv_bundle(tmp_path, ["f0", "1", "2"], ["0 1", "1 2"])
-        with pytest.raises(GraphFormatError, match="line 2"):
+        # comment and blank lines count: the bad edge is on file line 4
+        write_csv_bundle(tmp_path, ["f0", "1", "2"], ["# c", "", "0 1", "1 2"])
+        with pytest.raises(GraphFormatError, match="edge line 4 "):
             load_graph(tmp_path, format="csv")
 
     def test_label_column(self, tmp_path):

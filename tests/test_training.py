@@ -8,6 +8,7 @@ import pytest
 from qgat.graph import Graph, split_link_prediction, synth_sbm
 from qgat.training import (
     AdamWState,
+    Model,
     TrainConfig,
     TrainingDivergedError,
     adamw_step,
@@ -15,6 +16,7 @@ from qgat.training import (
     build_model,
     cosine_lr,
     cross_entropy_logits,
+    evaluate,
     infer_dims,
     link_eval,
     load_checkpoint,
@@ -25,7 +27,7 @@ from qgat.training import (
     write_history_csv,
 )
 from qgat.autodiff import Tensor, gradcheck
-from qgat.inductive import synth_collection, train_inductive
+from qgat.inductive import SPLITS, batch_graphs, synth_collection, train_inductive
 
 
 def fixture_graph(seed=0):
@@ -167,9 +169,9 @@ class TestTrainLoop:
             for value in rec.metrics.values():
                 assert 0.0 <= value <= 1.0
 
-    @pytest.mark.parametrize("fit", [train, train_inductive], ids=["train", "train_inductive"])
-    def test_divergence_aborts_with_epoch(self, fit):
-        if fit is train:
+    @pytest.mark.parametrize("run", [train, train_inductive], ids=["train", "train_inductive"])
+    def test_divergence_aborts_with_epoch(self, run):
+        if run is train:
             data, task = fixture_graph(), "node-class"
         else:
             data, task = synth_collection(2, 1, 1, n_labels=2, seed=0), "multi-label"
@@ -177,7 +179,7 @@ class TestTrainLoop:
         model = build_model(cfg, 8, 2)
         model.layers[0].feat_proj.data[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match=r"epoch 0\b"):
-            fit(model, data, cfg)
+            run(model, data, cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="learning rate"):
@@ -204,6 +206,31 @@ class TestTrainLoop:
         unmasked = Graph(g.features, g.edges, labels=g.labels)
         with pytest.raises(ValueError, match="masks"):
             infer_dims(unmasked, small_cfg())
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("shape,forwards", [("graph", 1), ("link-split", 1), ("unions", 3)])
+    def test_one_forward_per_distinct_graph(self, monkeypatch, shape, forwards):
+        if shape == "graph":
+            data, task = fixture_graph(), "node-class"
+        elif shape == "link-split":
+            data, task = split_link_prediction(fixture_graph(), 0.1, 0.2, 1, seed=0), "link-pred"
+        else:
+            coll = synth_collection(2, 1, 1, n_labels=2, seed=0)
+            data = {split: batch_graphs(coll.by_split(split))[0] for split in SPLITS}
+            task = "multi-label"
+        model = build_model(small_cfg(task=task, hidden_dims=[4, 4]), 8, 2)
+        graphs = []
+        forward = Model.forward
+
+        def counted(self, graph, *args, **kwargs):
+            graphs.append(graph)
+            return forward(self, graph, *args, **kwargs)
+
+        monkeypatch.setattr(Model, "forward", counted)
+        losses, scores = evaluate(model, data, task)
+        assert len(graphs) == len(set(map(id, graphs))) == forwards
+        assert set(losses) == set(scores) == set(SPLITS)
 
 
 class TestLinkPrediction:
