@@ -2,6 +2,8 @@
 
 Subcommands: train, noise-sweep, linkpred, gradcheck, params, synth.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+The whole configuration is checked before a command creates ``--out``, so
+exit 2 means nothing was written.
 Set QGAT_LOG=debug|info|warning for log verbosity.
 """
 
@@ -12,7 +14,6 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,8 @@ import numpy as np
 from . import vqc
 from .attention import QgatLayer
 from .autodiff import Tensor, gradient_errors
-from .config import Config, ConfigError, apply_overrides, make_train_config, parse_config
+from .config import (Config, ConfigError, apply_overrides, check, make_train_config,
+                     parse_config)
 from .graph import (
     FEATURE_NOISE_GRID,
     STRUCTURAL_NOISE_GRID,
@@ -29,6 +31,7 @@ from .graph import (
     add_structural_noise,
     load_graph,
     random_split_masks,
+    save_graph_csv,
     save_graph_json,
     split_link_prediction,
     synth_sbm,
@@ -37,6 +40,7 @@ from .inductive import save_collection, synth_collection
 from .svgplot import Series, line_plot
 from .training import (
     MODEL_KINDS,
+    TrainConfig,
     TrainingDivergedError,
     build_model,
     infer_dims,
@@ -47,14 +51,6 @@ from .training import (
 )
 
 log = logging.getLogger("qgat")
-
-
-@dataclass
-class ExperimentSpec:
-    config: Config
-    out_dir: Path
-    seeds: list[int]
-    jobs: int
 
 
 def _load_data(cfg: Config) -> Graph:
@@ -69,12 +65,7 @@ def _load_data(cfg: Config) -> Graph:
             cfg.get("data", "class_sep"),
             cfg.get("data", "seed"),
         )
-    if source not in ("csv", "json"):
-        raise ConfigError(f"data.source must be 'synth', 'csv' or 'json', got {source!r}")
-    path = cfg.get("data", "path")
-    if not path:
-        raise ConfigError("data.path is required when data.source is not 'synth'")
-    graph = load_graph(path, format=source)
+    graph = load_graph(cfg.get("data", "path"), format=source)
     if graph.masks is None:
         # the seeded 60/20/20 node split that synth_sbm draws
         rng = np.random.default_rng(cfg.get("data", "seed"))
@@ -83,13 +74,20 @@ def _load_data(cfg: Config) -> Graph:
     return graph
 
 
-def _run_training(data, tc):
-    """``run_training``; data that the task cannot read is a configuration error."""
+def _train_configs(cfg: Config, data, task: str | None = None
+                   ) -> list[tuple[str, list[TrainConfig]]]:
+    """One ``TrainConfig`` per seed for each model; data that the task cannot
+    read is a configuration error."""
+    runs = [(model, [make_train_config(cfg, model, seed, task)
+                     for seed in cfg.get("experiment", "seeds")])
+            for model in cfg.get("experiment", "models")]
     try:
-        infer_dims(data, tc)
+        for _, tcs in runs:
+            for tc in tcs:
+                infer_dims(data, tc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return run_training(data, tc)
+    return runs
 
 
 def _summary_line(model: str, metric_name: str, values: list[float]) -> str:
@@ -98,29 +96,26 @@ def _summary_line(model: str, metric_name: str, values: list[float]) -> str:
     return f"{model}: {metric_name} = {mean:.4f} +/- {std:.4f} over {len(values)} seeds"
 
 
-def _prepare_out(spec: ExperimentSpec) -> Path:
-    spec.out_dir.mkdir(parents=True, exist_ok=True)
-    spec.config.echo(spec.out_dir / "config_echo.ini")
-    return spec.out_dir
+def _prepare_out(cfg: Config, out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    cfg.echo(out / "config_echo.ini")
 
 
 # -- train -------------------------------------------------------------------
 
 
-def cmd_train(spec: ExperimentSpec) -> int:
-    out = _prepare_out(spec)
-    cfg = spec.config
+def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
     graph = _load_data(cfg)
-    models = cfg.get("experiment", "models")
+    runs = _train_configs(cfg, graph)
+    _prepare_out(cfg, out)
     summary_rows = []
-    for model_name in models:
+    for model_name, tcs in runs:
         metrics = []
-        for seed in spec.seeds:
-            tc = make_train_config(cfg, model_name, seed)
-            log.info("training %s seed %d", model_name, seed)
-            _, result = _run_training(graph, tc)
-            write_history_csv(result.history, out / f"metrics_{model_name}_seed{seed}.csv")
-            save_checkpoint(out / f"checkpoint_{model_name}_seed{seed}.json", tc,
+        for tc in tcs:
+            log.info("training %s seed %d", model_name, tc.seed)
+            _, result = run_training(graph, tc)
+            write_history_csv(result.history, out / f"metrics_{model_name}_seed{tc.seed}.csv")
+            save_checkpoint(out / f"checkpoint_{model_name}_seed{tc.seed}.json", tc,
                             result.best_state)
             metrics.append(result.test_metric)
         print(_summary_line(model_name, "test metric", metrics))
@@ -138,44 +133,29 @@ def cmd_train(spec: ExperimentSpec) -> int:
 
 def _sweep_cell(payload: dict) -> tuple[str, float, int, float]:
     """One (model, level, seed) training run; top level so pools can pickle it."""
-    cfg = Config(payload["values"])
-    model_name, level, seed, kind = (
-        payload["model"], payload["level"], payload["seed"], payload["kind"],
-    )
-    graph = _load_data(cfg)
+    tc, level = payload["tc"], payload["level"]
+    graph = _load_data(Config(payload["values"]))
     if level > 0:
-        if kind == "feature":
-            graph = add_feature_noise(graph, level, seed)
-        else:
-            graph = add_structural_noise(graph, level, seed)
-    tc = make_train_config(cfg, model_name, seed)
-    _, result = _run_training(graph, tc)
-    return model_name, level, seed, result.test_metric
+        noise = add_feature_noise if payload["kind"] == "feature" else add_structural_noise
+        graph = noise(graph, level, tc.seed)
+    _, result = run_training(graph, tc)
+    return tc.model, level, tc.seed, result.test_metric
 
 
-def cmd_noise_sweep(spec: ExperimentSpec) -> int:
-    cfg = spec.config
+def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
     kind = cfg.get("noise", "kind")
-    if kind not in ("feature", "structural"):
-        raise ConfigError(f"noise.kind must be 'feature' or 'structural', got {kind!r}")
-    levels = cfg.get("noise", "levels")
-    if min(levels, default=0.0) < 0:
-        raise ConfigError(f"noise.levels must be >= 0, got {levels}")
-    models = cfg.get("experiment", "models")
-    for name in models:
-        if name not in MODEL_KINDS:
-            raise ConfigError(f"unknown model {name!r} in experiment.models")
-    out = _prepare_out(spec)
-    if not levels:
-        levels = list(FEATURE_NOISE_GRID if kind == "feature" else STRUCTURAL_NOISE_GRID)
+    levels = cfg.get("noise", "levels") or list(
+        FEATURE_NOISE_GRID if kind == "feature" else STRUCTURAL_NOISE_GRID)
+    # the clean graph is loaded here only to check the runs against it; each
+    # cell loads its own copy, since the worker pool pickles every cell
+    runs = _train_configs(cfg, _load_data(cfg))
+    _prepare_out(cfg, out)
 
-    cells = [
-        {"values": cfg.values, "model": m, "level": lv, "seed": s, "kind": kind}
-        for m in models for lv in levels for s in spec.seeds
-    ]
+    cells = [{"values": cfg.values, "tc": tc, "level": lv, "kind": kind}
+             for _, tcs in runs for lv in levels for tc in tcs]
     log.info("noise sweep: %d cells (%s)", len(cells), kind)
-    if spec.jobs > 1:
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(c) for c in cells]
@@ -188,7 +168,7 @@ def cmd_noise_sweep(spec: ExperimentSpec) -> int:
             fh.write(f"{model_name},{level!r},{seed},{metric!r}\n")
 
     series = []
-    for model_name in models:
+    for model_name, _ in runs:
         means, stds = [], []
         for level in levels:
             vals = [m for mo, lv, _, m in rows if mo == model_name and lv == level]
@@ -206,29 +186,20 @@ def cmd_noise_sweep(spec: ExperimentSpec) -> int:
 # -- link prediction ---------------------------------------------------------------
 
 
-def cmd_linkpred(spec: ExperimentSpec) -> int:
-    cfg = spec.config
+def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
     k = cfg.get("linkpred", "hits_k")
-    if k < 1:
-        raise ConfigError(f"linkpred.hits_k must be >= 1, got {k}")
-    frac_val, frac_test = cfg.get("linkpred", "frac_val"), cfg.get("linkpred", "frac_test")
-    if min(frac_val, frac_test) < 0 or frac_val + frac_test >= 1:
-        raise ConfigError("linkpred.frac_val and linkpred.frac_test must be >= 0 and sum "
-                          f"below 1, got {frac_val} and {frac_test}")
-    neg_ratio = cfg.get("linkpred", "neg_ratio")
-    if neg_ratio < 1:
-        raise ConfigError(f"linkpred.neg_ratio must be >= 1, got {neg_ratio}")
-    out = _prepare_out(spec)
-    graph = _load_data(cfg)
-    split = split_link_prediction(graph, frac_val, frac_test, neg_ratio, cfg.get("data", "seed"))
+    split = split_link_prediction(_load_data(cfg), cfg.get("linkpred", "frac_val"),
+                                  cfg.get("linkpred", "frac_test"),
+                                  cfg.get("linkpred", "neg_ratio"), cfg.get("data", "seed"))
+    runs = _train_configs(cfg, split, task="link-pred")
+    _prepare_out(cfg, out)
     rows = []
-    for model_name in cfg.get("experiment", "models"):
+    for model_name, tcs in runs:
         hits, mrrs = [], []
-        for seed in spec.seeds:
-            tc = make_train_config(cfg, model_name, seed, task="link-pred")
+        for tc in tcs:
             model, result = run_training(split, tc)
             report = link_eval(model, split, k)["test"]
-            rows.append((model_name, seed, report[f"hits@{k}"], report["mrr"]))
+            rows.append((model_name, tc.seed, report[f"hits@{k}"], report["mrr"]))
             hits.append(report[f"hits@{k}"])
             mrrs.append(report["mrr"])
         print(_summary_line(model_name, f"hits@{k}", hits))
@@ -275,16 +246,9 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
     return report
 
 
-def cmd_gradcheck(spec: ExperimentSpec) -> int:
-    cfg = spec.config
-    for key in ("qubits", "layers"):
-        if min(cfg.get("gradcheck", key), default=1) < 1:
-            raise ConfigError(f"gradcheck.{key} values must be >= 1")
-    trials = cfg.get("gradcheck", "trials")
-    if trials < 1:
-        raise ConfigError(f"gradcheck.trials must be >= 1, got {trials}")
+def cmd_gradcheck(cfg: Config, out: Path, jobs: int) -> int:
     report = gradcheck_report(cfg.get("gradcheck", "qubits"), cfg.get("gradcheck", "layers"),
-                              trials)
+                              cfg.get("gradcheck", "trials"))
     threshold = cfg.get("gradcheck", "threshold")
     failed = False
     for name in sorted(report):
@@ -297,8 +261,7 @@ def cmd_gradcheck(spec: ExperimentSpec) -> int:
 # -- parameter accounting ---------------------------------------------------------------
 
 
-def cmd_params(spec: ExperimentSpec) -> int:
-    cfg = spec.config
+def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
     graph_dim = cfg.get("data", "feature_dim")
     n_classes = cfg.get("data", "n_classes")
     print(f"{'model':<8}{'layer':<10}{'component':<16}{'parameters':>12}")
@@ -322,11 +285,8 @@ def cmd_params(spec: ExperimentSpec) -> int:
 # -- dataset generation ---------------------------------------------------------------
 
 
-def cmd_synth(spec: ExperimentSpec) -> int:
-    out = _prepare_out(spec)
-    cfg = spec.config
-    task = cfg.get("experiment", "task")
-    if task == "multi-label":
+def cmd_synth(cfg: Config, out: Path, jobs: int) -> int:
+    if cfg.get("experiment", "task") == "multi-label":
         collection = synth_collection(
             2, 1, 1,
             n_per_class=cfg.get("data", "n_per_class"),
@@ -338,25 +298,14 @@ def cmd_synth(spec: ExperimentSpec) -> int:
             n_labels=cfg.get("data", "n_classes"),
             seed=cfg.get("data", "seed"),
         )
+        _prepare_out(cfg, out)
         manifest = save_collection(collection, out / "collection")
         print(f"wrote {manifest}")
         return 0
     graph = _load_data(cfg)
+    _prepare_out(cfg, out)
     save_graph_json(graph, out / "graph.json")
-    with open(out / "features.csv", "w") as fh:
-        cols = [f"f{i}" for i in range(graph.feature_dim)]
-        if graph.labels is not None:
-            cols.append("label")
-        fh.write(",".join(cols) + "\n")
-        feats = graph._features
-        for i in range(graph.n_nodes):
-            row = [repr(float(v)) for v in feats[i]]
-            if graph.labels is not None:
-                row.append(str(int(graph.labels[i])))
-            fh.write(",".join(row) + "\n")
-    with open(out / "edges.txt", "w") as fh:
-        for s, d in graph.undirected_pairs():
-            fh.write(f"{s} {d}\n")
+    save_graph_csv(graph, out)
     print(f"wrote dataset ({graph.n_nodes} nodes, {graph.undirected_pairs().shape[0]} "
           f"undirected edges) to {out}")
     return 0
@@ -418,16 +367,8 @@ def main(argv: list[str] | None = None) -> int:
         apply_overrides(cfg, args.override)
         if args.seeds is not None:
             cfg.set("experiment", "seeds", args.seeds)
-        for key in ("n_per_class", "n_classes", "feature_dim"):
-            if cfg.get("data", key) < 1:
-                raise ConfigError(f"data.{key} must be >= 1, got {cfg.get('data', key)}")
-        spec = ExperimentSpec(
-            config=cfg,
-            out_dir=Path(args.out),
-            seeds=cfg.get("experiment", "seeds"),
-            jobs=getattr(args, "jobs", 1),
-        )
-        return COMMANDS[args.subcommand](spec)
+        check(cfg)
+        return COMMANDS[args.subcommand](cfg, Path(args.out), getattr(args, "jobs", 1))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

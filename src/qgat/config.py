@@ -1,19 +1,24 @@
 """Experiment configuration: one strict INI file plus dotted-key overrides.
 
 Every run resolves to a full (section, key) -> value map; unknown sections
-or keys are rejected, values are parsed against the declared type, and the
-resolved map is echoed back to disk so any run can be reproduced from its
-echo file alone.
+or keys are rejected, and the resolved map is echoed back to disk so any run
+can be reproduced from its echo file alone.
+
+Each key has exactly one rule.  A key's rule sits beside its default in
+``SCHEMA``: its parser rejects a value of the wrong type or range.  The keys
+that configure one training run are checked by ``TrainConfig.validate``
+alone.  ``check`` holds the few rules that join two keys.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .training import TrainConfig
+from .training import MODEL_KINDS, TrainConfig
 
 
 class ConfigError(Exception):
@@ -39,6 +44,32 @@ def _float_list(text: str) -> list[float]:
 
 def _str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _checked(parse, ok, rule: str, *, nonempty: bool = False):
+    """``parse``, then reject a value, or any item of a list, that fails ``ok``."""
+    def checked(text: str):
+        value = parse(text)
+        items = value if isinstance(value, list) else [value]
+        if nonempty and not items:
+            raise ValueError("needs at least one item")
+        for item in items:
+            if not ok(item):
+                raise ValueError(f"{item!r} is not {rule}")
+        return value
+    return checked
+
+
+# Every rule is written so that NaN fails it.
+def _at_least(parse, low, **kw):
+    return _checked(parse, lambda v: v >= low, f">= {low}", **kw)
+
+
+def _one_of(parse, choices, **kw):
+    return _checked(parse, lambda v: v in choices, f"one of {', '.join(choices)}", **kw)
+
+
+_FRACTION = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 
 
 # (section, key) -> (parser, TrainConfig field) for the keys that configure one
@@ -75,37 +106,37 @@ def _with_train_defaults(schema: dict[str, dict[str, tuple[Any, Any]]]):
 # (parser, default) per key; parsers also serve as type documentation.
 SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
     "experiment": {
-        "models": (_str_list, ["qgat"]),
-        "seeds": (_int_list, [0]),
+        "models": (_one_of(_str_list, MODEL_KINDS, nonempty=True), ["qgat"]),
+        "seeds": (_at_least(_int_list, 0, nonempty=True), [0]),
     },
     "data": {
-        "source": (str, "synth"),  # synth | csv | json
-        "path": (str, ""),
-        "n_per_class": (int, 30),
-        "n_classes": (int, 2),
-        "p_in": (float, 0.3),
-        "p_out": (float, 0.02),
-        "feature_dim": (int, 8),
-        "class_sep": (float, 1.0),
-        "seed": (int, 0),
+        "source": (_one_of(str, ("synth", "csv", "json")), "synth"),
+        "path": (str, ""),  # required unless source is synth
+        "n_per_class": (_at_least(int, 1), 30),
+        "n_classes": (_at_least(int, 1), 2),
+        "p_in": (_FRACTION, 0.3),
+        "p_out": (_FRACTION, 0.02),  # at most p_in
+        "feature_dim": (_at_least(int, 1), 8),
+        "class_sep": (_checked(float, math.isfinite, "finite"), 1.0),
+        "seed": (_at_least(int, 0), 0),
     },
     "model": {},
     "training": {},
     "noise": {
-        "kind": (str, "feature"),  # feature | structural
-        "levels": (_float_list, []),  # empty -> protocol grid for the kind
+        "kind": (_one_of(str, ("feature", "structural")), "feature"),
+        "levels": (_at_least(_float_list, 0), []),  # empty -> protocol grid for the kind
     },
     "linkpred": {
-        "frac_val": (float, 0.1),
-        "frac_test": (float, 0.2),
-        "neg_ratio": (int, 1),
-        "hits_k": (int, 50),
+        "frac_val": (_FRACTION, 0.1),  # frac_val + frac_test below 1
+        "frac_test": (_FRACTION, 0.2),
+        "neg_ratio": (_at_least(int, 1), 1),
+        "hits_k": (_at_least(int, 1), 50),
     },
     "gradcheck": {
-        "qubits": (_int_list, [2, 3, 4]),
-        "layers": (_int_list, [1, 2, 3]),
-        "trials": (int, 10),
-        "threshold": (float, 1e-4),
+        "qubits": (_at_least(_int_list, 1), [2, 3, 4]),
+        "layers": (_at_least(_int_list, 1), [1, 2, 3]),
+        "trials": (_at_least(int, 1), 10),
+        "threshold": (_at_least(float, 0), 1e-4),
     },
 })
 
@@ -175,6 +206,19 @@ def apply_overrides(cfg: Config, overrides: list[str]) -> None:
         dotted, raw = item.split("=", 1)
         section, key = dotted.split(".", 1)
         cfg.set(section.strip(), key.strip(), raw.strip())
+
+
+def check(cfg: Config) -> None:
+    """The rules that join two keys; every other rule runs when a key is set."""
+    p_in, p_out = cfg.get("data", "p_in"), cfg.get("data", "p_out")
+    if p_out > p_in:
+        raise ConfigError(f"data.p_out must not exceed data.p_in, got {p_out} > {p_in}")
+    frac_val, frac_test = cfg.get("linkpred", "frac_val"), cfg.get("linkpred", "frac_test")
+    if not frac_val + frac_test < 1:
+        raise ConfigError("linkpred.frac_val and linkpred.frac_test must sum below 1, "
+                          f"got {frac_val} and {frac_test}")
+    if cfg.get("data", "source") != "synth" and not cfg.get("data", "path"):
+        raise ConfigError("data.path is required when data.source is not 'synth'")
 
 
 def make_train_config(cfg: Config, model: str, seed: int, task: str | None = None) -> TrainConfig:

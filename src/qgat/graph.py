@@ -241,6 +241,25 @@ def save_graph_json(g: Graph, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def save_graph_csv(g: Graph, directory: str | Path) -> None:
+    """Write ``features.csv`` and ``edges.txt`` into ``directory``, the bundle
+    that ``load_graph(directory, format='csv')`` reads."""
+    directory = Path(directory)
+    with open(directory / "features.csv", "w") as fh:
+        cols = [f"f{i}" for i in range(g.feature_dim)]
+        if g.labels is not None:
+            cols.append("label")
+        fh.write(",".join(cols) + "\n")
+        for i in range(g.n_nodes):
+            row = [repr(float(v)) for v in g._features[i]]
+            if g.labels is not None:
+                row.append(str(int(g.labels[i])))
+            fh.write(",".join(row) + "\n")
+    with open(directory / "edges.txt", "w") as fh:
+        for s, d in g.undirected_pairs():
+            fh.write(f"{s} {d}\n")
+
+
 # -- synthetic data -------------------------------------------------------
 
 

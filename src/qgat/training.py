@@ -64,7 +64,8 @@ class TrainConfig:
     separate_value_weights: bool = False
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
+        # every comparison is written so that NaN fails it
+        if not self.learning_rate > 0:
             raise ValueError("learning rate must be positive")
         if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
@@ -83,7 +84,7 @@ class TrainConfig:
             raise ValueError("head counts and hidden dims must be >= 1")
         if self.n_qubits < 1 or self.entangling_layers < 1:
             raise ValueError("n_qubits and entangling_layers must be >= 1")
-        if self.lr_min < 0 or self.weight_decay < 0:
+        if not (self.lr_min >= 0 and self.weight_decay >= 0):
             raise ValueError("lr_min and weight_decay must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
@@ -199,6 +200,9 @@ class Model:
 
     def forward(self, graph: Graph, features=None, *, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
+        for name, tensor in self.params().items():
+            if not np.isfinite(tensor.data).all():
+                raise TrainingDivergedError(f"non-finite parameter {name!r}")
         x = features if features is not None else graph.features
         t = x if isinstance(x, Tensor) else Tensor(x)
         for layer in self.layers:

@@ -100,6 +100,7 @@ class TestTrain:
         assert main([command, "--config", str(tiny_config), "--out", str(tmp_path / "o"),
                      "--override", override]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command,override", [
         ("train", "data.feature_dim=0"),
@@ -114,12 +115,29 @@ class TestTrain:
         ("linkpred", "linkpred.frac_val=0.9"),
         ("linkpred", "linkpred.neg_ratio=0"),
         ("noise-sweep", "noise.levels=-0.5"),
+        ("train", "data.p_in=2"),
+        ("train", "data.p_out=-0.1"),
+        ("train", "data.p_in=0.1 data.p_out=0.2"),
+        ("train", "experiment.seeds=-1"),
+        ("train", "data.seed=-1"),
+        ("train", "data.class_sep=nan"),
+        ("noise-sweep", "noise.levels=nan"),
+        ("gradcheck", "gradcheck.threshold=-1"),
+        ("gradcheck", "gradcheck.threshold=nan"),
+        ("train", "data.source=json"),
+        ("train", "experiment.models=gcn"),
+        ("train", "experiment.seeds="),
+        ("train", "experiment.models="),
+        ("train", "training.lr=nan"),
+        ("train", "training.lr_min=nan"),
+        ("train", "training.weight_decay=nan"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
         # whitespace separates the overrides of one case
         flags = [arg for item in override.split() for arg in ("--override", item)]
         assert main([command, "--out", str(tmp_path / "o"), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_task_the_labels_cannot_serve_exits_2(self, tiny_config, tmp_path, capsys):
         assert main(["train", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
@@ -127,6 +145,7 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert "multi-label" in err and "shape (20,)" in err
+        assert not (tmp_path / "o").exists()
 
     def test_jobs_belongs_to_noise_sweep_only(self, tiny_config, tmp_path):
         with pytest.raises(SystemExit) as err:

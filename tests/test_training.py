@@ -169,26 +169,30 @@ class TestTrainLoop:
             for value in rec.metrics.values():
                 assert 0.0 <= value <= 1.0
 
-    @pytest.mark.parametrize("run", [train, train_inductive], ids=["train", "train_inductive"])
-    def test_divergence_aborts_with_epoch(self, run):
+    @pytest.mark.parametrize("run,model", [
+        (train, "gat"), (train_inductive, "gat"), (train, "qgat"), (train_inductive, "qgat"),
+    ], ids=["train", "train_inductive", "train-qgat", "train_inductive-qgat"])
+    def test_divergence_aborts_with_epoch(self, run, model):
         if run is train:
             data, task = fixture_graph(), "node-class"
         else:
             data, task = synth_collection(2, 1, 1, n_labels=2, seed=0), "multi-label"
-        cfg = small_cfg(model="gat", epochs=30, task=task)
+        cfg = small_cfg(model=model, epochs=30, task=task)
         model = build_model(cfg, 8, 2)
         model.layers[0].feat_proj.data[0, 0] = np.nan
-        with pytest.raises(TrainingDivergedError, match=r"epoch 0\b"):
+        with pytest.raises(TrainingDivergedError, match=r"'layer0\.feat_proj' \(epoch 0\)"):
             run(model, data, cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="learning rate"):
-            TrainConfig(learning_rate=0.0).validate()
+        for lr in (0.0, np.nan):
+            with pytest.raises(ValueError, match="learning rate"):
+                TrainConfig(learning_rate=lr).validate()
         with pytest.raises(ValueError, match="hidden_dims"):
             TrainConfig(hidden_dims=[8], heads_per_layer=[2, 2, 2]).validate()
         with pytest.raises(ValueError, match="model"):
             TrainConfig(model="gcn").validate()
-        for bad in ({"lr_min": -1.0}, {"weight_decay": -1e-4}):
+        for bad in ({"lr_min": -1.0}, {"weight_decay": -1e-4},
+                    {"lr_min": np.nan}, {"weight_decay": np.nan}):
             with pytest.raises(ValueError, match="lr_min and weight_decay"):
                 TrainConfig(**bad).validate()
 
