@@ -1,17 +1,18 @@
 """Graph attention layers: quantum-logit QGAT plus classical GAT / GATv2.
 
-All three share one message-passing skeleton: per-edge logits, softmax over
-each node's in-neighborhood (self-loop included), attention-weighted sum of
-per-head value projections, merge (concat or mean), activation, dropout,
-residual.  They differ only in how edge logits and values are produced.
+All three share one message-passing skeleton.  A layer supplies node terms a,
+b and v; edge j -> i gets logit f(a_i + b_j) and value v_j.  Then softmax over
+each in-neighborhood (self-loop included), weighted sum, merge (concat or
+mean), activation, dropout, residual.  Layers differ only in a, b, v and f.
 
 QGAT logits: the projected pair [W h_i || W h_j || h_i || h_j] is compressed
 to length 2^n_q * ceil(heads / n_q), chunked, amplitude-encoded, and run
 through a shared strongly-entangling circuit; Z expectations (one per qubit
 per execution) become the per-head logits, surplus tail values dropped.  No
-LeakyReLU is applied to quantum logits.  Value projections reuse per-head
-column slices of the shared multi-head projection unless a separate value
-matrix is requested.
+LeakyReLU is applied to quantum logits.  The compression is linear, so its
+rows split into a_i = [W h_i || h_i] P_dst and b_j = [W h_j || h_j] P_src.
+Value projections reuse per-head column slices of the shared multi-head
+projection unless a separate value matrix is requested.
 
 ``forward`` is the one way into a layer; it records the circuit through
 ``vqc.expectations_op`` so the tape carries its adjoint gradients.
@@ -24,7 +25,6 @@ import numpy as np
 from . import vqc
 from .autodiff import (
     Tensor,
-    concat,
     div,
     elu,
     exp,
@@ -60,6 +60,14 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
+def _split_rows(t: Tensor, sizes: list[int]) -> list[Tensor]:
+    """Consecutive row blocks of a 2-D tensor, cut as column slices of its one-row view."""
+    flat, cols = reshape(t, (1, t.data.size)), t.shape[1]
+    bounds = np.cumsum([0, *sizes]).tolist()
+    return [reshape(slice_cols(flat, lo * cols, hi * cols), (hi - lo, cols))
+            for lo, hi in zip(bounds, bounds[1:])]
+
+
 def neighborhood_softmax(logits: Tensor, dst: np.ndarray, n_nodes: int) -> Tensor:
     """Per-(destination, head) softmax with max-subtraction stabilization."""
     shift = segment_max(logits.data, dst, n_nodes)
@@ -69,7 +77,9 @@ def neighborhood_softmax(logits: Tensor, dst: np.ndarray, n_nodes: int) -> Tenso
 
 
 class _AttentionLayer:
-    """Shared skeleton; subclasses provide edge logits and value projections."""
+    """Shared skeleton, the one place that gathers edge rows: subclasses supply
+    ``_node_terms(h) -> (a, b, v)``, one row per node, and ``_edge_logits(z)``,
+    the (edges, heads) logits of z = a[dst] + b[src]; edge values are v[src]."""
 
     def __init__(self, in_dim: int, head_dim: int, heads: int, *,
                  merge: str = "concat", dropout: float = 0.0,
@@ -103,9 +113,6 @@ class _AttentionLayer:
     def _own_params(self) -> dict[str, Tensor]:
         raise NotImplementedError
 
-    def _edge_scores(self, h: Tensor, src: np.ndarray, dst: np.ndarray):
-        raise NotImplementedError
-
     def _drop(self, t: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
         if not training or self.dropout_rate == 0.0:
             return t
@@ -122,8 +129,9 @@ class _AttentionLayer:
             raise ValueError(f"feature dim {x.shape[1]} != layer input dim {self.in_dim}")
         src, dst = graph.attention_edges()
         n = graph.n_nodes
-        h = self._drop(x, training, rng)
-        logits, values = self._edge_scores(h, src, dst)
+        a, b, v = self._node_terms(self._drop(x, training, rng))
+        logits = self._edge_logits(take_rows(a, dst) + take_rows(b, src))
+        values = reshape(take_rows(v, src), (len(src), self.heads, self.head_dim))
         alpha = neighborhood_softmax(logits, dst, n)
         alpha = self._drop(alpha, training, rng)
         weighted = mul(reshape(alpha, (alpha.shape[0], self.heads, 1)), values)
@@ -166,21 +174,21 @@ class QgatLayer(_AttentionLayer):
             named["value_proj"] = self.value_proj
         return named
 
-    def _edge_scores(self, h: Tensor, src: np.ndarray, dst: np.ndarray):
-        n_edges = len(src)
+    def _node_terms(self, h: Tensor):
         proj = matmul(h, self.feat_proj)
-        edge_in = concat(
-            [take_rows(proj, dst), take_rows(proj, src), take_rows(h, dst), take_rows(h, src)],
-            axis=1,
-        )
-        compressed = matmul(edge_in, self.compress)
-        chunks = reshape(compressed, (n_edges * self.n_exec, 1 << self.n_qubits))
+        hd = proj.shape[1]
+        # compress rows, in the order of [W h_i || W h_j || h_i || h_j]
+        w_dst, w_src, h_dst, h_src = _split_rows(self.compress, [hd, hd, self.in_dim, self.in_dim])
+        a = matmul(proj, w_dst) + matmul(h, h_dst)
+        b = matmul(proj, w_src) + matmul(h, h_src)
+        v = proj if self.value_proj is None else matmul(h, self.value_proj)
+        return a, b, v
+
+    def _edge_logits(self, z: Tensor) -> Tensor:
+        chunks = reshape(z, (z.shape[0] * self.n_exec, 1 << self.n_qubits))
         expectations = vqc.expectations_op(chunks, self.angles, self.layout)
-        per_edge = reshape(expectations, (n_edges, self.n_exec * self.n_qubits))
-        logits = slice_cols(per_edge, 0, self.heads)
-        value_src = proj if self.value_proj is None else matmul(h, self.value_proj)
-        values = reshape(take_rows(value_src, src), (n_edges, self.heads, self.head_dim))
-        return logits, values
+        per_edge = reshape(expectations, (z.shape[0], self.n_exec * self.n_qubits))
+        return slice_cols(per_edge, 0, self.heads)
 
 
 class GatLayer(_AttentionLayer):
@@ -198,15 +206,15 @@ class GatLayer(_AttentionLayer):
         return {"feat_proj": self.feat_proj, "attn_dst": self.attn_dst,
                 "attn_src": self.attn_src}
 
-    def _edge_scores(self, h: Tensor, src: np.ndarray, dst: np.ndarray):
-        n_nodes = h.shape[0]
+    def _node_terms(self, h: Tensor):
         proj = matmul(h, self.feat_proj)
-        proj3 = reshape(proj, (n_nodes, self.heads, self.head_dim))
+        proj3 = reshape(proj, (h.shape[0], self.heads, self.head_dim))
         score_dst = tsum(mul(proj3, self.attn_dst), axis=2)
         score_src = tsum(mul(proj3, self.attn_src), axis=2)
-        logits = leaky_relu(take_rows(score_dst, dst) + take_rows(score_src, src), LEAKY_SLOPE)
-        values = reshape(take_rows(proj, src), (len(src), self.heads, self.head_dim))
-        return logits, values
+        return score_dst, score_src, proj
+
+    def _edge_logits(self, z: Tensor) -> Tensor:
+        return leaky_relu(z, LEAKY_SLOPE)
 
 
 class Gatv2Layer(_AttentionLayer):
@@ -223,15 +231,11 @@ class Gatv2Layer(_AttentionLayer):
     def _own_params(self) -> dict[str, Tensor]:
         return {"proj_src": self.proj_src, "proj_dst": self.proj_dst, "attn": self.attn}
 
-    def _edge_scores(self, h: Tensor, src: np.ndarray, dst: np.ndarray):
-        n_edges = len(src)
+    def _node_terms(self, h: Tensor):
         pl = matmul(h, self.proj_src)
-        pr = matmul(h, self.proj_dst)
-        joint = take_rows(pl, src) + take_rows(pr, dst)
-        joint3 = leaky_relu(
-            reshape(joint, (n_edges, self.heads, self.head_dim)), LEAKY_SLOPE
-        )
-        logits = tsum(mul(joint3, self.attn), axis=2)
-        values = reshape(take_rows(pl, src), (n_edges, self.heads, self.head_dim))
-        return logits, values
+        return matmul(h, self.proj_dst), pl, pl
+
+    def _edge_logits(self, z: Tensor) -> Tensor:
+        joint3 = leaky_relu(reshape(z, (z.shape[0], self.heads, self.head_dim)), LEAKY_SLOPE)
+        return tsum(mul(joint3, self.attn), axis=2)
 

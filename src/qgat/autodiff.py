@@ -252,16 +252,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return make_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-    return make_op(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        tuple(tensors),
-        lambda g: tuple(np.split(g, splits, axis=axis)),
-    )
-
-
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def vjp(g: np.ndarray):
         full = np.zeros_like(x.data)

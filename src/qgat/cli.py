@@ -74,13 +74,19 @@ def _load_data(cfg: Config) -> Graph:
     return graph
 
 
-def _train_configs(cfg: Config, data, task: str | None = None
+def _link_split(cfg: Config, graph: Graph):
+    return split_link_prediction(graph, cfg.get("linkpred", "frac_val"),
+                                 cfg.get("linkpred", "frac_test"),
+                                 cfg.get("linkpred", "neg_ratio"), cfg.get("data", "seed"))
+
+
+def _train_configs(cfg: Config, data, task: str | None = None, models: list[str] | None = None
                    ) -> list[tuple[str, list[TrainConfig]]]:
-    """One ``TrainConfig`` per seed for each model; data that the task cannot
-    read is a configuration error."""
+    """One ``TrainConfig`` per seed for each model (``experiment.models`` by
+    default); data that the task cannot read is a configuration error."""
     runs = [(model, [make_train_config(cfg, model, seed, task)
                      for seed in cfg.get("experiment", "seeds")])
-            for model in cfg.get("experiment", "models")]
+            for model in models or cfg.get("experiment", "models")]
     try:
         for _, tcs in runs:
             for tc in tcs:
@@ -188,9 +194,7 @@ def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
 
 def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
     k = cfg.get("linkpred", "hits_k")
-    split = split_link_prediction(_load_data(cfg), cfg.get("linkpred", "frac_val"),
-                                  cfg.get("linkpred", "frac_test"),
-                                  cfg.get("linkpred", "neg_ratio"), cfg.get("data", "seed"))
+    split = _link_split(cfg, _load_data(cfg))
     runs = _train_configs(cfg, split, task="link-pred")
     _prepare_out(cfg, out)
     rows = []
@@ -262,12 +266,13 @@ def cmd_gradcheck(cfg: Config, out: Path, jobs: int) -> int:
 
 
 def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
-    graph_dim = cfg.get("data", "feature_dim")
-    n_classes = cfg.get("data", "n_classes")
+    data = _load_data(cfg)
+    if cfg.get("experiment", "task") == "link-pred":
+        data = _link_split(cfg, data)
+    runs = _train_configs(cfg, data, models=list(MODEL_KINDS))
     print(f"{'model':<8}{'layer':<10}{'component':<16}{'parameters':>12}")
-    for model_name in MODEL_KINDS:
-        tc = make_train_config(cfg, model_name, 0)
-        model = build_model(tc, graph_dim, n_classes)
+    for model_name, (tc, *_) in runs:
+        model = build_model(tc, *infer_dims(data, tc))
         total = 0
         for i, layer in enumerate(model.layers):
             for comp, tensor in layer.params().items():

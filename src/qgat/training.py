@@ -65,8 +65,8 @@ class TrainConfig:
 
     def validate(self) -> None:
         # every comparison is written so that NaN fails it
-        if not self.learning_rate > 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning rate must be positive and finite")
         if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.task not in TASKS:
@@ -84,8 +84,8 @@ class TrainConfig:
             raise ValueError("head counts and hidden dims must be >= 1")
         if self.n_qubits < 1 or self.entangling_layers < 1:
             raise ValueError("n_qubits and entangling_layers must be >= 1")
-        if not (self.lr_min >= 0 and self.weight_decay >= 0):
-            raise ValueError("lr_min and weight_decay must be >= 0")
+        if not (0 <= self.lr_min < np.inf and 0 <= self.weight_decay < np.inf):
+            raise ValueError("lr_min and weight_decay must be finite and >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.merge not in ("concat", "mean"):

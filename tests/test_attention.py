@@ -1,9 +1,11 @@
 """Attention layers: hand fixtures, softmax/bounds, equivariance, gradients."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from qgat import vqc
+from qgat import attention, vqc
 from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
 from qgat.autodiff import Tensor, gradcheck
 from qgat.graph import Graph, synth_sbm
@@ -34,11 +36,12 @@ def random_graph(n, p, d, seed):
 
 
 def edge_logits(layer, g, features=None):
-    """Per-edge attention logits of ``layer`` on ``g``, in attention-edge order."""
-    src, dst = g.attention_edges()
-    feats = g.features if features is None else features
-    logits, _ = layer._edge_scores(Tensor(feats), src, dst)
-    return logits.data
+    """Per-edge attention logits of ``layer`` on ``g``, in attention-edge order,
+    read from the softmax input of one forward pass."""
+    with mock.patch.object(attention, "neighborhood_softmax",
+                           wraps=neighborhood_softmax) as softmax:
+        layer.forward(g, g.features if features is None else features)
+    return softmax.call_args.args[0].data
 
 
 @pytest.fixture
@@ -217,10 +220,10 @@ class TestQgatForward:
 
 class TestSoftmaxAndBounds:
     def capture_alpha(self, layer, g):
-        src, dst = g.attention_edges()
-        logits, _ = layer._edge_scores(Tensor(g.features), src, dst)
-        alpha = neighborhood_softmax(logits, dst, g.n_nodes)
-        return logits.data, alpha.data, dst
+        _, dst = g.attention_edges()
+        logits = edge_logits(layer, g)
+        alpha = neighborhood_softmax(Tensor(logits), dst, g.n_nodes)
+        return logits, alpha.data, dst
 
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_alpha_sums_to_one(self, kind):
@@ -316,9 +319,25 @@ class TestClassicalHandFixtures:
         layer = make_layer("gatv2", 2, 2, 1, seed=3)
         g = Graph(np.array([[1.0, 0.0], [0.0, 1.0]]), [[0, 1]], undirected=True)
         src, dst = g.attention_edges()
-        logits, _ = layer._edge_scores(Tensor(g.features), src, dst)
-        by_pair = {(s, d): v for s, d, v in zip(src, dst, logits.data[:, 0])}
+        by_pair = {(s, d): v for s, d, v in zip(src, dst, edge_logits(layer, g)[:, 0])}
         assert by_pair[(0, 1)] != by_pair[(1, 0)]
+
+
+class TestGatherSite:
+    @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
+    def test_same_edge_gathers_for_every_layer(self, kind, monkeypatch):
+        # a[dst], b[src] and v[src] in the layer, plus the softmax denominators
+        calls = []
+        take_rows = attention.take_rows
+
+        def counting(x, idx):
+            calls.append(x.shape)
+            return take_rows(x, idx)
+
+        monkeypatch.setattr(attention, "take_rows", counting)
+        g = random_graph(8, 0.4, 3, seed=1)
+        make_layer(kind, 3, 2, 2, seed=2).forward(g, g.features)
+        assert len(calls) == 4
 
 
 class TestEquivarianceAndLocality:

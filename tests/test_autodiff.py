@@ -6,7 +6,6 @@ import pytest
 from qgat.autodiff import (
     Tensor,
     central_difference,
-    concat,
     elu,
     exp,
     gradcheck,
@@ -72,10 +71,6 @@ class TestMatmulAndShape:
     def test_reshape_gradient(self):
         x = leaf((4, 6))
         gradcheck(lambda t: reshape(t, (4, 2, 3)), [x])
-
-    def test_concat_gradient(self):
-        a, b, c = leaf((3, 2)), leaf((3, 4)), leaf((3, 1))
-        gradcheck(lambda x, y, z: concat([x, y, z], axis=1), [a, b, c])
 
     def test_slice_cols_gradient(self):
         x = leaf((4, 6))

@@ -131,6 +131,9 @@ class TestTrain:
         ("train", "training.lr=nan"),
         ("train", "training.lr_min=nan"),
         ("train", "training.weight_decay=nan"),
+        ("train", "training.lr=inf"),
+        ("train", "training.lr_min=inf"),
+        ("train", "training.weight_decay=inf"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
         # whitespace separates the overrides of one case
@@ -325,6 +328,18 @@ class TestParams:
         # one extra entangling layer adds 3 * n_qubits per attention layer
         assert total(more, "qgat") - total(base, "qgat") == 3 * 2 * 2
         assert total(base, "gatv2") > total(base, "gat")
+
+    def test_counts_follow_the_graph_on_disk(self, tmp_path, capsys):
+        five = ["--override", "data.feature_dim=5"]
+        assert main(["synth", "--out", str(tmp_path / "ds"), *five]) == 0
+        capsys.readouterr()
+        assert main(["params", "--override", "data.source=csv",
+                     "--override", f"data.path={tmp_path / 'ds'}"]) == 0
+        from_disk = capsys.readouterr().out
+        assert main(["params", *five]) == 0
+        assert from_disk == capsys.readouterr().out
+        lines = {tuple(l.split()) for l in from_disk.splitlines()}
+        assert ("qgat", "layer0", "feat_proj", "160") in lines  # 5 dims x 4 heads x 8
 
 
 class TestSynth:

@@ -184,7 +184,7 @@ class TestTrainLoop:
             run(model, data, cfg)
 
     def test_config_validation(self):
-        for lr in (0.0, np.nan):
+        for lr in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="learning rate"):
                 TrainConfig(learning_rate=lr).validate()
         with pytest.raises(ValueError, match="hidden_dims"):
@@ -192,7 +192,8 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="model"):
             TrainConfig(model="gcn").validate()
         for bad in ({"lr_min": -1.0}, {"weight_decay": -1e-4},
-                    {"lr_min": np.nan}, {"weight_decay": np.nan}):
+                    {"lr_min": np.nan}, {"weight_decay": np.nan},
+                    {"lr_min": np.inf}, {"weight_decay": np.inf}):
             with pytest.raises(ValueError, match="lr_min and weight_decay"):
                 TrainConfig(**bad).validate()
 
