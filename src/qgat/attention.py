@@ -24,7 +24,9 @@ import numpy as np
 
 from . import vqc
 from .autodiff import (
+    Segments,
     Tensor,
+    as_segments,
     div,
     elu,
     exp,
@@ -68,10 +70,11 @@ def _split_rows(t: Tensor, sizes: list[int]) -> list[Tensor]:
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def neighborhood_softmax(logits: Tensor, dst: np.ndarray, n_nodes: int) -> Tensor:
+def neighborhood_softmax(logits: Tensor, dst: np.ndarray | Segments, n_nodes: int) -> Tensor:
     """Per-(destination, head) softmax with max-subtraction stabilization."""
+    dst = as_segments(dst, n_nodes)
     shift = segment_max(logits.data, dst, n_nodes)
-    z = exp(sub(logits, Tensor(shift[dst])))
+    z = exp(sub(logits, Tensor(shift[dst.index])))
     denom = segment_sum(z, dst, n_nodes)
     return div(z, take_rows(denom, dst))
 
@@ -127,7 +130,7 @@ class _AttentionLayer:
         x = features if isinstance(features, Tensor) else Tensor(features)
         if x.shape[1] != self.in_dim:
             raise ValueError(f"feature dim {x.shape[1]} != layer input dim {self.in_dim}")
-        src, dst = graph.attention_edges()
+        src, dst = graph.attention_segments()
         n = graph.n_nodes
         a, b, v = self._node_terms(self._drop(x, training, rng))
         logits = self._edge_logits(take_rows(a, dst) + take_rows(b, src))

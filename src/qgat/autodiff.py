@@ -9,10 +9,15 @@ Two properties matter for callers:
 
 * graph nodes are only recorded when some input requires a gradient, so
   evaluation-mode forward passes carry no tape overhead;
-* ``segment_sum``, ``segment_max`` and the ``take_rows`` backward share
-  ``_segment_reduce``, which sums each segment in value-sorted order, so
-  results do not depend on row order -- required for bit-exact permutation
-  equivariance of neighborhood aggregation and of its gradients.
+* ``segment_sum``, ``segment_max`` and the ``take_rows`` backward share one
+  reduce, ``_segment_reduce``, over a ``Segments`` layout of the index
+  array.  A layout is built once per index array, and ``Graph`` caches the
+  two of its attention edges, so every layer, softmax and backward on a
+  graph reuses them.  Sums add each segment's values in sorted order (a
+  compare-exchange network up to width 8, ``np.sort`` above), left to
+  right, so they depend on the multiset of values only, not on row order --
+  required for bit-exact permutation equivariance of neighborhood
+  aggregation and of the per-node gradients through it.
 """
 
 from __future__ import annotations
@@ -261,49 +266,148 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return make_op(x.data[:, start:stop].copy(), (x,), vjp)
 
 
-def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    idx = np.asarray(idx)
-    return make_op(x.data[idx], (x,), lambda g: (_segment_reduce(g, idx, len(x.data), "sum"),))
+def take_rows(x: Tensor, idx: np.ndarray | Segments) -> Tensor:
+    """Rows ``x[idx]``; the backward sums the gradients of rows that share an index.
+
+    An index array becomes a ``Segments`` only when the backward runs, so a
+    forward without a tape builds no layout.
+    """
+    index = idx.index if isinstance(idx, Segments) else np.asarray(idx)
+    return make_op(x.data[index], (x,),
+                   lambda g: (_segment_reduce(g, as_segments(idx, len(x.data)), "sum"),))
 
 
 # -- segment ops --------------------------------------------------------
 
 
-def _segment_reduce(values: np.ndarray, seg: np.ndarray, n_segments: int, kind: str) -> np.ndarray:
+class Segments:
+    """The reduce layout of an index array: row ``r`` belongs to segment ``index[r]``.
+
+    Built once, in the constructor, and reused by every reduce over the same
+    index array.  Segments are bucketed by their size rounded up to a power
+    of two; each bucket holds its member segments, the lane-major
+    ``(width, members)`` source rows (lane ``w`` of a segment is its ``w``-th
+    row in index order) and the mask of padding lanes, None when no lane is
+    padded.
+    """
+
+    __slots__ = ("index", "n", "buckets")
+
+    def __init__(self, index: np.ndarray, n: int):
+        self.index = np.asarray(index)
+        self.n = n
+        order = np.argsort(self.index, kind="stable")
+        counts = np.bincount(self.index, minlength=n)
+        starts = np.cumsum(counts) - counts
+        filled = np.flatnonzero(counts)
+        log_widths = np.frexp(counts[filled] - 1)[1]  # smallest w with 2**w >= count
+        self.buckets = []
+        for w in np.unique(log_widths):
+            members = filled[log_widths == w]
+            lanes = np.arange(1 << w)[:, None]
+            pad = lanes >= counts[members]
+            rows = order[np.where(pad, 0, starts[members] + lanes)]
+            self.buckets.append((members, rows, pad if pad.any() else None))
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+def as_segments(seg: np.ndarray | Segments, n: int) -> Segments:
+    """``seg`` itself if it is a ``Segments`` over ``n`` segments, else the layout of the array."""
+    if not isinstance(seg, Segments):
+        return Segments(seg, n)
+    if seg.n != n:
+        raise ValueError(f"layout has {seg.n} segments, expected {n}")
+    return seg
+
+
+# Batcher's odd-even merge sorts (1968) as (lane, lane) compare-exchanges in
+# order: 1, 5 and 19 comparators, the fewest possible at widths 2, 4 and 8
+NETWORKS = {
+    1: (),
+    2: ((0, 1),),
+    4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)),
+    8: ((0, 1), (2, 3), (4, 5), (6, 7), (0, 2), (1, 3), (4, 6), (5, 7), (1, 2), (5, 6),
+        (0, 4), (1, 5), (2, 6), (3, 7), (2, 4), (3, 5), (1, 2), (3, 4), (5, 6)),
+}
+
+
+def _sort_lanes(block: np.ndarray) -> None:
+    """Sort a lane-major ``(width, ...)`` block along axis 0, in place."""
+    network = NETWORKS.get(len(block))
+    if network is None:
+        block.sort(axis=0)
+        return
+    for i, j in network:
+        lo, hi = block[i], block[j]
+        low = np.minimum(lo, hi)
+        # np.minimum and np.maximum return their second operand when the two
+        # compare equal: with the operands swapped, -0.0 and 0.0 trade places
+        # instead of one of them being written twice
+        np.maximum(hi, lo, out=hi)
+        lo[...] = low
+
+
+def _add_lanes(block: np.ndarray) -> np.ndarray:
+    """Left-to-right sum over axis 0.  ``np.add.reduce`` adds whole lanes in order,
+    except that a lane of one number makes it sum pairwise; ``cumsum`` never does."""
+    if block[0].size == 1:
+        return np.cumsum(block, axis=0)[-1]
+    return np.add.reduce(block, axis=0, initial=-0.0)
+
+
+def _restore_zero_signs(sums: np.ndarray, flat: np.ndarray, rows: np.ndarray,
+                        pad: np.ndarray | None) -> None:
+    """Give each zero in ``sums`` the sign that adding its segment's values gives:
+    -0.0 only when all of them are -0.0.  ``np.sort`` may write one of two equal
+    zeros twice, losing the other's sign."""
+    seg, col = np.nonzero(sums == 0)
+    negative = np.signbit(flat[rows[:, seg], col])
+    if pad is not None:
+        negative |= pad[:, seg]
+    sums[seg, col] = np.where(negative.all(axis=0), -0.0, 0.0)
+
+
+def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray:
     """Per-segment sums (``kind="sum"``) or maxima (``"max"``) of the rows of ``values``.
 
-    Segments are padded to power-of-two widths with the reduction identity
-    and reduced one width at a time as dense ``(segments, width, cols)``
-    blocks.  Sums add each segment's values in sorted order, so the result
-    depends on the multiset of values only, not on the order of the rows.
+    ``segs`` is built once per index array (``Graph`` caches the layouts of
+    its attention edges), so a call only moves values: each width bucket is
+    gathered into one contiguous lane-major ``(width, members, cols)``
+    block, padded with the reduction's identity and reduced over its lanes.
+    Sums first sort the lanes (a compare-exchange network up to width 8,
+    ``np.sort`` above) and then add them left to right, so the result
+    depends on the multiset of each segment's values only, not on the order
+    of the rows; a segment of -0.0 sums to -0.0.  Empty segments give 0.0
+    (sum) or -inf (max).
     """
     flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
-    order = np.argsort(seg, kind="stable")
-    counts = np.bincount(seg, minlength=n_segments)
-    starts = np.cumsum(counts) - counts
-    out = np.full((n_segments, flat.shape[1]), -np.inf if kind == "max" else 0.0)
-    filled = np.flatnonzero(counts)
-    log_widths = np.frexp(counts[filled] - 1)[1]  # smallest w with 2**w >= count
-    for w in np.unique(log_widths):
-        members = filled[log_widths == w]
-        lanes = np.arange(1 << w)
-        pad = lanes >= counts[members, None]
-        block = flat[order[np.where(pad, 0, starts[members, None] + lanes)]]
-        block[pad] = -np.inf if kind == "max" else -0.0  # the reduction's identity
-        if kind == "sum":
-            block.sort(axis=1)
-        out[members] = block.max(axis=1) if kind == "max" else block.sum(axis=1)
-    return out.reshape((n_segments,) + values.shape[1:])
+    identity = -np.inf if kind == "max" else -0.0
+    out = np.full((segs.n, flat.shape[1]), -np.inf if kind == "max" else 0.0)
+    for members, rows, pad in segs.buckets:
+        block = flat[rows]
+        if pad is not None:
+            block[pad] = identity
+        if kind == "max":
+            out[members] = block.max(axis=0)
+        else:
+            _sort_lanes(block)
+            sums = _add_lanes(block)
+            if len(block) not in NETWORKS:
+                _restore_zero_signs(sums, flat, rows, pad)
+            out[members] = sums
+    return out.reshape((segs.n,) + values.shape[1:])
 
 
-def segment_sum(x: Tensor, seg: np.ndarray, n_segments: int) -> Tensor:
-    seg = np.asarray(seg)
-    return make_op(_segment_reduce(x.data, seg, n_segments, "sum"), (x,), lambda g: (g[seg],))
+def segment_sum(x: Tensor, seg: np.ndarray | Segments, n_segments: int) -> Tensor:
+    segs = as_segments(seg, n_segments)
+    return make_op(_segment_reduce(x.data, segs, "sum"), (x,), lambda g: (g[segs.index],))
 
 
-def segment_max(values: np.ndarray, seg: np.ndarray, n_segments: int) -> np.ndarray:
+def segment_max(values: np.ndarray, seg: np.ndarray | Segments, n_segments: int) -> np.ndarray:
     """Per-segment maxima (plain numpy; used detached for softmax shifts)."""
-    return _segment_reduce(values, seg, n_segments, "max")
+    return _segment_reduce(values, as_segments(seg, n_segments), "max")
 
 
 def central_difference(f: Callable[[], float], x: np.ndarray, eps: float) -> np.ndarray:

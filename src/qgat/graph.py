@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .autodiff import Segments
+
 
 class GraphFormatError(ValueError):
     """Raised on malformed graph files, with file/line context in the message."""
@@ -40,6 +42,7 @@ class Graph:
             self._check_masks(masks)
         self.feature_reads = 0
         self._loop_edges: tuple[np.ndarray, np.ndarray] | None = None
+        self._loop_segments: tuple[Segments, Segments] | None = None
 
     def _canonicalize(self, edges: np.ndarray, undirected: bool) -> np.ndarray:
         if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
@@ -104,6 +107,13 @@ class Graph:
             self._loop_edges = (src, dst)
         return self._loop_edges
 
+    def attention_segments(self) -> tuple[Segments, Segments]:
+        """Reduce layouts of ``attention_edges()``'s (src, dst), built once per graph."""
+        if self._loop_segments is None:
+            src, dst = self.attention_edges()
+            self._loop_segments = (Segments(src, self.n_nodes), Segments(dst, self.n_nodes))
+        return self._loop_segments
+
     def replace(self, *, features: np.ndarray | None = None,
                 edges: np.ndarray | None = None) -> "Graph":
         return Graph(
@@ -112,9 +122,6 @@ class Graph:
             labels=None if self.labels is None else self.labels.copy(),
             masks=None if self.masks is None else {k: v.copy() for k, v in self.masks.items()},
         )
-
-    def reset_feature_reads(self) -> None:
-        self.feature_reads = 0
 
 
 # -- file loading ---------------------------------------------------------

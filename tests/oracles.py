@@ -86,6 +86,27 @@ def circuit_expectations_reference(x: np.ndarray, angles: np.ndarray,
     return np.array([z_expectation(state, q, n) for q in range(n)])
 
 
+# -- segment references ---------------------------------------------------
+
+
+def segment_sum_reference(values, seg, n_segments: int) -> np.ndarray:
+    """Per-segment sums: each segment's values, column by column, sorted as
+    Python floats and added left to right.  An empty segment sums to 0.0."""
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
+    out = np.zeros((n_segments, flat.shape[1]))
+    for s in range(n_segments):
+        rows = [r for r in range(len(seg)) if seg[r] == s]
+        for c in range(flat.shape[1]):
+            column = sorted(float(flat[r, c]) for r in rows)
+            if column:
+                total = column[0]
+                for v in column[1:]:
+                    total += v
+                out[s, c] = total
+    return out.reshape((n_segments,) + values.shape[1:])
+
+
 # -- graph references -----------------------------------------------------
 
 

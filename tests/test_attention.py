@@ -5,9 +5,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qgat import attention, vqc
+from qgat import attention, autodiff, training, vqc
 from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
-from qgat.autodiff import Tensor, gradcheck
+from qgat.autodiff import Tensor, gradcheck, tsum
 from qgat.graph import Graph, synth_sbm
 
 from oracles import circuit_expectations_reference, encode_reference, ry_matrix, rz_matrix
@@ -340,19 +340,51 @@ class TestGatherSite:
         assert len(calls) == 4
 
 
+class TestSegmentLayouts:
+    @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
+    def test_layouts_built_once_per_graph(self, kind, monkeypatch):
+        g = random_graph(12, 0.3, 3, seed=1)
+        layer = make_layer(kind, 3, 2, 2, seed=2)
+        layer.forward(g, g.features)  # warm-up
+        built = []
+        init = autodiff.Segments.__init__
+
+        def counting(self, index, n):
+            built.append(len(index))
+            init(self, index, n)
+
+        monkeypatch.setattr(autodiff.Segments, "__init__", counting)
+        x = Tensor(g.features, requires_grad=True)
+        select = np.array([0, 4, 7])
+        tsum(training.readout(layer.forward(g, x), select)).backward()
+        assert x.grad is not None
+        assert len(g.attention_edges()[0]) not in built  # the readout may build its own
+
+
 class TestEquivarianceAndLocality:
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_permutation_equivariance_bit_exact(self, kind):
         g = random_graph(37, 0.12, 5, seed=21)
         layer = make_layer(kind, 5, 3, 2, seed=4)
-        out = layer.forward(g, g.features).data
         rng = np.random.default_rng(33)
+        upstream = rng.standard_normal((g.n_nodes, layer.out_dim))
+        out = layer.forward(g, g.features).data
+        grads = layer_grads(layer, g, upstream)
         for _ in range(3):
             perm = rng.permutation(g.n_nodes)
             relabeled = Graph(g._features[np.argsort(perm)],
                               perm[g.edges][:, :])
             out_perm = layer.forward(relabeled, relabeled.features).data
             np.testing.assert_array_equal(out_perm[perm], out)
+            up_perm = np.empty_like(upstream)
+            up_perm[perm] = upstream
+            grads_perm = layer_grads(layer, relabeled, up_perm)
+            np.testing.assert_array_equal(grads_perm.pop("features")[perm], grads["features"])
+            # a parameter gradient sums over nodes in label order (GEMMs,
+            # broadcast sums), so relabelling may round it differently
+            for name, grad in grads_perm.items():
+                np.testing.assert_allclose(grad, grads[name], rtol=1e-12, atol=1e-14,
+                                           err_msg=name)
 
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_locality_non_neighbor_perturbation(self, kind):

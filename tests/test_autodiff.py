@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qgat.autodiff import (
+    NETWORKS,
     Tensor,
+    _sort_lanes,
     central_difference,
     elu,
     exp,
@@ -26,6 +28,8 @@ from qgat.autodiff import (
     tmean,
     tsum,
 )
+
+from oracles import segment_sum_reference
 
 rng = np.random.default_rng(0)
 
@@ -157,6 +161,80 @@ class TestSegmentOps:
         x.zero_grad()
         take_rows(x, idx[perm]).backward(upstream[perm])
         np.testing.assert_array_equal(x.grad, base)
+
+
+# every network width, the np.sort path above it, and the widths either side of each bucket edge
+ORACLE_WIDTHS = [*range(1, 18)] * 6 + [31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 600]
+
+
+def shuffled(seg: np.ndarray, values: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    perm = np.random.default_rng(seed).permutation(len(seg))
+    return seg[perm], values[perm]
+
+
+def oracle_inputs(cols: tuple[int, ...]):
+    """Segments of every width in ORACLE_WIDTHS on the even ids; the odd ids stay empty."""
+    seg = np.concatenate([np.full(w, 2 * i) for i, w in enumerate(ORACLE_WIDTHS)])
+    values = np.random.default_rng(5).standard_normal((len(seg), *cols))
+    return (*shuffled(seg, values, 7), 2 * len(ORACLE_WIDTHS) + 1)
+
+
+def special_inputs():
+    """Segments of signed zeros, infinities and NaN at network and np.sort widths, in 2 columns."""
+    z, inf, nan = 0.0, np.inf, np.nan
+    segments = []
+    for w in (1, 2, 3, 4, 5, 8, 9, 20):
+        segments.append([[-z, -z]] * w)  # sums stay -0.0
+        segments.append([[-z, z]] * (w - 1) + [[z, -z]])  # any +0.0 makes +0.0
+        segments.append([[inf, 1.0]] + [[2.0, -inf]] * (w - 1))
+        segments.append([[inf, nan]] + [[-inf, 1.0]] * (w - 1) if w > 1 else [[nan, -inf]])
+    segments.append([])  # empty: 0.0
+    seg = np.concatenate([np.full(len(rows), i) for i, rows in enumerate(segments)])
+    values = np.array([row for rows in segments for row in rows])
+    return (*shuffled(seg, values, 8), len(segments))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_array_equal(got, want)
+    signed = ~np.isnan(want)
+    np.testing.assert_array_equal(np.signbit(got[signed]), np.signbit(want[signed]))
+
+
+class TestSegmentOracle:
+    @pytest.mark.parametrize("cols", [(1,), (2,), (3, 2)])
+    def test_segment_sum_matches_reference(self, cols):
+        seg, values, n = oracle_inputs(cols)
+        assert_same_bits(segment_sum(Tensor(values), seg, n).data,
+                         segment_sum_reference(values, seg, n))
+
+    @pytest.mark.parametrize("cols", [(1,), (2,), (3, 2)])
+    def test_take_rows_backward_matches_reference(self, cols):
+        seg, upstream, n = oracle_inputs(cols)
+        x = Tensor(np.zeros((n, *cols)), requires_grad=True)
+        take_rows(x, seg).backward(upstream)
+        assert_same_bits(x.grad, segment_sum_reference(upstream, seg, n))
+
+    def test_special_values_match_reference(self):
+        seg, values, n = special_inputs()
+        want = segment_sum_reference(values, seg, n)
+        assert np.signbit(want[0]).all() and np.isnan(want[7]).all()
+        x = Tensor(np.zeros((n, 2)), requires_grad=True)
+        with np.errstate(invalid="ignore"):  # inf + -inf
+            got = segment_sum(Tensor(values), seg, n).data
+            take_rows(x, seg).backward(values)
+        assert_same_bits(got, want)
+        assert_same_bits(x.grad, want)
+
+    @pytest.mark.parametrize("width, comparators", [(2, 1), (4, 5), (8, 19)])
+    def test_networks_sort_every_binary_input(self, width, comparators):
+        # 0-1 principle: a comparator network that sorts every 0/1 input sorts every input
+        assert len(NETWORKS[width]) == comparators
+        codes = np.arange(1 << width)  # input k has bit i of k in lane i
+        block = ((codes >> np.arange(width)[:, None]) & 1).astype(np.float64)[:, :, None]
+        ones = block.sum(axis=0)
+        _sort_lanes(block)
+        assert (np.diff(block, axis=0) >= 0).all()
+        np.testing.assert_array_equal(block.sum(axis=0), ones)
 
 
 class TestBackwardMechanics:

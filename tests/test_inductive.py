@@ -93,7 +93,7 @@ class TestHeldOutIsolation:
         train_union, _ = batch_graphs(coll.by_split("train"))
         model = build_model(cfg, train_union.feature_dim, 4)
         for g in coll.graphs:
-            g.reset_feature_reads()
+            g.feature_reads = 0
         opt = AdamWState()
         rng = stream_rng(cfg.seed, "dropout")
         for _ in range(5):
