@@ -74,7 +74,7 @@ def neighborhood_softmax(logits: Tensor, dst: np.ndarray | Segments, n_nodes: in
     """Per-(destination, head) softmax with max-subtraction stabilization."""
     dst = as_segments(dst, n_nodes)
     shift = segment_max(logits.data, dst, n_nodes)
-    z = exp(sub(logits, Tensor(shift[dst.index])))
+    z = exp(sub(logits, Tensor(np.take(shift, dst.index, axis=0))))
     denom = segment_sum(z, dst, n_nodes)
     return div(z, take_rows(denom, dst))
 

@@ -273,7 +273,7 @@ def take_rows(x: Tensor, idx: np.ndarray | Segments) -> Tensor:
     forward without a tape builds no layout.
     """
     index = idx.index if isinstance(idx, Segments) else np.asarray(idx)
-    return make_op(x.data[index], (x,),
+    return make_op(np.take(x.data, index, axis=0), (x,),
                    lambda g: (_segment_reduce(g, as_segments(idx, len(x.data)), "sum"),))
 
 
@@ -287,8 +287,8 @@ class Segments:
     index array.  Segments are bucketed by their size rounded up to a power
     of two; each bucket holds its member segments, the lane-major
     ``(width, members)`` source rows (lane ``w`` of a segment is its ``w``-th
-    row in index order) and the mask of padding lanes, None when no lane is
-    padded.
+    row in index order), the mask of padding lanes and the flat positions of
+    those lanes in the block's ``(width * members)`` rows.
     """
 
     __slots__ = ("index", "n", "buckets")
@@ -307,7 +307,7 @@ class Segments:
             lanes = np.arange(1 << w)[:, None]
             pad = lanes >= counts[members]
             rows = order[np.where(pad, 0, starts[members] + lanes)]
-            self.buckets.append((members, rows, pad if pad.any() else None))
+            self.buckets.append((members, rows, pad, np.flatnonzero(pad)))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -358,14 +358,12 @@ def _add_lanes(block: np.ndarray) -> np.ndarray:
 
 
 def _restore_zero_signs(sums: np.ndarray, flat: np.ndarray, rows: np.ndarray,
-                        pad: np.ndarray | None) -> None:
+                        pad: np.ndarray) -> None:
     """Give each zero in ``sums`` the sign that adding its segment's values gives:
     -0.0 only when all of them are -0.0.  ``np.sort`` may write one of two equal
     zeros twice, losing the other's sign."""
     seg, col = np.nonzero(sums == 0)
-    negative = np.signbit(flat[rows[:, seg], col])
-    if pad is not None:
-        negative |= pad[:, seg]
+    negative = np.signbit(flat[rows[:, seg], col]) | pad[:, seg]
     sums[seg, col] = np.where(negative.all(axis=0), -0.0, 0.0)
 
 
@@ -385,10 +383,9 @@ def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray
     flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
     identity = -np.inf if kind == "max" else -0.0
     out = np.full((segs.n, flat.shape[1]), -np.inf if kind == "max" else 0.0)
-    for members, rows, pad in segs.buckets:
-        block = flat[rows]
-        if pad is not None:
-            block[pad] = identity
+    for members, rows, pad, pad_at in segs.buckets:
+        block = np.take(flat, rows, axis=0)
+        block.reshape(rows.size, flat.shape[1])[pad_at] = identity
         if kind == "max":
             out[members] = block.max(axis=0)
         else:
@@ -402,7 +399,8 @@ def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray
 
 def segment_sum(x: Tensor, seg: np.ndarray | Segments, n_segments: int) -> Tensor:
     segs = as_segments(seg, n_segments)
-    return make_op(_segment_reduce(x.data, segs, "sum"), (x,), lambda g: (g[segs.index],))
+    return make_op(_segment_reduce(x.data, segs, "sum"), (x,),
+                   lambda g: (np.take(g, segs.index, axis=0),))
 
 
 def segment_max(values: np.ndarray, seg: np.ndarray | Segments, n_segments: int) -> np.ndarray:

@@ -56,7 +56,7 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
         raise ValueError("empty positive set")
     neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
     ranks = 1 + len(neg) - np.searchsorted(neg, pos_scores, side="right")
-    return math.fsum(1.0 / r for r in ranks) / len(ranks)
+    return math.fsum((1.0 / ranks).tolist()) / len(ranks)
 
 
 def task_metric(task: str, predictions, targets) -> float:

@@ -129,7 +129,8 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     degenerate = norms < NORM_EPS
     safe = np.where(degenerate, 1.0, norms)
     padded /= safe[:, None]
-    padded[degenerate] = 0.0
-    padded[degenerate, 0] = 1.0
+    if degenerate.any():
+        padded[degenerate] = 0.0
+        padded[degenerate, 0] = 1.0
     return padded, np.where(degenerate, 0.0, norms)
 

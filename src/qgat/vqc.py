@@ -133,8 +133,10 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
     expectations = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
 
     def backward(upstream: np.ndarray):
-        lam = psi * np.tile(upstream @ z_sign_matrix(n).T, 2)  # [Re | Im] of Psi * (g Z^T)
-        grad_amp = 2.0 * (lam @ stacked.T)
+        # [Re | Im] of Psi * (g Z^T), the one (B, 2^n) factor broadcast over both halves
+        halves = psi.reshape(len(psi), 2, dim) * (upstream @ z_sign_matrix(n).T)[:, None]
+        lam = halves.reshape(psi.shape)
+        grad_amp = lam @ (2.0 * stacked.T)  # a power of two: the bits of 2.0 * (lam @ stacked.T)
         # sum_b 2 Re <lam_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> with C = E^T lam
         parts = encoded.T @ lam
         costate = parts[:, :dim] + 1j * parts[:, dim:]
@@ -157,7 +159,7 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
         m = inputs.shape[1]
         grad_inputs = grad_amp[:, :m] - encoded[:, :m] * radial
         nonzero = norms > 0
-        grad_inputs[nonzero] /= norms[nonzero, None]
+        np.divide(grad_inputs, norms[:, None], out=grad_inputs, where=nonzero[:, None])
         grad_inputs[~nonzero] = 0.0
         return grad_angles, grad_inputs
 

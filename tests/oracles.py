@@ -2,12 +2,17 @@
 
 Everything here is deliberately brute force -- dense matrices, python
 loops, direct definitions -- and shares no code with the package paths it
-checks.
+checks.  The one exception is ``circuit_reference``, a bit-identity guard: it
+runs the package's unitary and adjoint gate sweep and differs from
+``vqc`` only in the row-level arithmetic around them.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from qgat import statevector as sv
+from qgat.vqc import _gate_sequence, _unitary_rows
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -84,6 +89,54 @@ def circuit_expectations_reference(x: np.ndarray, angles: np.ndarray,
                                    ranges: tuple[int, ...], n: int) -> np.ndarray:
     state = circuit_unitary(angles, ranges, n) @ encode_reference(x, n)
     return np.array([z_expectation(state, q, n) for q in range(n)])
+
+
+def circuit_reference(inputs: np.ndarray, angles: np.ndarray, layout, upstream: np.ndarray):
+    """(expectations, grad_inputs, grad_angles) of the batched circuit, for the
+    gradients of sum(upstream * expectations), with the plainest row arithmetic:
+    a zero-filled encode that always rewrites degenerate rows, the costate
+    factor g Z^T tiled over [Re | Im], the 2 applied after the input GEMM, and
+    the normalization Jacobian through boolean-mask gathers and scatters."""
+    n = layout.n_qubits
+    dim = 1 << n
+    encoded = np.zeros((len(inputs), dim))
+    encoded[:, : inputs.shape[1]] = inputs
+    norms = np.linalg.norm(encoded, axis=1)
+    degenerate = norms < sv.NORM_EPS
+    encoded /= np.where(degenerate, 1.0, norms)[:, None]
+    encoded[degenerate] = 0.0
+    encoded[degenerate, 0] = 1.0
+    norms = np.where(degenerate, 0.0, norms)
+
+    rows = _unitary_rows(angles, layout)
+    stacked = np.concatenate([rows.real, rows.imag], axis=1)
+    zmat = sv.z_sign_matrix(n)
+    psi = encoded @ stacked
+    expectations = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ zmat
+
+    lam = psi * np.tile(upstream @ zmat.T, 2)
+    grad_amp = 2.0 * (lam @ stacked.T)
+    parts = encoded.T @ lam
+    costate = parts[:, :dim] + 1j * parts[:, dim:]
+    ket = rows.copy()
+    grad_angles = np.zeros_like(angles)
+    for kind, wires, angle, aidx in reversed(list(_gate_sequence(angles, layout))):
+        if kind == "CNOT":
+            ket = sv.cnot_batch(ket, n, *wires)
+            costate = sv.cnot_batch(costate, n, *wires)
+            continue
+        half = sv.pauli_y_half_batch if kind == "RY" else sv.pauli_z_half_batch
+        grad_angles[aidx] = 2.0 * np.real(np.vdot(costate, half(ket, n, wires)))
+        gate = sv.ry_batch if kind == "RY" else sv.rz_batch
+        gate(ket, n, wires, -angle)
+        gate(costate, n, wires, -angle)
+    radial = np.sum(grad_amp * encoded, axis=1, keepdims=True)
+    m = inputs.shape[1]
+    grad_inputs = grad_amp[:, :m] - encoded[:, :m] * radial
+    nonzero = norms > 0
+    grad_inputs[nonzero] /= norms[nonzero, None]
+    grad_inputs[~nonzero] = 0.0
+    return expectations, grad_inputs, grad_angles
 
 
 # -- segment references ---------------------------------------------------

@@ -1,4 +1,13 @@
-"""Property tests of the segment reduce: row order never changes a bit, softmax rows sum to 1."""
+"""Property tests: row order never changes a bit of a segment reduce, softmax rows
+sum to 1, and degenerate rows of an encode batch affect no other row.
+
+These carry the permutation-equivariance contract of the attention layers
+down to their kernels.  Its scope: layer outputs and per-node gradients are
+bit-exact under node relabelling.  Parameter gradients agree only to about
+1e-15, because ``matmul``'s ``a.T @ g`` and ``_unbroadcast`` sum over nodes in
+label order.  Dropout masks are drawn in label order, so a relabelled
+training run differs anyway.
+"""
 
 import tempfile
 from pathlib import Path
@@ -8,8 +17,10 @@ from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qgat import vqc
 from qgat.attention import neighborhood_softmax
 from qgat.autodiff import Tensor, segment_sum, take_rows
+from qgat.statevector import NORM_EPS, encode_batch
 
 from oracles import segment_sum_reference
 
@@ -73,3 +84,44 @@ def test_softmax_rows_sum_to_one(problem):
     np.add.at(totals, dst, alpha)
     filled = np.bincount(dst, minlength=n) > 0
     np.testing.assert_allclose(totals[filled], 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def encode_problems(draw):
+    """(x, n_qubits, degenerate): ordinary rows with zero rows and rows of norm
+    below NORM_EPS scattered among them; the input is at most 2^n wide."""
+    n_qubits = draw(st.integers(1, 5))
+    width = draw(st.integers(1, 1 << n_qubits))
+    kinds = draw(st.lists(st.sampled_from(["ordinary", "zero", "tiny"]), min_size=1,
+                          max_size=24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((len(kinds), width))
+    norms = np.linalg.norm(x, axis=1, keepdims=True)
+    scales = np.array([[{"ordinary": 10.0 ** rng.uniform(-6, 6), "zero": 0.0,
+                         "tiny": NORM_EPS * 10.0 ** rng.uniform(-300, -0.01)}[k]]
+                       for k in kinds])
+    x *= scales / norms
+    return x, n_qubits, np.array([k != "ordinary" for k in kinds])
+
+
+@PROPERTY
+@given(encode_problems())
+def test_degenerate_rows_encode_as_ground_state(problem):
+    x, n_qubits, degenerate = problem
+    states, norms = encode_batch(x, n_qubits)
+    ground = np.zeros(1 << n_qubits)
+    ground[0] = 1.0
+    for row, state, norm, is_degenerate in zip(x, states, norms, degenerate):
+        if is_degenerate:
+            assert_same_bits(state, ground)
+            assert norm == 0.0
+        else:
+            alone, alone_norm = encode_batch(row[None], n_qubits)
+            assert_same_bits(state, alone[0])
+            assert_same_bits(norm, alone_norm[0])
+
+    inputs = Tensor(x, requires_grad=True)
+    layout = vqc.build_layout(n_qubits, 1)
+    angles = Tensor(np.random.default_rng(n_qubits).uniform(0, 2 * np.pi, (1, n_qubits, 3)))
+    vqc.expectations_op(inputs, angles, layout).backward(np.ones((len(x), n_qubits)))
+    assert_same_bits(inputs.grad[degenerate], np.zeros((degenerate.sum(), x.shape[1])))

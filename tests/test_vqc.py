@@ -7,7 +7,7 @@ from qgat import vqc
 from qgat.autodiff import Tensor, gradcheck
 from qgat.vqc import EntanglingLayout, build_layout
 
-from oracles import circuit_expectations_reference
+from oracles import circuit_expectations_reference, circuit_reference
 
 
 def forward(x, angles, layout):
@@ -236,6 +236,24 @@ class TestBatch:
         for b in range(batch):
             want = circuit_expectations_reference(x[b], angles, layout.ranges, n_q)
             np.testing.assert_allclose(got[b], want, atol=1e-12)
+
+    @pytest.mark.parametrize("n_q", [1, 2, 4, 6])
+    @pytest.mark.parametrize("narrow", [False, True])
+    def test_same_bits_as_reference(self, n_q, narrow):
+        """Values, input gradients and angle gradients equal ``circuit_reference``
+        bit for bit, on inputs 2^n wide or narrower, with zero and tiny rows."""
+        layout, angles, x = batch_case(n_q, 2, 257, seed=40 + n_q)
+        if narrow:
+            x = x[:, : max(1, (1 << n_q) * 5 // 8)].copy()
+        x[::7] = 0.0
+        x[3::11] *= 1e-14  # below NORM_EPS: encoded as |0...0>, like the zero rows
+        upstream = np.random.default_rng(n_q).standard_normal((len(x), n_q))
+        inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
+        out = vqc.expectations_op(inputs, angle_t, layout)
+        out.backward(upstream)
+        want = circuit_reference(x, angles, layout, upstream)
+        for got, ref in zip((out.data, inputs.grad, angle_t.grad), want):
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 class TestExecutionCounter:
