@@ -4,6 +4,9 @@ All three share one message-passing skeleton.  A layer supplies node terms a,
 b and v; edge j -> i gets logit f(a_i + b_j) and value v_j.  Then softmax over
 each in-neighborhood (self-loop included), weighted sum, merge (concat or
 mean), activation, dropout, residual.  Layers differ only in a, b, v and f.
+The layer gathers edge rows of a and b only; the weighted sum reads v at
+node level (``autodiff.weighted_segment_sum``), so no per-edge copy of the
+values is made.
 
 QGAT logits: the projected pair [W h_i || W h_j || h_i || h_j] is compressed
 to length 2^n_q * ceil(heads / n_q), chunked, amplitude-encoded, and run
@@ -43,6 +46,7 @@ from .autodiff import (
     take_rows,
     tmean,
     tsum,
+    weighted_segment_sum,
 )
 from .graph import Graph
 
@@ -80,9 +84,10 @@ def neighborhood_softmax(logits: Tensor, dst: np.ndarray | Segments, n_nodes: in
 
 
 class _AttentionLayer:
-    """Shared skeleton, the one place that gathers edge rows: subclasses supply
+    """Shared skeleton, the one place that reads edge rows: subclasses supply
     ``_node_terms(h) -> (a, b, v)``, one row per node, and ``_edge_logits(z)``,
-    the (edges, heads) logits of z = a[dst] + b[src]; edge values are v[src]."""
+    the (edges, heads) logits of z = a[dst] + b[src]; edge values are v[src],
+    weighted and summed by ``weighted_segment_sum`` without being gathered."""
 
     def __init__(self, in_dim: int, head_dim: int, heads: int, *,
                  merge: str = "concat", dropout: float = 0.0,
@@ -134,11 +139,8 @@ class _AttentionLayer:
         n = graph.n_nodes
         a, b, v = self._node_terms(self._drop(x, training, rng))
         logits = self._edge_logits(take_rows(a, dst) + take_rows(b, src))
-        values = reshape(take_rows(v, src), (len(src), self.heads, self.head_dim))
-        alpha = neighborhood_softmax(logits, dst, n)
-        alpha = self._drop(alpha, training, rng)
-        weighted = mul(reshape(alpha, (alpha.shape[0], self.heads, 1)), values)
-        agg = segment_sum(weighted, dst, n)
+        alpha = self._drop(neighborhood_softmax(logits, dst, n), training, rng)
+        agg = weighted_segment_sum(alpha, reshape(v, (n, self.heads, self.head_dim)), src, dst)
         if self.merge == "concat":
             merged = reshape(agg, (n, self.heads * self.head_dim))
         else:

@@ -7,17 +7,21 @@ tensor with ``requires_grad`` set.  Ops never mutate their inputs.
 
 Two properties matter for callers:
 
-* graph nodes are only recorded when some input requires a gradient, so
-  evaluation-mode forward passes carry no tape overhead;
-* ``segment_sum``, ``segment_max`` and the ``take_rows`` backward share one
-  reduce, ``_segment_reduce``, over a ``Segments`` layout of the index
-  array.  A layout is built once per index array, and ``Graph`` caches the
-  two of its attention edges, so every layer, softmax and backward on a
-  graph reuses them.  Sums add each segment's values in sorted order (a
-  compare-exchange network up to width 8, ``np.sort`` above), left to
-  right, so they depend on the multiset of values only, not on row order --
-  required for bit-exact permutation equivariance of neighborhood
-  aggregation and of the per-node gradients through it.
+* graph nodes are only recorded when some input requires a gradient; an
+  evaluation forward clears the flags of the model's parameters
+  (``training._predictions``), so it records no tape;
+* ``segment_sum``, ``segment_max``, ``weighted_segment_sum`` and the
+  ``take_rows`` backward share one reduce over a ``Segments`` layout of the
+  index array.  A layout is built once per index array, and ``Graph``
+  caches the two of its attention edges, so every layer, softmax and
+  backward on a graph reuses them.  Sums add each segment's values in
+  sorted order (a compare-exchange network up to width 8, ``np.sort``
+  above), left to right, so they depend on the multiset of values only,
+  not on row order -- required for bit-exact permutation equivariance of
+  neighborhood aggregation and of the per-node gradients through it.
+  ``weighted_segment_sum`` is the attention aggregation: it weights each
+  bucket's gathered rows in place, so the weighted edge rows never exist
+  all at once and never sit on the tape.
 """
 
 from __future__ import annotations
@@ -357,14 +361,36 @@ def _add_lanes(block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0, initial=-0.0)
 
 
-def _restore_zero_signs(sums: np.ndarray, flat: np.ndarray, rows: np.ndarray,
+def _restore_zero_signs(sums: np.ndarray, lanes: Callable, rows: np.ndarray,
                         pad: np.ndarray) -> None:
     """Give each zero in ``sums`` the sign that adding its segment's values gives:
     -0.0 only when all of them are -0.0.  ``np.sort`` may write one of two equal
-    zeros twice, losing the other's sign."""
+    zeros twice, losing the other's sign.  ``lanes(rows, cols)`` gives the values
+    before the sort; it is asked only for the lanes of zero sums."""
     seg, col = np.nonzero(sums == 0)
-    negative = np.signbit(flat[rows[:, seg], col]) | pad[:, seg]
+    negative = np.signbit(lanes(rows[:, seg], col)) | pad[:, seg]
     sums[seg, col] = np.where(negative.all(axis=0), -0.0, 0.0)
+
+
+def _reduce_buckets(segs: Segments, cols: int, kind: str, gather: Callable,
+                    lanes: Callable) -> np.ndarray:
+    """(segs.n, cols) per-segment sums or maxima.  ``gather(rows)`` gives a fresh
+    lane-major ``(width, members, cols)`` block of the values in ``rows``;
+    ``lanes`` is handed to ``_restore_zero_signs``."""
+    identity = -np.inf if kind == "max" else -0.0
+    out = np.full((segs.n, cols), -np.inf if kind == "max" else 0.0)
+    for members, rows, pad, pad_at in segs.buckets:
+        block = gather(rows)
+        block.reshape(rows.size, cols)[pad_at] = identity
+        if kind == "max":
+            out[members] = block.max(axis=0)
+        else:
+            _sort_lanes(block)
+            sums = _add_lanes(block)
+            if len(block) not in NETWORKS:
+                _restore_zero_signs(sums, lanes, rows, pad)
+            out[members] = sums
+    return out
 
 
 def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray:
@@ -381,26 +407,70 @@ def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray
     (sum) or -inf (max).
     """
     flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
-    identity = -np.inf if kind == "max" else -0.0
-    out = np.full((segs.n, flat.shape[1]), -np.inf if kind == "max" else 0.0)
-    for members, rows, pad, pad_at in segs.buckets:
-        block = np.take(flat, rows, axis=0)
-        block.reshape(rows.size, flat.shape[1])[pad_at] = identity
-        if kind == "max":
-            out[members] = block.max(axis=0)
-        else:
-            _sort_lanes(block)
-            sums = _add_lanes(block)
-            if len(block) not in NETWORKS:
-                _restore_zero_signs(sums, flat, rows, pad)
-            out[members] = sums
+    out = _reduce_buckets(segs, flat.shape[1], kind, lambda rows: np.take(flat, rows, axis=0),
+                          lambda rows, cols: flat[rows, cols])
     return out.reshape((segs.n,) + values.shape[1:])
+
+
+def _weighted_reduce(x: np.ndarray, weights: np.ndarray, by: Segments,
+                     other: Segments) -> np.ndarray:
+    """``_segment_reduce`` over ``by`` of the rows ``weights[e, h] * x[other.index[e], h]``,
+    with x read as (rows, heads, cols // heads), without making those rows for
+    every edge at once: each bucket's block is gathered from ``x`` through the
+    composed index and weighted in place."""
+    heads, cols = weights.shape[1], x.shape[1]
+    per_head = cols // heads
+
+    def gather(rows):
+        block = np.take(x, np.take(other.index, rows), axis=0)
+        by_head = block.reshape(rows.shape + (heads, per_head))
+        np.multiply(by_head, np.take(weights, rows, axis=0)[..., None], out=by_head)
+        return block
+
+    def lanes(rows, cols):
+        return weights[rows, cols // per_head] * x[other.index[rows], cols]
+
+    return _reduce_buckets(by, cols, "sum", gather, lanes)
 
 
 def segment_sum(x: Tensor, seg: np.ndarray | Segments, n_segments: int) -> Tensor:
     segs = as_segments(seg, n_segments)
     return make_op(_segment_reduce(x.data, segs, "sum"), (x,),
                    lambda g: (np.take(g, segs.index, axis=0),))
+
+
+# elements of the (edges, heads * dim) products one step of the
+# ``weighted_segment_sum`` backward makes at once
+BLOCK_ELEMS = 1 << 16
+
+
+def weighted_segment_sum(alpha: Tensor, v: Tensor, src: Segments, dst: Segments) -> Tensor:
+    """Attention aggregation: out[i, h] = sum over the edges e into i of
+    ``alpha[e, h] * v[src.index[e], h]``, where edge e ends at ``dst.index[e]``;
+    alpha is (edges, heads), v (nodes, heads, dim) and out (dst.n, heads, dim).
+
+    The bits of ``segment_sum(alpha[..., None] * take_rows(v, src), dst)`` and
+    of its gradients, but no (edges, heads * dim) array outlives one width
+    bucket or one row block, and the tape keeps only ``alpha`` and ``v``.
+    """
+    heads, dim = v.shape[1:]
+    nodes = v.data.reshape(len(v.data), heads * dim)
+    out = _weighted_reduce(nodes, alpha.data, dst, src).reshape(dst.n, heads, dim)
+
+    def vjp(g: np.ndarray):
+        g = g.reshape(dst.n, heads * dim)
+        grad_v = _weighted_reduce(g, alpha.data, src, dst).reshape(v.shape)
+        grad_alpha = np.empty_like(alpha.data)
+        step = max(1, BLOCK_ELEMS // (heads * dim))
+        for lo in range(0, len(grad_alpha), step):
+            edges = slice(lo, lo + step)
+            prod = np.take(g, dst.index[edges], axis=0)
+            prod *= np.take(nodes, src.index[edges], axis=0)
+            by_head = prod.reshape(len(prod), heads, dim)
+            grad_alpha[edges] = _unbroadcast(by_head, (len(prod), heads, 1))[..., 0]
+        return grad_alpha, grad_v
+
+    return make_op(out, (alpha, v), vjp)
 
 
 def segment_max(values: np.ndarray, seg: np.ndarray | Segments, n_segments: int) -> np.ndarray:

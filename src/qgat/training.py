@@ -351,12 +351,20 @@ def _predictions(model: Model, views: dict[str, tuple[Graph, np.ndarray, np.ndar
                  ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(predictions, targets) per split in evaluation mode: one forward per
     graph, since ``split_views`` lists a graph's splits together, and each
-    output is released before the next forward."""
+    output is released before the next forward.  The parameters' flags are
+    cleared meanwhile, so no op records a tape."""
+    params = [t for t in model.params().values() if t.requires_grad]
     preds, read, out = {}, None, None
-    for name, (graph, select, targets) in views.items():
-        if graph is not read:
-            read, out = graph, model.forward(graph)
-        preds[name] = (readout(out, select).data, targets)
+    try:
+        for t in params:
+            t.requires_grad = False
+        for name, (graph, select, targets) in views.items():
+            if graph is not read:
+                read, out = graph, model.forward(graph)
+            preds[name] = (readout(out, select).data, targets)
+    finally:
+        for t in params:
+            t.requires_grad = True
     return preds
 
 

@@ -8,8 +8,9 @@ single-qubit Z expectations.
 
 Each call compiles the ansatz once, whatever the batch size B: the gate
 list runs on the 2^n basis rows, giving R with row j = U|j>.  The real
-encoded rows E (B, 2^n) then give the final states Psi = E R as one real
-GEMM, E @ [Re R | Im R], and the expectations as |Psi|^2 @ z_sign_matrix.
+encoded rows E (B, 2^n) then give the final states Psi = E R as real GEMMs,
+E @ [Re R | Im R], and the expectations as |Psi|^2 @ z_sign_matrix, one
+row block at a time: Psi never exists for the whole batch.
 
 Gradients come from one adjoint sweep (Jones & Gacon, arXiv:2009.02823) over
 the 2^n rows of (R, C), where the costate C = E^T Lambda, Lambda = Psi * (g Z^T),
@@ -117,11 +118,26 @@ def _unitary_rows(angles: np.ndarray, layout: EntanglingLayout) -> np.ndarray:
     return rows
 
 
+# amplitudes in one row block of the circuit's Psi = E R: 2,048 rows at n = 4
+BLOCK_AMPS = 1 << 15
+
+
+def _row_blocks(batch: int, dim: int) -> list[slice]:
+    """Balanced row blocks of at most BLOCK_AMPS amplitudes each.  A block has
+    one row only when the batch has: a one-row GEMM takes another BLAS path
+    and rounds differently."""
+    count = max(1, min(-(-batch * dim // BLOCK_AMPS), batch // 2))
+    bounds = [i * batch // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
     """Z expectations (B, n_qubits) of a batch of raw input rows, and their backward.
 
     ``backward(upstream)`` returns the exact gradients of
     sum(upstream * expectations): (grad_angles (L, n_q, 3), grad_inputs (B, input_dim)).
+    Psi exists one row block at a time, in the forward and again in the
+    backward, which keeps only the encoded rows and their norms.
     """
     _check_shapes(angles, layout)
     n = layout.n_qubits
@@ -129,15 +145,28 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
     encoded, norms = encode_batch(inputs, n)  # E, real (B, 2^n)
     rows = _unitary_rows(angles, layout)
     stacked = np.concatenate([rows.real, rows.imag], axis=1)  # [Re R | Im R]
-    psi = encoded @ stacked  # [Re Psi | Im Psi], Psi = E R
-    expectations = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
+    blocks = _row_blocks(len(encoded), dim)
+    expectations = np.empty((len(encoded), n))
+    for blk in blocks:
+        psi = encoded[blk] @ stacked  # [Re Psi | Im Psi], Psi = E R
+        expectations[blk] = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
 
     def backward(upstream: np.ndarray):
-        # [Re | Im] of Psi * (g Z^T), the one (B, 2^n) factor broadcast over both halves
-        halves = psi.reshape(len(psi), 2, dim) * (upstream @ z_sign_matrix(n).T)[:, None]
-        lam = halves.reshape(psi.shape)
-        grad_amp = lam @ (2.0 * stacked.T)  # a power of two: the bits of 2.0 * (lam @ stacked.T)
-        # sum_b 2 Re <lam_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> with C = E^T lam
+        m = inputs.shape[1]
+        twice = 2.0 * stacked.T  # a power of two: the bits of 2.0 * (lam @ stacked.T)
+        lam = np.empty((len(encoded), 2 * dim))
+        grad_inputs = np.empty((len(encoded), m))
+        for blk in blocks:
+            psi = encoded[blk] @ stacked
+            # [Re | Im] of Psi * (g Z^T), the one (b, 2^n) factor broadcast over both halves
+            halves = lam[blk].reshape(len(psi), 2, dim)
+            np.multiply(psi.reshape(len(psi), 2, dim),
+                        (upstream[blk] @ z_sign_matrix(n).T)[:, None], out=halves)
+            grad_amp = lam[blk] @ twice
+            radial = np.sum(grad_amp * encoded[blk], axis=1, keepdims=True)
+            grad_inputs[blk] = grad_amp[:, :m] - encoded[blk, :m] * radial
+        # sum_b 2 Re <lam_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> with C = E^T lam, one GEMM
+        # over the whole batch: it adds over rows, so blocks would change its bits
         parts = encoded.T @ lam
         costate = parts[:, :dim] + 1j * parts[:, dim:]
         ket = rows.copy()
@@ -155,9 +184,6 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
             gate = ry_batch if kind == "RY" else rz_batch
             gate(ket, n, wires, -angle)
             gate(costate, n, wires, -angle)
-        radial = np.sum(grad_amp * encoded, axis=1, keepdims=True)
-        m = inputs.shape[1]
-        grad_inputs = grad_amp[:, :m] - encoded[:, :m] * radial
         nonzero = norms > 0
         np.divide(grad_inputs, norms[:, None], out=grad_inputs, where=nonzero[:, None])
         grad_inputs[~nonzero] = 0.0

@@ -326,18 +326,19 @@ class TestClassicalHandFixtures:
 class TestGatherSite:
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_same_edge_gathers_for_every_layer(self, kind, monkeypatch):
-        # a[dst], b[src] and v[src] in the layer, plus the softmax denominators
-        calls = []
-        take_rows = attention.take_rows
-
-        def counting(x, idx):
-            calls.append(x.shape)
-            return take_rows(x, idx)
-
-        monkeypatch.setattr(attention, "take_rows", counting)
+        # a[dst] and b[src] in the layer plus the softmax denominators; v is
+        # read at node level by the one fused aggregation
+        calls = {"take_rows": [], "weighted_segment_sum": []}
+        for name, log in calls.items():
+            def counting(*args, _original=getattr(attention, name), _log=log):
+                _log.append(args)
+                return _original(*args)
+            monkeypatch.setattr(attention, name, counting)
         g = random_graph(8, 0.4, 3, seed=1)
         make_layer(kind, 3, 2, 2, seed=2).forward(g, g.features)
-        assert len(calls) == 4
+        assert len(calls["take_rows"]) == 3
+        [(alpha, v, _, _)] = calls["weighted_segment_sum"]
+        assert alpha.shape == (len(g.attention_edges()[0]), 2) and v.shape == (g.n_nodes, 2, 2)
 
 
 class TestSegmentLayouts:

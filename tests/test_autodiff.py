@@ -5,6 +5,7 @@ import pytest
 
 from qgat.autodiff import (
     NETWORKS,
+    Segments,
     Tensor,
     _sort_lanes,
     central_difference,
@@ -27,6 +28,7 @@ from qgat.autodiff import (
     tanh,
     tmean,
     tsum,
+    weighted_segment_sum,
 )
 
 from oracles import segment_sum_reference
@@ -235,6 +237,87 @@ class TestSegmentOracle:
         _sort_lanes(block)
         assert (np.diff(block, axis=0) >= 0).all()
         np.testing.assert_array_equal(block.sum(axis=0), ones)
+
+
+def signed_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Gaussian magnitudes, positive in even heads (axis 1) and negative in odd
+    ones, with about 10% of the entries replaced by 0.0 or -0.0."""
+    values = np.abs(gen.standard_normal(shape)) * np.where(np.arange(shape[1]) % 2, -1.0, 1.0)[
+        :, None]
+    zero = gen.random(shape) < 0.1
+    values[zero] = np.copysign(0.0, gen.standard_normal(zero.sum()))
+    return values
+
+
+def attention_inputs(heads: int, dim: int, seed: int):
+    """(alpha, v, src, dst): edges into segments of every ORACLE_WIDTHS width on the
+    even node ids, the odd ids without edges, and sources of the same widths.
+
+    A third of the weights are 0.0, as dropout leaves them, and every weight
+    into or out of a fifth of the nodes is one signed zero per node, so wide
+    segments sum to zeros of either sign through the ``np.sort`` path."""
+    gen = np.random.default_rng(seed)
+    dst = np.concatenate([np.full(w, 2 * i) for i, w in enumerate(ORACLE_WIDTHS)])
+    n = 2 * len(ORACLE_WIDTHS) + 1
+    src = gen.permutation(dst)
+    alpha = gen.random((len(dst), heads))
+    alpha[gen.random(alpha.shape) < 0.3] = 0.0
+    silent = gen.random(n) < 0.2
+    zero = np.copysign(0.0, gen.standard_normal(n))
+    for ends in (dst, src):
+        alpha[silent[ends]] = zero[ends[silent[ends]], None]
+    return alpha, signed_rows(gen, (n, heads, dim)), Segments(src, n), Segments(dst, n)
+
+
+def unfused_aggregate(alpha: Tensor, v: Tensor, src: Segments, dst: Segments) -> Tensor:
+    """The tape ``weighted_segment_sum`` replaces: gather, weight, sum."""
+    return segment_sum(mul(reshape(alpha, alpha.shape + (1,)), take_rows(v, src)), dst, dst.n)
+
+
+class TestWeightedSegmentSum:
+    @pytest.mark.parametrize("heads, dim", [(1, 1), (2, 3), (3, 2)])
+    def test_matches_reference(self, heads, dim):
+        alpha, v, src, dst = attention_inputs(heads, dim, seed=heads + dim)
+        want = segment_sum_reference(alpha[..., None] * v[src.index], dst.index, dst.n)
+        wide = np.bincount(dst.index, minlength=dst.n) > 8
+        zeros = want[wide][want[wide] == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        got = weighted_segment_sum(Tensor(alpha), Tensor(v), src, dst).data
+        assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("heads, dim", [(1, 1), (2, 3), (3, 2)])
+    def test_gradients_match_unfused_tape(self, heads, dim):
+        alpha, v, src, dst = attention_inputs(heads, dim, seed=10 + heads + dim)
+        upstream = signed_rows(np.random.default_rng(dim), (dst.n, heads, dim))
+        results = []
+        for aggregate in (weighted_segment_sum, unfused_aggregate):
+            leaves = Tensor(alpha, requires_grad=True), Tensor(v, requires_grad=True)
+            out = aggregate(*leaves, src, dst)
+            out.backward(upstream)
+            results.append((out.data, *(t.grad for t in leaves)))
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+        grad_v = results[0][2]
+        wide = np.bincount(src.index, minlength=src.n) > 8
+        zeros = grad_v[wide][grad_v[wide] == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_tape_keeps_only_node_rows(self):
+        alpha, v, src, dst = attention_inputs(2, 3, seed=4)
+        leaves = Tensor(alpha, requires_grad=True), Tensor(v, requires_grad=True)
+        out = weighted_segment_sum(*leaves, src, dst)
+        assert out._parents == leaves
+        held = [cell.cell_contents for cell in out._vjp.__closure__]
+        assert not any(isinstance(x, np.ndarray) and len(x) == len(alpha) for x in held)
+
+    def test_no_edges(self):
+        none = Segments(np.zeros(0, dtype=np.int64), 3)
+        alpha, v = Tensor(np.zeros((0, 2)), requires_grad=True), leaf((3, 2, 2))
+        out = weighted_segment_sum(alpha, v, none, none)
+        out.backward(np.ones((3, 2, 2)))
+        np.testing.assert_array_equal(out.data, np.zeros((3, 2, 2)))
+        assert alpha.grad.shape == (0, 2)
+        np.testing.assert_array_equal(v.grad, np.zeros((3, 2, 2)))
 
 
 class TestBackwardMechanics:

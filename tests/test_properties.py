@@ -1,5 +1,6 @@
-"""Property tests: row order never changes a bit of a segment reduce, softmax rows
-sum to 1, and degenerate rows of an encode batch affect no other row.
+"""Property tests: row order never changes a bit of a segment reduce or of the
+attention aggregation, softmax rows sum to 1, and degenerate rows of an encode
+batch affect no other row.
 
 These carry the permutation-equivariance contract of the attention layers
 down to their kernels.  Its scope: layer outputs and per-node gradients are
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from qgat import vqc
 from qgat.attention import neighborhood_softmax
-from qgat.autodiff import Tensor, segment_sum, take_rows
+from qgat.autodiff import Segments, Tensor, segment_sum, take_rows, weighted_segment_sum
 from qgat.statevector import NORM_EPS, encode_batch
 
 from oracles import segment_sum_reference
@@ -84,6 +85,48 @@ def test_softmax_rows_sum_to_one(problem):
     np.add.at(totals, dst, alpha)
     filled = np.bincount(dst, minlength=n) > 0
     np.testing.assert_allclose(totals[filled], 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def aggregation_problems(draw):
+    """(alpha, v, src, dst, upstream, node_perm, edge_perm): weights of random
+    edges among n nodes, a third of them 0.0 as dropout leaves them, node
+    values and an upstream gradient with signed zeros, and a relabelling."""
+    n = draw(st.integers(1, 6))
+    edges = draw(st.integers(0, 40))
+    src, dst = (draw(arrays(np.int64, edges, elements=st.integers(0, n - 1))) for _ in "sd")
+    heads, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    alpha = gen.random((edges, heads))
+    alpha[gen.random(alpha.shape) < 0.3] = 0.0
+    v, upstream = gen.standard_normal((2, n, heads, dim))
+    for values in (v, upstream):
+        zero = gen.random(values.shape) < 0.2
+        values[zero] = np.copysign(0.0, gen.standard_normal(zero.sum()))
+    node_perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    edge_perm = np.array(draw(st.permutations(range(edges))), dtype=np.int64)
+    return alpha, v, src, dst, upstream, node_perm, edge_perm
+
+
+@PROPERTY
+@given(aggregation_problems())
+def test_weighted_segment_sum_is_equivariant(problem):
+    """Relabelling the nodes and reordering the edges relabels the output and
+    both gradients, bit for bit."""
+    alpha, v, src, dst, upstream, node_perm, edge_perm = problem
+    n, inverse = len(v), np.argsort(node_perm)  # node i becomes node_perm[i]
+    results = []
+    for a, x, s, d, g in ((alpha, v, src, dst, upstream),
+                          (alpha[edge_perm], v[inverse], node_perm[src[edge_perm]],
+                           node_perm[dst[edge_perm]], upstream[inverse])):
+        leaves = Tensor(a, requires_grad=True), Tensor(x, requires_grad=True)
+        out = weighted_segment_sum(*leaves, Segments(s, n), Segments(d, n))
+        out.backward(g)
+        results.append((out.data, leaves[0].grad, leaves[1].grad))
+    (out, grad_alpha, grad_v), (out2, grad_alpha2, grad_v2) = results
+    assert_same_bits(out2[node_perm], out)
+    assert_same_bits(grad_alpha2, grad_alpha[edge_perm])
+    assert_same_bits(grad_v2[node_perm], grad_v)
 
 
 @st.composite

@@ -26,6 +26,7 @@ from qgat.training import (
     train,
     write_history_csv,
 )
+from qgat import autodiff, vqc
 from qgat.autodiff import Tensor, gradcheck
 from qgat.inductive import SPLITS, batch_graphs, synth_collection, train_inductive
 
@@ -236,6 +237,41 @@ class TestEvaluate:
         losses, scores = evaluate(model, data, task)
         assert len(graphs) == len(set(map(id, graphs))) == forwards
         assert set(losses) == set(scores) == set(SPLITS)
+
+
+    @pytest.mark.parametrize("model_kind", ["gat", "qgat"])
+    def test_evaluation_records_no_tape(self, monkeypatch, model_kind):
+        recorded = []
+
+        def counting(make):
+            def wrapper(data, parents, vjp):
+                out = make(data, parents, vjp)
+                if out._vjp is not None:
+                    recorded.append(out)
+                return out
+            return wrapper
+
+        for module in (autodiff, vqc):
+            monkeypatch.setattr(module, "make_op", counting(module.make_op))
+        g = fixture_graph()
+        model = build_model(small_cfg(model=model_kind), 8, 2)
+        model.forward(g)
+        assert recorded  # the probe sees the tape of an ordinary forward
+        recorded.clear()
+        evaluate(model, g, "node-class")
+        assert recorded == []
+        assert all(t.requires_grad for t in model.params().values())
+
+    def test_divergence_mid_forward_restores_the_flags(self, monkeypatch):
+        model = build_model(small_cfg(hidden_dims=[4, 4]), 8, 2)
+
+        def diverging(graph, features, **kwargs):
+            raise TrainingDivergedError("non-finite layer output")
+
+        monkeypatch.setattr(model.layers[1], "forward", diverging)
+        with pytest.raises(TrainingDivergedError, match="layer output"):
+            evaluate(model, fixture_graph(), "node-class")
+        assert all(t.requires_grad for t in model.params().values())
 
 
 class TestLinkPrediction:

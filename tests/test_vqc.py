@@ -241,19 +241,31 @@ class TestBatch:
     @pytest.mark.parametrize("narrow", [False, True])
     def test_same_bits_as_reference(self, n_q, narrow):
         """Values, input gradients and angle gradients equal ``circuit_reference``
-        bit for bit, on inputs 2^n wide or narrower, with zero and tiny rows."""
-        layout, angles, x = batch_case(n_q, 2, 257, seed=40 + n_q)
-        if narrow:
-            x = x[:, : max(1, (1 << n_q) * 5 // 8)].copy()
-        x[::7] = 0.0
-        x[3::11] *= 1e-14  # below NORM_EPS: encoded as |0...0>, like the zero rows
-        upstream = np.random.default_rng(n_q).standard_normal((len(x), n_q))
-        inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
-        out = vqc.expectations_op(inputs, angle_t, layout)
-        out.backward(upstream)
-        want = circuit_reference(x, angles, layout, upstream)
-        for got, ref in zip((out.data, inputs.grad, angle_t.grad), want):
-            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        bit for bit, on inputs 2^n wide or narrower, with zero and tiny rows.
+
+        The circuit runs in row blocks while the reference runs whole batches,
+        so the batches straddle block edges; one row, where BLAS takes its
+        one-row path, guards the transposed view in the costate factor.  No
+        batch exceeds 14,660 rows: somewhere between that and 20,000 rows
+        OpenBLAS switches kernel for the whole-batch (B, 2^n) @ (2^n, n) GEMM
+        of the reference, and the last bits part."""
+        block = vqc.BLOCK_AMPS >> n_q
+        for batch in (1, 2, 257, block - 1, block + 1, 2 * block + 1):
+            if batch > 14_660:
+                continue
+            layout, angles, x = batch_case(n_q, 2, batch, seed=40 + n_q)
+            if narrow:
+                x = x[:, : max(1, (1 << n_q) * 5 // 8)].copy()
+            x[::7] = 0.0
+            x[3::11] *= 1e-14  # below NORM_EPS: encoded as |0...0>, like the zero rows
+            upstream = np.random.default_rng(n_q).standard_normal((len(x), n_q))
+            inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
+            out = vqc.expectations_op(inputs, angle_t, layout)
+            out.backward(upstream)
+            want = circuit_reference(x, angles, layout, upstream)
+            for got, ref in zip((out.data, inputs.grad, angle_t.grad), want):
+                np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64),
+                                              err_msg=f"batch {batch}")
 
 
 class TestExecutionCounter:
