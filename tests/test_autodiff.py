@@ -242,8 +242,8 @@ class TestSegmentOracle:
 def signed_rows(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Gaussian magnitudes, positive in even heads (axis 1) and negative in odd
     ones, with about 10% of the entries replaced by 0.0 or -0.0."""
-    values = np.abs(gen.standard_normal(shape)) * np.where(np.arange(shape[1]) % 2, -1.0, 1.0)[
-        :, None]
+    signs = np.where(np.arange(shape[1]) % 2, -1.0, 1.0)[:, None]
+    values = np.abs(gen.standard_normal(shape)) * signs
     zero = gen.random(shape) < 0.1
     values[zero] = np.copysign(0.0, gen.standard_normal(zero.sum()))
     return values

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from qgat import autodiff, vqc
 from qgat.graph import Graph, split_link_prediction, synth_sbm
 from qgat.training import (
     AdamWState,
@@ -26,7 +27,6 @@ from qgat.training import (
     train,
     write_history_csv,
 )
-from qgat import autodiff, vqc
 from qgat.autodiff import Tensor, gradcheck
 from qgat.inductive import SPLITS, batch_graphs, synth_collection, train_inductive
 
@@ -237,7 +237,6 @@ class TestEvaluate:
         losses, scores = evaluate(model, data, task)
         assert len(graphs) == len(set(map(id, graphs))) == forwards
         assert set(losses) == set(scores) == set(SPLITS)
-
 
     @pytest.mark.parametrize("model_kind", ["gat", "qgat"])
     def test_evaluation_records_no_tape(self, monkeypatch, model_kind):

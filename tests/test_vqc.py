@@ -246,9 +246,10 @@ class TestBatch:
         The circuit runs in row blocks while the reference runs whole batches,
         so the batches straddle block edges; one row, where BLAS takes its
         one-row path, guards the transposed view in the costate factor.  No
-        batch exceeds 14,660 rows: somewhere between that and 20,000 rows
-        OpenBLAS switches kernel for the whole-batch (B, 2^n) @ (2^n, n) GEMM
-        of the reference, and the last bits part."""
+        batch exceeds 14,660 rows: above that (16,000 rows at n = 4, with
+        OpenBLAS 0.3.31's Haswell kernels on x86-64) BLAS switches kernel for
+        the reference's whole-batch (B, 2^n) @ (2^n, n) GEMM, and the
+        expectations part in the last bits."""
         block = vqc.BLOCK_AMPS >> n_q
         for batch in (1, 2, 257, block - 1, block + 1, 2 * block + 1):
             if batch > 14_660:
