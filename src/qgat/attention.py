@@ -13,12 +13,14 @@ to length 2^n_q * ceil(heads / n_q), chunked, amplitude-encoded, and run
 through a shared strongly-entangling circuit; Z expectations (one per qubit
 per execution) become the per-head logits, surplus tail values dropped.  No
 LeakyReLU is applied to quantum logits.  The compression is linear, so its
-rows split into a_i = [W h_i || h_i] P_dst and b_j = [W h_j || h_j] P_src.
+rows split into a_i = [W h_i || h_i] P_dst and b_j = [W h_j || h_j] P_src,
+four row slices (``autodiff.tslice``) of ``compress``.
 Value projections reuse per-head column slices of the shared multi-head
 projection unless a separate value matrix is requested.
 
 ``forward`` is the one way into a layer; it records the circuit through
-``vqc.expectations_op`` so the tape carries its adjoint gradients.
+``vqc.expectations_op`` so the tape carries its adjoint gradients, and
+reduces over the graph's cached ``Graph.attention_segments``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from . import vqc
 from .autodiff import (
     Segments,
     Tensor,
-    as_segments,
     div,
     elu,
     exp,
@@ -40,11 +41,11 @@ from .autodiff import (
     reshape,
     segment_max,
     segment_sum,
-    slice_cols,
     sub,
     tanh,
     take_rows,
     tmean,
+    tslice,
     tsum,
     weighted_segment_sum,
 )
@@ -66,21 +67,11 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def _split_rows(t: Tensor, sizes: list[int]) -> list[Tensor]:
-    """Consecutive row blocks of a 2-D tensor, cut as column slices of its one-row view."""
-    flat, cols = reshape(t, (1, t.data.size)), t.shape[1]
-    bounds = np.cumsum([0, *sizes]).tolist()
-    return [reshape(slice_cols(flat, lo * cols, hi * cols), (hi - lo, cols))
-            for lo, hi in zip(bounds, bounds[1:])]
-
-
-def neighborhood_softmax(logits: Tensor, dst: np.ndarray | Segments, n_nodes: int) -> Tensor:
+def neighborhood_softmax(logits: Tensor, dst: Segments) -> Tensor:
     """Per-(destination, head) softmax with max-subtraction stabilization."""
-    dst = as_segments(dst, n_nodes)
-    shift = segment_max(logits.data, dst, n_nodes)
+    shift = segment_max(logits.data, dst)
     z = exp(sub(logits, Tensor(np.take(shift, dst.index, axis=0))))
-    denom = segment_sum(z, dst, n_nodes)
-    return div(z, take_rows(denom, dst))
+    return div(z, take_rows(segment_sum(z, dst), dst))
 
 
 class _AttentionLayer:
@@ -139,7 +130,7 @@ class _AttentionLayer:
         n = graph.n_nodes
         a, b, v = self._node_terms(self._drop(x, training, rng))
         logits = self._edge_logits(take_rows(a, dst) + take_rows(b, src))
-        alpha = self._drop(neighborhood_softmax(logits, dst, n), training, rng)
+        alpha = self._drop(neighborhood_softmax(logits, dst), training, rng)
         # the reshape is a tape node of its own, so the aggregation's gradient
         # reaches v after the logit terms do: QGAT's projection feeds both, and
         # the tape adds a tensor's gradient terms in that order
@@ -184,9 +175,10 @@ class QgatLayer(_AttentionLayer):
 
     def _node_terms(self, h: Tensor):
         proj = matmul(h, self.feat_proj)
-        hd = proj.shape[1]
         # compress rows, in the order of [W h_i || W h_j || h_i || h_j]
-        w_dst, w_src, h_dst, h_src = _split_rows(self.compress, [hd, hd, self.in_dim, self.in_dim])
+        bounds = np.cumsum([0, proj.shape[1], proj.shape[1], self.in_dim, self.in_dim]).tolist()
+        w_dst, w_src, h_dst, h_src = (tslice(self.compress, np.s_[lo:hi])
+                                      for lo, hi in zip(bounds, bounds[1:]))
         a = matmul(proj, w_dst) + matmul(h, h_dst)
         b = matmul(proj, w_src) + matmul(h, h_src)
         v = proj if self.value_proj is None else matmul(h, self.value_proj)
@@ -196,7 +188,7 @@ class QgatLayer(_AttentionLayer):
         chunks = reshape(z, (z.shape[0] * self.n_exec, 1 << self.n_qubits))
         expectations = vqc.expectations_op(chunks, self.angles, self.layout)
         per_edge = reshape(expectations, (z.shape[0], self.n_exec * self.n_qubits))
-        return slice_cols(per_edge, 0, self.heads)
+        return tslice(per_edge, np.s_[:, :self.heads])
 
 
 class GatLayer(_AttentionLayer):

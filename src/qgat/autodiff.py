@@ -11,14 +11,15 @@ Two properties matter for callers:
   evaluation forward clears the flags of the model's parameters
   (``training._predictions``), so it records no tape;
 * ``segment_sum``, ``segment_max``, ``weighted_segment_sum`` and the
-  ``take_rows`` backward share one reduce over a ``Segments`` layout of the
-  index array.  A layout is built once per index array, and ``Graph``
-  caches the two of its attention edges, so every layer, softmax and
-  backward on a graph reuses them.  Sums add each segment's values in
-  sorted order (a compare-exchange network up to width 8, ``np.sort``
-  above), left to right, so they depend on the multiset of values only,
-  not on row order -- required for bit-exact permutation equivariance of
-  neighborhood aggregation and of the per-node gradients through it.
+  ``take_rows`` backward share one reduce over a ``Segments``, the layout of
+  an index array over ``n`` segments; only ``take_rows`` also takes a bare
+  index array.  ``Graph`` caches the layouts of its attention edges, so
+  every layer, softmax and backward on a graph reuses them.  Sums add each
+  segment's values in sorted order (a compare-exchange network up to width
+  8, ``np.sort`` above), left to right, so they depend on the multiset of
+  values only, not on row order -- required for bit-exact permutation
+  equivariance of neighborhood aggregation and of the per-node gradients
+  through it.
   ``weighted_segment_sum`` is the attention aggregation: it weights each
   bucket's gathered rows in place, so the weighted edge rows never exist
   all at once and never sit on the tape.
@@ -94,29 +95,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __matmul__(self, other):
-        return matmul(self, _wrap(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(-1.0))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -261,24 +247,31 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return make_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
+def tslice(x: Tensor, key) -> Tensor:
+    """Basic indexing ``x[key]`` (slices and integers, e.g. ``np.s_[:, 1:4]``), copied;
+    the backward writes the gradient into zeros of ``x``'s shape at ``key``."""
     def vjp(g: np.ndarray):
         full = np.zeros_like(x.data)
-        full[:, start:stop] = g
+        full[key] = g
         return (full,)
 
-    return make_op(x.data[:, start:stop].copy(), (x,), vjp)
+    return make_op(x.data[key].copy(), (x,), vjp)
 
 
 def take_rows(x: Tensor, idx: np.ndarray | Segments) -> Tensor:
     """Rows ``x[idx]``; the backward sums the gradients of rows that share an index.
 
-    An index array becomes a ``Segments`` only when the backward runs, so a
-    forward without a tape builds no layout.
+    ``idx`` is a ``Segments`` over ``len(x)`` segments or an index array, which
+    becomes a ``Segments`` only when the backward runs: a forward without a
+    tape, such as an evaluation readout, builds no layout.
     """
     index = idx.index if isinstance(idx, Segments) else np.asarray(idx)
-    return make_op(np.take(x.data, index, axis=0), (x,),
-                   lambda g: (_segment_reduce(g, as_segments(idx, len(x.data)), "sum"),))
+
+    def vjp(g: np.ndarray):
+        segs = idx if isinstance(idx, Segments) else Segments(index, len(x.data))
+        return (_segment_reduce(g, segs, "sum"),)
+
+    return make_op(np.take(x.data, index, axis=0), (x,), vjp)
 
 
 # -- segment ops --------------------------------------------------------
@@ -315,15 +308,6 @@ class Segments:
 
     def __len__(self) -> int:
         return len(self.index)
-
-
-def as_segments(seg: np.ndarray | Segments, n: int) -> Segments:
-    """``seg`` itself if it is a ``Segments`` over ``n`` segments, else the layout of the array."""
-    if not isinstance(seg, Segments):
-        return Segments(seg, n)
-    if seg.n != n:
-        raise ValueError(f"layout has {seg.n} segments, expected {n}")
-    return seg
 
 
 # Batcher's odd-even merge sorts (1968) as (lane, lane) compare-exchanges in
@@ -433,8 +417,8 @@ def _weighted_reduce(x: np.ndarray, weights: np.ndarray, by: Segments,
     return _reduce_buckets(by, cols, "sum", gather, lanes)
 
 
-def segment_sum(x: Tensor, seg: np.ndarray | Segments, n_segments: int) -> Tensor:
-    segs = as_segments(seg, n_segments)
+def segment_sum(x: Tensor, segs: Segments) -> Tensor:
+    """(segs.n, ...) per-segment sums of the rows of ``x``."""
     return make_op(_segment_reduce(x.data, segs, "sum"), (x,),
                    lambda g: (np.take(g, segs.index, axis=0),))
 
@@ -473,9 +457,9 @@ def weighted_segment_sum(alpha: Tensor, v: Tensor, src: Segments, dst: Segments)
     return make_op(out, (alpha, v), vjp)
 
 
-def segment_max(values: np.ndarray, seg: np.ndarray | Segments, n_segments: int) -> np.ndarray:
+def segment_max(values: np.ndarray, segs: Segments) -> np.ndarray:
     """Per-segment maxima (plain numpy; used detached for softmax shifts)."""
-    return _segment_reduce(values, as_segments(seg, n_segments), "max")
+    return _segment_reduce(values, segs, "max")
 
 
 def central_difference(f: Callable[[], float], x: np.ndarray, eps: float) -> np.ndarray:

@@ -69,7 +69,7 @@ def _load_data(cfg: Config) -> Graph:
     if graph.masks is None:
         # the seeded 60/20/20 node split that synth_sbm draws
         rng = np.random.default_rng(cfg.get("data", "seed"))
-        graph = Graph(graph._features, graph.edges, labels=graph.labels,
+        graph = Graph(graph.features, graph.edges, labels=graph.labels,
                       masks=random_split_masks(graph.n_nodes, rng))
     return graph
 

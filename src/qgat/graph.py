@@ -4,8 +4,8 @@ Edges are stored as a canonical directed (E, 2) array: validated, deduped,
 sorted by (src, dst), self-loops stripped (attention layers re-add one
 self-loop per node).  Undirected inputs are expanded to both directions.
 Graphs are immutable after construction; every transformation returns a
-new Graph.  ``feature_reads`` counts accesses to the feature matrix and
-exists only for test instrumentation.
+new Graph.  ``features``, ``edges``, ``labels`` and ``masks`` are plain
+attributes.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ class Graph:
                  labels: np.ndarray | None = None,
                  masks: dict[str, np.ndarray] | None = None,
                  undirected: bool = False):
-        self._features = np.ascontiguousarray(features, dtype=np.float64)
-        if self._features.ndim != 2:
+        self.features = np.ascontiguousarray(features, dtype=np.float64)
+        if self.features.ndim != 2:
             raise ValueError("feature matrix must be 2-D (nodes x dims)")
-        self.n_nodes = self._features.shape[0]
+        self.n_nodes = self.features.shape[0]
         self.edges = self._canonicalize(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                                         undirected)
         self.labels = None if labels is None else np.asarray(labels)
@@ -40,7 +40,6 @@ class Graph:
         self.masks = masks
         if masks is not None:
             self._check_masks(masks)
-        self.feature_reads = 0
         self._loop_edges: tuple[np.ndarray, np.ndarray] | None = None
         self._loop_segments: tuple[Segments, Segments] | None = None
 
@@ -70,17 +69,8 @@ class Graph:
             raise ValueError("train/val/test masks overlap")
 
     @property
-    def features(self) -> np.ndarray:
-        self.feature_reads += 1
-        return self._features
-
-    @property
     def feature_dim(self) -> int:
-        return self._features.shape[1]
-
-    @property
-    def n_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.features.shape[1]
 
     def undirected_pairs(self) -> np.ndarray:
         """Unordered node pairs (u < v) with at least one direction present."""
@@ -117,7 +107,7 @@ class Graph:
     def replace(self, *, features: np.ndarray | None = None,
                 edges: np.ndarray | None = None) -> "Graph":
         return Graph(
-            self._features.copy() if features is None else features,
+            self.features.copy() if features is None else features,
             self.edges.copy() if edges is None else edges,
             labels=None if self.labels is None else self.labels.copy(),
             masks=None if self.masks is None else {k: v.copy() for k, v in self.masks.items()},
@@ -237,7 +227,7 @@ def load_graph(path: str | Path, format: str = "json") -> Graph:
 
 def save_graph_json(g: Graph, path: str | Path) -> None:
     payload = {
-        "features": g._features.tolist(),
+        "features": g.features.tolist(),
         "edges": g.edges.tolist(),
         "directed": True,
     }
@@ -258,7 +248,7 @@ def save_graph_csv(g: Graph, directory: str | Path) -> None:
             cols.append("label")
         fh.write(",".join(cols) + "\n")
         for i in range(g.n_nodes):
-            row = [repr(float(v)) for v in g._features[i]]
+            row = [repr(float(v)) for v in g.features[i]]
             if g.labels is not None:
                 row.append(str(int(g.labels[i])))
             fh.write(",".join(row) + "\n")
@@ -270,11 +260,11 @@ def save_graph_csv(g: Graph, directory: str | Path) -> None:
 # -- synthetic data -------------------------------------------------------
 
 
-def random_split_masks(n: int, rng: np.random.Generator,
-                       fractions: tuple[float, float] = (0.6, 0.2)) -> dict[str, np.ndarray]:
+def random_split_masks(n: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """A seeded 60/20/20 train/val/test node split."""
     order = rng.permutation(n)
-    n_train = int(round(fractions[0] * n))
-    n_val = int(round(fractions[1] * n))
+    n_train = int(round(0.6 * n))
+    n_val = int(round(0.2 * n))
     masks = {k: np.zeros(n, dtype=bool) for k in ("train", "val", "test")}
     masks["train"][order[:n_train]] = True
     masks["val"][order[n_train:n_train + n_val]] = True
@@ -324,7 +314,7 @@ def add_feature_noise(g: Graph, epsilon: float, seed: int) -> Graph:
     if epsilon == 0.0:
         return g.replace()
     rng = np.random.default_rng(seed)
-    noisy = g._features + epsilon * rng.standard_normal(g._features.shape)
+    noisy = g.features + epsilon * rng.standard_normal(g.features.shape)
     return g.replace(features=noisy)
 
 
@@ -413,7 +403,7 @@ def split_link_prediction(g: Graph, frac_val: float, frac_test: float,
         offset += counts[name]
 
     train_graph = Graph(
-        g._features.copy(),
+        g.features.copy(),
         np.concatenate([train_pos, train_pos[:, ::-1]], axis=0),
         labels=None if g.labels is None else g.labels.copy(),
         masks=None,

@@ -3,10 +3,10 @@
 Graphs are combined by disjoint union with node-index offsets, which keeps
 per-graph semantics exactly (attention never crosses graph boundaries) while
 amortizing the forward pass.  Each split's union is built once per
-training run and goes to ``training.train`` and ``training.evaluate`` like
-any other data.  The training step only ever reads the train union, so val/test
-features are structurally unreachable during gradient computation;
-``Graph.feature_reads`` lets tests verify it.
+training run and goes to ``training.train`` like any other data, which
+evaluates every union each epoch.  The training step only ever reads the
+train union, so val/test features are structurally unreachable during
+gradient computation.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import Graph, load_graph, save_graph_json, synth_sbm
-from .training import Model, TrainConfig, TrainResult, evaluate, train
+from .training import Model, TrainConfig, TrainResult, train
 
 # perfbench's tracer patches these names on this module; nothing here calls them
 from .training import evaluate as _split_eval, loss, training_step  # noqa: F401
@@ -120,13 +120,6 @@ def _split_unions(collection: GraphCollection) -> dict[str, Graph]:
             raise ValueError(f"collection has no {split!r} graphs")
         unions[split], _ = batch_graphs(graphs)
     return unions
-
-
-def eval_inductive(model: Model, collection: GraphCollection,
-                   task: str = "multi-label") -> dict[str, dict[str, float]]:
-    """Loss and metric per split, each computed on that split's batched union."""
-    losses, scores = evaluate(model, _split_unions(collection), task)
-    return {split: {"loss": losses[split], "metric": scores[split]} for split in SPLITS}
 
 
 def train_inductive(model: Model, collection: GraphCollection,

@@ -6,7 +6,7 @@ regenerated offline; the SVG is plain text with absolute coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -20,7 +20,7 @@ class Series:
     label: str
     x: list[float]
     mean: list[float]
-    std: list[float] = field(default_factory=list)
+    std: list[float]
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -33,8 +33,8 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 def line_plot(series: list[Series], *, title: str, xlabel: str, ylabel: str,
               path: str | Path) -> None:
     xs = [v for s in series for v in s.x]
-    ys = [m + sd for s in series for m, sd in zip(s.mean, s.std or [0.0] * len(s.mean))]
-    ys += [m - sd for s in series for m, sd in zip(s.mean, s.std or [0.0] * len(s.mean))]
+    ys = [m + sd for s in series for m, sd in zip(s.mean, s.std)]
+    ys += [m - sd for s in series for m, sd in zip(s.mean, s.std)]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -90,8 +90,7 @@ def line_plot(series: list[Series], *, title: str, xlabel: str, ylabel: str,
         color = COLORS[i % len(COLORS)]
         pts = " ".join(f"{sx(x):.1f},{sy(m):.1f}" for x, m in zip(s.x, s.mean))
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>')
-        stds = s.std or [0.0] * len(s.mean)
-        for x, m, sd in zip(s.x, s.mean, stds):
+        for x, m, sd in zip(s.x, s.mean, s.std):
             parts.append(f'<circle cx="{sx(x):.1f}" cy="{sy(m):.1f}" r="3" fill="{color}"/>')
             if sd > 0:
                 top, bot = sy(m + sd), sy(m - sd)

@@ -120,14 +120,16 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: AdamWState, lr: float, weight_decay: float = 0.0,
                betas: tuple[float, float] = (0.9, 0.999),
                eps: float = 1e-8) -> dict[str, np.ndarray]:
-    """One decoupled-weight-decay Adam update, in place, returning ``params``."""
+    """One decoupled-weight-decay Adam update, in place, returning ``params``;
+    a non-finite gradient raises before anything moves."""
+    for name in params:
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
     b1, b2 = betas
     state.step += 1
     t = state.step
     for name, p in params.items():
         g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
         m = state.m.setdefault(name, np.zeros_like(p))
         v = state.v.setdefault(name, np.zeros_like(p))
         m *= b1
@@ -198,13 +200,12 @@ class Model:
     def __init__(self, layers: list[_AttentionLayer]):
         self.layers = layers
 
-    def forward(self, graph: Graph, features=None, *, training: bool = False,
+    def forward(self, graph: Graph, *, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
         for name, tensor in self.params().items():
             if not np.isfinite(tensor.data).all():
                 raise TrainingDivergedError(f"non-finite parameter {name!r}")
-        x = features if features is not None else graph.features
-        t = x if isinstance(x, Tensor) else Tensor(x)
+        t = Tensor(graph.features)
         for layer in self.layers:
             t = layer.forward(graph, t, training=training, rng=rng)
         return t
@@ -235,13 +236,11 @@ class Model:
             tensor.data = value
 
 
-def build_model(cfg: TrainConfig, in_dim: int, out_dim: int,
-                rng: np.random.Generator | None = None) -> Model:
+def build_model(cfg: TrainConfig, in_dim: int, out_dim: int) -> Model:
     """Stack attention layers per config: concat-merge hidden layers with the
     configured activation, then a mean-merge output layer without one."""
     cfg.validate()
-    if rng is None:
-        rng = stream_rng(cfg.seed, "init")
+    rng = stream_rng(cfg.seed, "init")
     n_layers = len(cfg.heads_per_layer)
     layers: list[_AttentionLayer] = []
     dim = in_dim

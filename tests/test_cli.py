@@ -351,7 +351,7 @@ class TestSynth:
         g_csv = load_graph(out, format="csv")
         g_json = load_graph(out / "graph.json", format="json")
         np.testing.assert_array_equal(g_csv.edges, g_json.edges)
-        np.testing.assert_array_equal(g_csv._features, g_json._features)
+        np.testing.assert_array_equal(g_csv.features, g_json.features)
         assert g_csv.n_nodes == 20
 
     def test_train_on_csv_bundle_draws_seeded_masks(self, tiny_config, tmp_path):

@@ -31,13 +31,13 @@ class TestLoaders:
         write_csv_bundle(tmp_path, ["f0,f1", "1,0", "0,1", "1,1"], ["0 1", "1 2"])
         g = load_graph(tmp_path, format="csv")
         assert g.n_nodes == 3
-        assert g.n_edges == 4
+        assert len(g.edges) == 4
         np.testing.assert_array_equal(g.edges, [[0, 1], [1, 0], [1, 2], [2, 1]])
 
     def test_empty_edge_file_gives_isolated_nodes(self, tmp_path):
         write_csv_bundle(tmp_path, ["f0", "1", "2"], ["# no edges"])
         g = load_graph(tmp_path, format="csv")
-        assert g.n_edges == 0
+        assert len(g.edges) == 0
         src, dst = g.attention_edges()
         np.testing.assert_array_equal(src, [0, 1])
         np.testing.assert_array_equal(dst, [0, 1])
@@ -52,7 +52,7 @@ class TestLoaders:
         write_csv_bundle(tmp_path, ["f0,label,f1", "0.5,1,2.0", "1.5,0,3.0"], ["0 1"])
         g = load_graph(tmp_path, format="csv")
         np.testing.assert_array_equal(g.labels, [1, 0])
-        np.testing.assert_allclose(g._features, [[0.5, 2.0], [1.5, 3.0]])
+        np.testing.assert_allclose(g.features, [[0.5, 2.0], [1.5, 3.0]])
 
     def test_ragged_row_reports_position(self, tmp_path):
         write_csv_bundle(tmp_path, ["f0,f1", "1,2", "3"], ["0 1"])
@@ -76,7 +76,7 @@ class TestLoaders:
         save_graph_json(g, path)
         back = load_graph(path, format="json")
         np.testing.assert_array_equal(back.edges, g.edges)
-        np.testing.assert_array_equal(back._features, g._features)
+        np.testing.assert_array_equal(back.features, g.features)
         np.testing.assert_array_equal(back.labels, g.labels)
         for name in ("train", "val", "test"):
             np.testing.assert_array_equal(back.masks[name], g.masks[name])
@@ -101,7 +101,7 @@ class TestLoaders:
 class TestGraphInvariants:
     def test_duplicate_edges_collapse(self):
         g = Graph(np.zeros((3, 1)), [[0, 1], [0, 1], [1, 0]])
-        assert g.n_edges == 2
+        assert len(g.edges) == 2
 
     def test_self_loops_stripped(self):
         g = Graph(np.zeros((3, 1)), [[0, 0], [0, 1]])
@@ -129,15 +129,15 @@ class TestSbm:
 
     def test_class_sep_zero_removes_signal(self):
         g = synth_sbm(10, 2, 0.3, 0.1, 4, 0.0, seed=1)
-        mean0 = g._features[g.labels == 0].mean(axis=0)
-        mean1 = g._features[g.labels == 1].mean(axis=0)
+        mean0 = g.features[g.labels == 0].mean(axis=0)
+        mean1 = g.features[g.labels == 1].mean(axis=0)
         assert np.linalg.norm(mean0 - mean1) < 0.5  # noise-level gap only
 
     def test_deterministic_under_seed(self):
         a = synth_sbm(8, 2, 0.4, 0.05, 5, 1.0, seed=42)
         b = synth_sbm(8, 2, 0.4, 0.05, 5, 1.0, seed=42)
         np.testing.assert_array_equal(a.edges, b.edges)
-        np.testing.assert_array_equal(a._features, b._features)
+        np.testing.assert_array_equal(a.features, b.features)
         for k in a.masks:
             np.testing.assert_array_equal(a.masks[k], b.masks[k])
 
@@ -158,7 +158,7 @@ class TestFeatureNoise:
     def test_zero_level_bit_identical(self):
         g = synth_sbm(6, 2, 0.3, 0.1, 4, 1.0, seed=3)
         noisy = add_feature_noise(g, 0.0, seed=10)
-        np.testing.assert_array_equal(noisy._features, g._features)
+        np.testing.assert_array_equal(noisy.features, g.features)
 
     def test_grid_levels_accepted(self):
         g = synth_sbm(6, 2, 0.3, 0.1, 4, 1.0, seed=3)
@@ -175,7 +175,7 @@ class TestFeatureNoise:
         g = Graph(np.zeros((1000, 100)), np.empty((0, 2)))
         eps = 0.05
         noisy = add_feature_noise(g, eps, seed=8)
-        injected = (noisy._features - g._features) / eps
+        injected = (noisy.features - g.features) / eps
         n = injected.size
         assert abs(injected.mean()) < 3.0 / np.sqrt(n)
         assert abs(injected.std() - 1.0) < 0.01
@@ -185,8 +185,8 @@ class TestFeatureNoise:
         a = add_feature_noise(g, 0.1, seed=5)
         b = add_feature_noise(g, 0.1, seed=5)
         c = add_feature_noise(g, 0.1, seed=6)
-        np.testing.assert_array_equal(a._features, b._features)
-        assert not np.array_equal(a._features, c._features)
+        np.testing.assert_array_equal(a.features, b.features)
+        assert not np.array_equal(a.features, c.features)
 
     def test_negative_level_rejected(self):
         g = synth_sbm(4, 2, 0.3, 0.1, 2, 1.0, seed=0)

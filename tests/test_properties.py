@@ -1,6 +1,8 @@
 """Property tests: row order never changes a bit of a segment reduce or of the
-attention aggregation, softmax rows sum to 1, and degenerate rows of an encode
-batch affect no other row.
+attention aggregation, relabelling a graph's nodes permutes every layer's
+outputs and input gradients bit for bit, softmax rows sum to 1, degenerate
+rows of an encode batch affect no other row, and the circuit's adjoint
+gradients and the slicing op's gradients match finite differences.
 
 These carry the permutation-equivariance contract of the attention layers
 down to their kernels.  Its scope: layer outputs and per-node gradients are
@@ -14,13 +16,16 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import configuration, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qgat import vqc
-from qgat.attention import neighborhood_softmax
-from qgat.autodiff import Segments, Tensor, segment_sum, take_rows, weighted_segment_sum
+from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
+from qgat.autodiff import (Segments, Tensor, gradcheck, gradient_errors, segment_sum,
+                           take_rows, tslice, weighted_segment_sum)
+from qgat.graph import Graph
 from qgat.statevector import NORM_EPS, encode_batch
 
 from oracles import segment_sum_reference
@@ -29,6 +34,8 @@ from oracles import segment_sum_reference
 # while pytest collects go to the system temp directory, not ``.hypothesis/``:
 # the tests write nothing into the tree.
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
+# a forward and backward of a layer or a circuit per example: fewer keep tier-1 fast
+FORWARD_BACKWARD = settings(PROPERTY, max_examples=30)
 configuration.set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "qgat-hypothesis")
 
 
@@ -59,8 +66,8 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 @given(segment_problems())
 def test_segment_sum_ignores_row_order(problem):
     values, seg, n, perm = problem
-    base = segment_sum(Tensor(values), seg, n).data
-    assert_same_bits(segment_sum(Tensor(values[perm]), seg[perm], n).data, base)
+    base = segment_sum(Tensor(values), Segments(seg, n)).data
+    assert_same_bits(segment_sum(Tensor(values[perm]), Segments(seg[perm], n)).data, base)
     assert_same_bits(base, segment_sum_reference(values, seg, n))
 
 
@@ -80,7 +87,7 @@ def test_take_rows_backward_ignores_row_order(problem):
 @given(segment_problems(trailing=st.sampled_from([(1,), (3,)])))
 def test_softmax_rows_sum_to_one(problem):
     logits, dst, n, _ = problem
-    alpha = neighborhood_softmax(Tensor(logits), dst, n).data
+    alpha = neighborhood_softmax(Tensor(logits), Segments(dst, n)).data
     totals = np.zeros((n, logits.shape[1]))
     np.add.at(totals, dst, alpha)
     filled = np.bincount(dst, minlength=n) > 0
@@ -168,3 +175,100 @@ def test_degenerate_rows_encode_as_ground_state(problem):
     angles = Tensor(np.random.default_rng(n_qubits).uniform(0, 2 * np.pi, (1, n_qubits, 3)))
     vqc.expectations_op(inputs, angles, layout).backward(np.ones((len(x), n_qubits)))
     assert_same_bits(inputs.grad[degenerate], np.zeros((degenerate.sum(), x.shape[1])))
+
+
+@st.composite
+def relabelled_graphs(draw):
+    """(features, edges, perm, gen): a random directed graph of at most 12 nodes,
+    isolated nodes and self-loops (which ``Graph`` drops) included, a
+    relabelling under which node i becomes ``perm[i]``, and a generator."""
+    n = draw(st.integers(1, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    return gen.standard_normal((n, 3)), np.array(edges, dtype=np.int64).reshape(-1, 2), perm, gen
+
+
+LAYERS = {
+    "gat": lambda rng: GatLayer(3, 2, 2, rng=rng),
+    "gatv2": lambda rng: Gatv2Layer(3, 2, 2, rng=rng),
+    # one, two and five heads on two qubits: one execution per edge with a surplus
+    # expectation, one without, and three with one surplus
+    "qgat-h1": lambda rng: QgatLayer(3, 2, 1, 2, 2, rng=rng),
+    "qgat-h2": lambda rng: QgatLayer(3, 2, 2, 2, 2, rng=rng),
+    "qgat-h5": lambda rng: QgatLayer(3, 2, 5, 2, 2, rng=rng),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAYERS))
+@FORWARD_BACKWARD
+@given(problem=relabelled_graphs())
+def test_layers_are_equivariant_under_relabelling(kind, problem):
+    features, edges, perm, gen = problem
+    layer = LAYERS[kind](gen)
+    upstream = gen.standard_normal((len(features), layer.out_dim))
+    inverse = np.argsort(perm)
+    results = []
+    for g, up in ((Graph(features, edges), upstream),
+                  (Graph(features[inverse], perm[edges]), upstream[inverse])):
+        x = Tensor(g.features, requires_grad=True)
+        out = layer.forward(g, x)
+        out.backward(up)
+        results.append((out.data, x.grad))
+    (out, grad), (out2, grad2) = results
+    assert_same_bits(out2[perm], out)
+    assert_same_bits(grad2[perm], grad)
+
+
+@st.composite
+def circuit_problems(draw):
+    """(unit, norms, angles, upstream, layout): 1-5 unit rows at most 2^n wide
+    and their norms, between 1e-3 and 1e3, on 1-4 qubits and 1-3 entangling
+    layers."""
+    n_qubits, n_layers = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 1 << n_qubits))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = gen.standard_normal((rows, width))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    norms = 10.0 ** gen.uniform(-3, 3, (rows, 1))
+    angles = gen.uniform(0, 2 * np.pi, (n_layers, n_qubits, 3))
+    upstream = gen.standard_normal((rows, n_qubits))
+    return unit, norms, angles, upstream, vqc.build_layout(n_qubits, n_layers)
+
+
+@FORWARD_BACKWARD
+@given(circuit_problems())
+def test_circuit_gradients_match_finite_differences(problem):
+    """The circuit reads x / |x|, so its input gradient scales as 1 / |x|: the
+    finite differences step along the unit rows, that is, in proportion to
+    each row's norm, and the tape gradient reaches them through ``* norms``."""
+    unit, norms, angles, upstream, layout = problem
+    errors = gradient_errors(
+        lambda u, a: vqc.expectations_op(u * Tensor(norms), a, layout) * Tensor(upstream),
+        [Tensor(unit, requires_grad=True), Tensor(angles, requires_grad=True)])
+    assert max(errors) <= 1e-4, errors
+
+
+@st.composite
+def slice_problems(draw, kind):
+    """(x, key, upstream): a random matrix and a basic-indexing key of ``kind``."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+
+    def bounds(size):
+        lo = draw(st.integers(0, size - 1))
+        return slice(lo, draw(st.integers(lo + 1, size)), draw(st.integers(1, 2)))
+
+    row_key, col_key = bounds(rows), bounds(cols)
+    key = {"rows": row_key, "cols": np.s_[:, col_key], "2-d": (row_key, col_key)}[kind]
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.standard_normal((rows, cols))
+    return x, key, gen.standard_normal(x[key].shape)
+
+
+@pytest.mark.parametrize("kind", ["rows", "cols", "2-d"])
+@PROPERTY
+@given(data=st.data())
+def test_tslice_gradient(kind, data):
+    x, key, upstream = data.draw(slice_problems(kind))
+    gradcheck(lambda t: tslice(t, key) * Tensor(upstream), [Tensor(x, requires_grad=True)])

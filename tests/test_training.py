@@ -62,8 +62,19 @@ class TestAdamW:
         assert p["w"][0] == pytest.approx(2.0 * (1 - lr * wd), abs=1e-15)
 
     def test_non_finite_gradient_aborts(self):
-        with pytest.raises(TrainingDivergedError, match="w"):
-            adamw_step({"w": np.ones(1)}, {"w": np.array([np.nan])}, AdamWState(), lr=0.1)
+        """A NaN in the second parameter's gradient moves neither the first
+        parameter nor the optimizer state."""
+        params = {"a": np.ones(2), "b": np.ones(1)}
+        state = AdamWState()
+        adamw_step(params, {"a": np.full(2, 0.5), "b": np.ones(1)}, state, lr=0.1)
+        before = ({k: v.copy() for k, v in params.items()}, state.step,
+                  {k: v.copy() for k, v in state.m.items()},
+                  {k: v.copy() for k, v in state.v.items()})
+        with pytest.raises(TrainingDivergedError, match="'b'"):
+            adamw_step(params, {"a": np.ones(2), "b": np.array([np.nan])}, state, lr=0.1)
+        after = params, state.step, state.m, state.v
+        for was, now in zip(before, after):
+            np.testing.assert_equal(now, was)
 
     def test_matches_manual_two_steps(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
