@@ -54,13 +54,10 @@ from .graph import Graph
 ACTIVATIONS = {
     "elu": elu,
     "relu": relu,
-    "leaky_relu": lambda t: leaky_relu(t, 0.2),
+    "leaky_relu": leaky_relu,
     "tanh": tanh,
     "identity": lambda t: t,
 }
-
-LEAKY_SLOPE = 0.2  # classical GAT-family convention
-
 
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
@@ -214,7 +211,7 @@ class GatLayer(_AttentionLayer):
         return score_dst, score_src, proj
 
     def _edge_logits(self, z: Tensor) -> Tensor:
-        return leaky_relu(z, LEAKY_SLOPE)
+        return leaky_relu(z)
 
 
 class Gatv2Layer(_AttentionLayer):
@@ -236,6 +233,6 @@ class Gatv2Layer(_AttentionLayer):
         return matmul(h, self.proj_dst), pl, pl
 
     def _edge_logits(self, z: Tensor) -> Tensor:
-        joint3 = leaky_relu(reshape(z, (z.shape[0], self.heads, self.head_dim)), LEAKY_SLOPE)
+        joint3 = leaky_relu(reshape(z, (z.shape[0], self.heads, self.head_dim)))
         return tsum(mul(joint3, self.attn), axis=2)
 

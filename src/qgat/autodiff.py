@@ -12,9 +12,10 @@ Two properties matter for callers:
   (``training._predictions``), so it records no tape;
 * ``segment_sum``, ``segment_max``, ``weighted_segment_sum`` and the
   ``take_rows`` backward share one reduce over a ``Segments``, the layout of
-  an index array over ``n`` segments; only ``take_rows`` also takes a bare
-  index array.  ``Graph`` caches the layouts of its attention edges, so
-  every layer, softmax and backward on a graph reuses them.  Sums add each
+  an index array over ``n`` segments, and every row op takes its index in
+  that one form.  ``Graph`` caches the layouts of its attention edges and
+  ``training.split_views`` builds the readout layouts once per run, so
+  every layer, softmax, readout and backward reuses them.  Sums add each
   segment's values in sorted order (a compare-exchange network up to width
   8, ``np.sort`` above), left to right, so they depend on the multiset of
   values only, not on row order -- required for bit-exact permutation
@@ -32,6 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 Vjp = Callable[[np.ndarray], Sequence[np.ndarray | None]]
+LEAKY_SLOPE = 0.2  # classical GAT-family convention
 
 
 class Tensor:
@@ -214,9 +216,9 @@ def relu(x: Tensor) -> Tensor:
     return make_op(np.where(pos, x.data, 0.0), (x,), lambda g: (g * pos,))
 
 
-def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+def leaky_relu(x: Tensor) -> Tensor:
     pos = x.data > 0
-    scale = np.where(pos, 1.0, slope)
+    scale = np.where(pos, 1.0, LEAKY_SLOPE)
     return make_op(x.data * scale, (x,), lambda g: (g * scale,))
 
 
@@ -238,9 +240,9 @@ def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     return make_op(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
 
-def tmean(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def tmean(x: Tensor, axis: int | None = None) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    return mul(tsum(x, axis=axis), Tensor(1.0 / n))
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -258,20 +260,11 @@ def tslice(x: Tensor, key) -> Tensor:
     return make_op(x.data[key].copy(), (x,), vjp)
 
 
-def take_rows(x: Tensor, idx: np.ndarray | Segments) -> Tensor:
-    """Rows ``x[idx]``; the backward sums the gradients of rows that share an index.
-
-    ``idx`` is a ``Segments`` over ``len(x)`` segments or an index array, which
-    becomes a ``Segments`` only when the backward runs: a forward without a
-    tape, such as an evaluation readout, builds no layout.
-    """
-    index = idx.index if isinstance(idx, Segments) else np.asarray(idx)
-
-    def vjp(g: np.ndarray):
-        segs = idx if isinstance(idx, Segments) else Segments(index, len(x.data))
-        return (_segment_reduce(g, segs, "sum"),)
-
-    return make_op(np.take(x.data, index, axis=0), (x,), vjp)
+def take_rows(x: Tensor, segs: Segments) -> Tensor:
+    """Rows ``x[segs.index]``; the backward sums the gradients of rows that share
+    an index, over ``segs``, a ``Segments`` over ``len(x)`` segments."""
+    return make_op(np.take(x.data, segs.index, axis=0), (x,),
+                   lambda g: (_segment_reduce(g, segs, "sum"),))
 
 
 # -- segment ops --------------------------------------------------------

@@ -195,6 +195,9 @@ def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
 def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
     k = cfg.get("linkpred", "hits_k")
     split = _link_split(cfg, _load_data(cfg))
+    if not len(split.splits["test"].positives):
+        raise ConfigError(f"linkpred.frac_test = {cfg.get('linkpred', 'frac_test')} holds out "
+                          "no test edge of this graph")
     runs = _train_configs(cfg, split, task="link-pred")
     _prepare_out(cfg, out)
     rows = []

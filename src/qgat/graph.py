@@ -57,6 +57,9 @@ class Graph:
         return edges.reshape(-1, 2)
 
     def _check_masks(self, masks: dict[str, np.ndarray]) -> None:
+        unknown = sorted(set(masks) - {"train", "val", "test"})
+        if unknown:
+            raise ValueError(f"unknown masks {unknown}: only train, val and test are allowed")
         total = np.zeros(self.n_nodes, dtype=np.int64)
         for name in ("train", "val", "test"):
             if name not in masks:

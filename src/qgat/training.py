@@ -8,9 +8,9 @@ one evaluator.  Everything is driven by explicit seeded generators so a
 (seed, config) pair reproduces its metric history bit-exactly.
 
 Every data shape and task has one readout: ``split_views`` gives each split's
-graph, selection (node ids, or (P, 2) node pairs) and targets, ``readout``
-turns the model output into predictions for it, and one task loss and metric
-score them.
+graph, selection (the reduce layout of its node ids, or one per column of its
+(P, 2) node pairs) and targets, once per run; ``readout`` turns the model
+output into predictions for it, and one task loss and metric score them.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .attention import ACTIVATIONS, GatLayer, Gatv2Layer, QgatLayer, _AttentionLayer
-from .autodiff import Tensor, exp, log, mul, softplus, sub, take_rows, tmean, tsum
+from .autodiff import Segments, Tensor, exp, log, mul, softplus, sub, take_rows, tmean, tsum
 from .graph import Graph, LinkSplit
 
 MODEL_KINDS = ("qgat", "gat", "gatv2")
 TASKS = ("node-class", "multi-label", "link-pred")
 
 _STREAMS = {"init": 0, "dropout": 1, "negatives": 2}
+ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
 
 # a graph, a link split, or per-split graph unions (the inductive harness)
 TrainData = Graph | LinkSplit | dict[str, Graph]
@@ -117,15 +118,13 @@ class AdamWState:
 
 
 def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-               state: AdamWState, lr: float, weight_decay: float = 0.0,
-               betas: tuple[float, float] = (0.9, 0.999),
-               eps: float = 1e-8) -> dict[str, np.ndarray]:
+               state: AdamWState, lr: float, weight_decay: float = 0.0) -> dict[str, np.ndarray]:
     """One decoupled-weight-decay Adam update, in place, returning ``params``;
     a non-finite gradient raises before anything moves."""
     for name in params:
         if not np.all(np.isfinite(grads[name])):
             raise TrainingDivergedError(f"non-finite gradient in parameter {name!r}")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -140,7 +139,7 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v_hat = v / (1 - b2 ** t)
         if weight_decay:
             p *= 1.0 - lr * weight_decay
-        p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 
@@ -291,48 +290,54 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
 # -- loop internals ------------------------------------------------------------
 
 
-def split_views(data: TrainData, task: str) -> dict[str, tuple[Graph, np.ndarray, np.ndarray]]:
+View = tuple[Graph, Segments | tuple[Segments, Segments], np.ndarray]
+
+
+def split_views(data: TrainData, task: str) -> dict[str, View]:
     """(graph the model reads, selection, targets) per non-empty split.
 
     A graph selects its masked node ids; a dict of per-split unions selects
     every node of each union; link prediction selects (P, 2) pairs of the
-    training graph, positives (target 1.0) then negatives (0.0).  An empty
-    train split raises ``ValueError``.
+    training graph, positives (target 1.0) then negatives (0.0), as one
+    ``Segments`` per column.  An empty train split raises ``ValueError``.
     """
     views = {}
     if isinstance(data, dict):
         for name, graph in data.items():
-            views[name] = (graph, np.arange(graph.n_nodes), graph.labels)
+            views[name] = (graph, Segments(np.arange(graph.n_nodes), graph.n_nodes),
+                           graph.labels)
     elif task == "link-pred":
+        graph = data.train_graph
         for name, split in data.splits.items():
             n_pos, n_neg = split.positives.shape[0], split.negatives.shape[0]
             if n_pos:
-                views[name] = (data.train_graph,
-                               np.concatenate([split.positives, split.negatives], axis=0),
+                pairs = np.concatenate([split.positives, split.negatives], axis=0)
+                views[name] = (graph, tuple(Segments(ends, graph.n_nodes) for ends in pairs.T),
                                np.concatenate([np.ones(n_pos), np.zeros(n_neg)]))
     else:
         for name, mask in (data.masks or {}).items():
             idx = np.flatnonzero(mask)
             if idx.size:
-                views[name] = (data, idx, data.labels[idx])
+                views[name] = (data, Segments(idx, data.n_nodes), data.labels[idx])
     if "train" not in views:
         raise ValueError(f"the 'train' split is empty: task {task} has nothing to fit")
     return views
 
 
-def readout(out: Tensor, select: np.ndarray) -> Tensor:
-    """Rows of ``out`` for a 1-D selection; <out_u, out_v> for each (u, v) of a 2-D one."""
-    if select.ndim == 1:
+def readout(out: Tensor, select: Segments | tuple[Segments, Segments]) -> Tensor:
+    """Rows of ``out`` for a node selection; <out_u, out_v> for each (u, v) of a pair one."""
+    if isinstance(select, Segments):
         return take_rows(out, select)
-    return tsum(mul(take_rows(out, select[:, 0]), take_rows(out, select[:, 1])), axis=1)
+    u, v = select
+    return tsum(mul(take_rows(out, u), take_rows(out, v)), axis=1)
 
 
-def training_step(model: Model, data: TrainData, cfg: TrainConfig,
+def training_step(model: Model, view: View, cfg: TrainConfig,
                   opt: AdamWState, lr: float,
                   rng: np.random.Generator) -> float:
-    """One full-batch gradient step; returns the training loss."""
+    """One full-batch gradient step on the train view; returns the training loss."""
     model.zero_grad()
-    graph, select, targets = split_views(data, cfg.task)["train"]
+    graph, select, targets = view
     out = model.forward(graph, training=True, rng=rng)
     value = _task_loss(cfg.task, readout(out, select), targets)
     if not np.isfinite(value.item()):
@@ -346,7 +351,7 @@ def training_step(model: Model, data: TrainData, cfg: TrainConfig,
     return value.item()
 
 
-def _predictions(model: Model, views: dict[str, tuple[Graph, np.ndarray, np.ndarray]]
+def _predictions(model: Model, views: dict[str, View]
                  ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """(predictions, targets) per split in evaluation mode: one forward per
     graph, since ``split_views`` lists a graph's splits together, and each
@@ -367,11 +372,11 @@ def _predictions(model: Model, views: dict[str, tuple[Graph, np.ndarray, np.ndar
     return preds
 
 
-def evaluate(model: Model, data: TrainData, task: str
+def evaluate(model: Model, views: dict[str, View], task: str
              ) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-split losses and task metrics in evaluation mode (no dropout)."""
+    """Per-split losses and task metrics of ``split_views`` output, no dropout."""
     losses, task_scores = {}, {}
-    for name, (pred, targets) in _predictions(model, split_views(data, task)).items():
+    for name, (pred, targets) in _predictions(model, views).items():
         losses[name] = loss(task, pred, targets)
         task_scores[name] = metrics_mod.task_metric(task, pred, targets)
     return losses, task_scores
@@ -399,7 +404,8 @@ class TrainResult:
 
 
 def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
-    """Early-stopped training: ``training_step`` then ``evaluate`` once per epoch.
+    """Early-stopped training: ``split_views`` once, then ``training_step`` on the
+    train view and ``evaluate`` on every view once per epoch.
 
     Epoch 0 records the initial-weights evaluation; ``epochs=0`` therefore
     returns that evaluation alone.  The monitored split is "val" when
@@ -407,6 +413,7 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     one observed at the best-monitored epoch.
     """
     cfg.validate()
+    views = split_views(data, cfg.task)
     drop_rng = stream_rng(cfg.seed, "dropout")
     opt = AdamWState()
     history: list[MetricsRecord] = []
@@ -418,8 +425,8 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
         t0 = time.perf_counter()
         try:
             if epoch:
-                training_step(model, data, cfg, opt, lr_now, drop_rng)
-            losses, scores = evaluate(model, data, cfg.task)
+                training_step(model, views["train"], cfg, opt, lr_now, drop_rng)
+            losses, scores = evaluate(model, views, cfg.task)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{exc} (epoch {epoch})") from None
         rec = MetricsRecord(epoch, losses, scores, lr_now, time.perf_counter() - t0)

@@ -7,8 +7,8 @@ import pytest
 
 from qgat import attention, autodiff, training, vqc
 from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
-from qgat.autodiff import Tensor, gradcheck, tsum
-from qgat.graph import Graph, synth_sbm
+from qgat.autodiff import Tensor, gradcheck
+from qgat.graph import Graph, split_link_prediction, synth_sbm
 
 from oracles import circuit_expectations_reference, encode_reference, ry_matrix, rz_matrix
 
@@ -344,22 +344,36 @@ class TestGatherSite:
 class TestSegmentLayouts:
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_layouts_built_once_per_graph(self, kind, monkeypatch):
-        g = random_graph(12, 0.3, 3, seed=1)
-        layer = make_layer(kind, 3, 2, 2, seed=2)
-        layer.forward(g, g.features)  # warm-up
-        built = []
+        """After epoch 0 no training step or evaluation builds a ``Segments``:
+        the graph caches its attention layouts, and ``train`` builds the
+        readout layouts of node and pair selections once, before epoch 0."""
+        built, calls = [], []
         init = autodiff.Segments.__init__
 
         def counting(self, index, n):
             built.append(len(index))
             init(self, index, n)
 
+        def measured(fn):
+            def wrapper(*args):
+                before = len(built)
+                result = fn(*args)
+                calls.append((fn.__name__, len(built) - before))
+                return result
+            return wrapper
+
         monkeypatch.setattr(autodiff.Segments, "__init__", counting)
-        x = Tensor(g.features, requires_grad=True)
-        select = np.array([0, 4, 7])
-        tsum(training.readout(layer.forward(g, x), select)).backward()
-        assert x.grad is not None
-        assert len(g.attention_edges()[0]) not in built  # the readout may build its own
+        for name in ("training_step", "evaluate"):
+            monkeypatch.setattr(training, name, measured(getattr(training, name)))
+        g = synth_sbm(8, 2, 0.4, 0.1, 3, 1.0, seed=1)
+        for task, data in (("node-class", g),
+                           ("link-pred", split_link_prediction(g, 0.1, 0.2, 1, seed=0))):
+            calls.clear()
+            cfg = training.TrainConfig(model=kind, task=task, epochs=2, patience=2,
+                                       hidden_dims=[4, 4], heads_per_layer=[2, 2],
+                                       n_qubits=2, seed=0)
+            training.run_training(data, cfg)
+            assert calls[1:] == [("training_step", 0), ("evaluate", 0)] * 2, task
 
 
 class TestEquivarianceAndLocality:

@@ -252,6 +252,16 @@ class TestLinkpred:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("frac", ["0", "0.001"])
+    def test_no_test_edges_exit_2(self, tmp_path, capsys, frac):
+        # the split floors frac_test * pairs, so a small fraction can hold out nothing
+        out = tmp_path / "lp"
+        assert main(["linkpred", "--out", str(out), "--override", f"linkpred.frac_test={frac}",
+                     "--override", "training.epochs=1"]) == 2
+        assert "linkpred.frac_test" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGradcheck:
     ARGS = ["--override", "gradcheck.trials=2", "--override", "gradcheck.qubits=2,3",
             "--override", "gradcheck.layers=1,2"]

@@ -81,6 +81,16 @@ class TestLoaders:
         for name in ("train", "val", "test"):
             np.testing.assert_array_equal(back.masks[name], g.masks[name])
 
+    def test_json_unknown_mask_rejected(self, tmp_path):
+        """A mask beyond train/val/test would become an evaluation split, even one
+        that copies (and so overlaps) another."""
+        path = tmp_path / "g.json"
+        path.write_text('{"features": [[1.0], [2.0]], "edges": [[0, 1]], "masks": '
+                        '{"train": [true, false], "val": [false, true], "test": [false, false], '
+                        '"holdout": [true, false]}}')
+        with pytest.raises(GraphFormatError, match=r"g\.json: unknown masks \['holdout'\]"):
+            load_graph(path, format="json")
+
     def test_json_bad_edge_indexed(self, tmp_path):
         path = tmp_path / "g.json"
         path.write_text('{"features": [[1.0], [2.0]], "edges": [[0, 5]]}')

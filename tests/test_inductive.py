@@ -13,8 +13,8 @@ from qgat.inductive import (
     train_inductive,
 )
 from qgat.metrics import micro_f1
-from qgat.training import (AdamWState, TrainConfig, build_model, evaluate, stream_rng,
-                           training_step)
+from qgat import training
+from qgat.training import TrainConfig, build_model, evaluate, split_views, train
 
 
 def fixture_collection(seed=0, **kw):
@@ -30,6 +30,10 @@ def fixture_cfg(**kw):
                 dropout=0.1, learning_rate=5e-3, seed=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def evaluate_unions(model, coll):
+    return evaluate(model, split_views(_split_unions(coll), "multi-label"), "multi-label")
 
 
 class TestCollection:
@@ -88,26 +92,30 @@ class TestBatchedForward:
 
 
 class TestHeldOutIsolation:
-    def test_training_never_reads_val_or_test_features(self):
-        """Training steps on the per-split unions ``train_inductive`` builds do the
-        same arithmetic when the val and test unions hold only NaN features."""
+    def test_training_never_reads_val_or_test_features(self, monkeypatch):
+        """``train`` on the per-split unions ``train_inductive`` builds does the same
+        arithmetic when the val and test unions hold only NaN features.
+        Evaluation is limited to the train view, so only a training step that
+        read a held-out view could see the NaNs."""
         coll = fixture_collection()
         cfg = fixture_cfg(epochs=5)
         poisoned = _split_unions(coll)
         for split in ("val", "test"):
             poisoned[split] = poisoned[split].replace(
                 features=np.full_like(poisoned[split].features, np.nan))
+        evaluate_all = training.evaluate
+        monkeypatch.setattr(training, "evaluate", lambda model, views, task:
+                            evaluate_all(model, {"train": views["train"]}, task))
         runs = []
         for unions in (_split_unions(coll), poisoned):
             model = build_model(cfg, unions["train"].feature_dim, 4)
-            opt, rng = AdamWState(), stream_rng(cfg.seed, "dropout")
-            losses = [training_step(model, unions, cfg, opt, cfg.learning_rate, rng)
-                      for _ in range(5)]
-            runs.append((losses, model.state_dict()))
-        (losses, state), (poisoned_losses, poisoned_state) = runs
-        assert poisoned_losses == losses and np.isfinite(losses).all()
-        for name, value in state.items():
-            np.testing.assert_array_equal(poisoned_state[name], value)
+            runs.append(train(model, unions, cfg))
+        clean, dirty = runs
+        losses = [rec.losses["train"] for rec in clean.history]
+        assert len(losses) == cfg.epochs + 1 and np.isfinite(losses).all()
+        assert [rec.losses for rec in dirty.history] == [rec.losses for rec in clean.history]
+        for name, value in clean.best_state.items():
+            np.testing.assert_array_equal(dirty.best_state[name], value)
 
 
 class TestEvaluation:
@@ -115,7 +123,7 @@ class TestEvaluation:
         coll = fixture_collection(label_density=0.5, class_sep=0.0)
         cfg = fixture_cfg()
         model = build_model(cfg, 8, 4)
-        _, scores = evaluate(model, _split_unions(coll), "multi-label")
+        _, scores = evaluate_unions(model, coll)
         # random-init logits against ~50% positive labels: far from the
         # trained regime, close to the uninformed operating point
         assert scores["test"] < 0.75
@@ -134,7 +142,7 @@ class TestEvaluation:
         union, _ = batch_graphs(coll.by_split("train"))
         model = build_model(cfg, union.feature_dim, 4)
         result = train_inductive(model, coll, cfg)
-        losses, scores = evaluate(model, _split_unions(coll), "multi-label")
+        losses, scores = evaluate_unions(model, coll)
         best = result.history[result.best_epoch]
         assert scores == best.metrics and losses == best.losses
 
@@ -144,7 +152,7 @@ class TestEvaluation:
         model = build_model(cfg, 8, 4)
         union, _ = batch_graphs(coll.by_split("test"))
         out = model.forward(union).data
-        _, scores = evaluate(model, _split_unions(coll), "multi-label")
+        _, scores = evaluate_unions(model, coll)
         assert scores["test"] == micro_f1(out, union.labels)
 
     def test_training_on_empty_split_rejected(self):

@@ -24,6 +24,7 @@ from qgat.training import (
     loss,
     run_training,
     save_checkpoint,
+    split_views,
     train,
     write_history_csv,
 )
@@ -245,7 +246,7 @@ class TestEvaluate:
             return forward(self, graph, *args, **kwargs)
 
         monkeypatch.setattr(Model, "forward", counted)
-        losses, scores = evaluate(model, data, task)
+        losses, scores = evaluate(model, split_views(data, task), task)
         assert len(graphs) == len(set(map(id, graphs))) == forwards
         assert set(losses) == set(scores) == set(SPLITS)
 
@@ -268,7 +269,7 @@ class TestEvaluate:
         model.forward(g)
         assert recorded  # the probe sees the tape of an ordinary forward
         recorded.clear()
-        evaluate(model, g, "node-class")
+        evaluate(model, split_views(g, "node-class"), "node-class")
         assert recorded == []
         assert all(t.requires_grad for t in model.params().values())
 
@@ -280,7 +281,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(model.layers[1], "forward", diverging)
         with pytest.raises(TrainingDivergedError, match="layer output"):
-            evaluate(model, fixture_graph(), "node-class")
+            evaluate(model, split_views(fixture_graph(), "node-class"), "node-class")
         assert all(t.requires_grad for t in model.params().values())
 
 
