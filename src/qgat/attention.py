@@ -128,9 +128,7 @@ class _AttentionLayer:
         a, b, v = self._node_terms(self._drop(x, training, rng))
         logits = self._edge_logits(take_rows(a, dst) + take_rows(b, src))
         alpha = self._drop(neighborhood_softmax(logits, dst), training, rng)
-        # the reshape is a tape node of its own, so the aggregation's gradient
-        # reaches v after the logit terms do: QGAT's projection feeds both, and
-        # the tape adds a tensor's gradient terms in that order
+        # the aggregation reads v as (nodes, heads, head_dim)
         agg = weighted_segment_sum(alpha, reshape(v, (n, self.heads, self.head_dim)), src, dst)
         if self.merge == "concat":
             merged = reshape(agg, (n, self.heads * self.head_dim))

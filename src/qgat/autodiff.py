@@ -1,7 +1,7 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
 A ``Tensor`` wraps a float64 ndarray and records the ops that produced it.
-``Tensor.backward`` walks the tape in reverse topological order and
+``Tensor.backward`` walks the tape in descending creation order and
 accumulates vector-Jacobian products into ``.grad`` of every reachable
 tensor with ``requires_grad`` set.  Ops never mutate their inputs.
 
@@ -28,16 +28,20 @@ Two properties matter for callers:
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 Vjp = Callable[[np.ndarray], Sequence[np.ndarray | None]]
 LEAKY_SLOPE = 0.2  # classical GAT-family convention
+# an op's output is made after its parents, so descending creation numbers are
+# a reverse topological order of any tape, fixed by the forward program alone
+_CREATED = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_created")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -45,6 +49,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
         self._vjp: Vjp | None = None
+        self._created = next(_CREATED)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -68,24 +73,16 @@ class Tensor:
         if seed.shape != self.data.shape:
             raise ValueError(f"seed shape {seed.shape} != tensor shape {self.data.shape}")
 
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        reached = {id(self): self}
+        stack = [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if p.requires_grad and id(p) not in seen:
-                    stack.append((p, False))
+            for p in stack.pop()._parents:
+                if p.requires_grad and id(p) not in reached:
+                    reached[id(p)] = p
+                    stack.append(p)
 
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in reversed(order):
+        for node in sorted(reached.values(), key=lambda t: t._created, reverse=True):
             if node._vjp is None or node.grad is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
