@@ -59,6 +59,7 @@ ACTIVATIONS = {
     "identity": lambda t: t,
 }
 
+
 def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     limit = np.sqrt(6.0 / (shape[0] + shape[-1]))
     return rng.uniform(-limit, limit, shape)

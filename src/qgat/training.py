@@ -304,8 +304,7 @@ def split_views(data: TrainData, task: str) -> dict[str, View]:
     views = {}
     if isinstance(data, dict):
         for name, graph in data.items():
-            views[name] = (graph, Segments(np.arange(graph.n_nodes), graph.n_nodes),
-                           graph.labels)
+            views[name] = (graph, Segments(np.arange(graph.n_nodes), graph.n_nodes), graph.labels)
     elif task == "link-pred":
         graph = data.train_graph
         for name, split in data.splits.items():

@@ -373,7 +373,8 @@ class TestSegmentLayouts:
                                        hidden_dims=[4, 4], heads_per_layer=[2, 2],
                                        n_qubits=2, seed=0)
             training.run_training(data, cfg)
-            assert calls[1:] == [("training_step", 0), ("evaluate", 0)] * 2, task
+            (first, _), *rest = calls
+            assert first == "evaluate" and rest == [("training_step", 0), ("evaluate", 0)] * 2, task
 
 
 class TestEquivarianceAndLocality:

@@ -344,6 +344,17 @@ class TestBackwardMechanics:
         (x * x).backward(up)
         np.testing.assert_allclose(x.grad, 2 * x.data * up, atol=1e-14)
 
+    @pytest.mark.parametrize("wiring", ["plain", "reshaped"])
+    def test_gradient_terms_add_in_descending_creation_order(self, wiring):
+        """x's three terms 1, 1e16 and -1e16 sum to 0 or 1 depending on the order.
+        The last-made consumer's term comes first, however the tape is wired."""
+        x = Tensor(np.ones(1), requires_grad=True)
+        m1, m2 = x * Tensor(1.0), x * Tensor(1e16)
+        late = reshape(x, (1,)) if wiring == "reshaped" else x
+        out = (m1 + m2) + late * Tensor(-1e16)
+        out.backward()
+        assert x.grad[0] == (-1e16 + 1e16) + 1.0 == 1.0
+
     def test_deep_chain_does_not_recurse(self):
         x = leaf((2,))
         y = x

@@ -251,7 +251,6 @@ class TestLinkpred:
         assert "hits_k" in capsys.readouterr().err
         assert not out.exists()
 
-
     @pytest.mark.parametrize("frac", ["0", "0.001"])
     def test_no_test_edges_exit_2(self, tmp_path, capsys, frac):
         # the split floors frac_test * pairs, so a small fraction can hold out nothing

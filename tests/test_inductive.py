@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qgat import training
 from qgat.inductive import (
     GraphCollection,
     _split_unions,
@@ -13,7 +14,6 @@ from qgat.inductive import (
     train_inductive,
 )
 from qgat.metrics import micro_f1
-from qgat import training
 from qgat.training import TrainConfig, build_model, evaluate, split_views, train
 
 
