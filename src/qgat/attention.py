@@ -4,7 +4,8 @@ All three share one message-passing skeleton.  A layer supplies node terms a,
 b and v; edge j -> i gets logit f(a_i + b_j) and value v_j.  Then softmax over
 each in-neighborhood (self-loop included), weighted sum, merge (concat or
 mean), activation, dropout, residual.  Layers differ only in a, b, v and f.
-The layer gathers edge rows of a and b only; the weighted sum reads v at
+The layer makes the edge rows a_i + b_j in one op (``autodiff.edge_sum``),
+which keeps no gathered rows on the tape, and the weighted sum reads v at
 node level (``autodiff.weighted_segment_sum``), so no per-edge copy of the
 values is made.
 
@@ -32,6 +33,8 @@ from .autodiff import (
     Segments,
     Tensor,
     div,
+    dropout,
+    edge_sum,
     elu,
     exp,
     leaky_relu,
@@ -115,9 +118,7 @@ class _AttentionLayer:
             return t
         if rng is None:
             raise ValueError("training-mode dropout needs an RNG")
-        keep = 1.0 - self.dropout_rate
-        mask = (rng.random(t.shape) < keep) / keep
-        return mul(t, Tensor(mask))
+        return dropout(t, self.dropout_rate, rng)
 
     def forward(self, graph: Graph, features, *, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -127,7 +128,7 @@ class _AttentionLayer:
         src, dst = graph.attention_segments()
         n = graph.n_nodes
         a, b, v = self._node_terms(self._drop(x, training, rng))
-        logits = self._edge_logits(take_rows(a, dst) + take_rows(b, src))
+        logits = self._edge_logits(edge_sum(a, b, dst, src))
         alpha = self._drop(neighborhood_softmax(logits, dst), training, rng)
         # the aggregation reads v as (nodes, heads, head_dim)
         agg = weighted_segment_sum(alpha, reshape(v, (n, self.heads, self.head_dim)), src, dst)

@@ -5,11 +5,18 @@ A ``Tensor`` wraps a float64 ndarray and records the ops that produced it.
 accumulates vector-Jacobian products into ``.grad`` of every reachable
 tensor with ``requires_grad`` set.  Ops never mutate their inputs.
 
-Two properties matter for callers:
+Three properties matter for callers:
 
 * graph nodes are only recorded when some input requires a gradient; an
   evaluation forward clears the flags of the model's parameters
   (``training._predictions``), so it records no tape;
+* ``backward`` consumes the tape: one backward per forward.  Each node lets
+  go of its parents and VJP once its VJP has run, so it, its gradient and
+  the arrays its VJP read are freed while the backward goes on, and a
+  second backward through it raises ``RuntimeError``.  A VJP keeps only
+  what it reads: ``dropout`` and ``leaky_relu`` a boolean mask, and
+  ``edge_sum`` (the attention logits' input ``a[dst] + b[src]``) no edge
+  rows at all;
 * ``segment_sum``, ``segment_max``, ``weighted_segment_sum`` and the
   ``take_rows`` backward share one reduce over a ``Segments``, the layout of
   an index array over ``n`` segments, and every row op takes its index in
@@ -28,6 +35,7 @@ Two properties matter for callers:
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import Callable, Sequence
 
@@ -41,7 +49,7 @@ _CREATED = itertools.count()
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_created")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_created", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -66,29 +74,34 @@ class Tensor:
         self.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
-        """Backpropagate ``seed`` (defaults to ones) from this tensor."""
+        """Backpropagate ``seed`` (defaults to ones) from this tensor, consuming the tape.
+
+        Nodes run in descending creation order.  Once a node's VJP has run, the
+        node drops its parents and its VJP, so it, its gradient and the arrays
+        its VJP read are freed as soon as nothing else refers to them; a second
+        backward through it raises ``RuntimeError``.
+        """
         if seed is None:
             seed = np.ones_like(self.data)
         seed = np.asarray(seed, dtype=np.float64)
         if seed.shape != self.data.shape:
             raise ValueError(f"seed shape {seed.shape} != tensor shape {self.data.shape}")
 
-        reached = {id(self): self}
-        stack = [self]
-        while stack:
-            for p in stack.pop()._parents:
-                if p.requires_grad and id(p) not in reached:
-                    reached[id(p)] = p
-                    stack.append(p)
-
         self.grad = seed if self.grad is None else self.grad + seed
-        for node in sorted(reached.values(), key=lambda t: t._created, reverse=True):
-            if node._vjp is None or node.grad is None:
+        pending = {self._created: self}
+        heap = [-self._created]
+        while heap:
+            node = pending.pop(-heapq.heappop(heap))
+            if node._vjp is None:
                 continue
             for parent, g in zip(node._parents, node._vjp(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
+                if parent._created not in pending:
+                    pending[parent._created] = parent
+                    heapq.heappush(heap, -parent._created)
+            node._parents, node._vjp = (), _consumed
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
@@ -105,6 +118,10 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+
+
+def _consumed(g: np.ndarray):
+    raise RuntimeError("backward through a consumed tape: each forward allows one backward")
 
 
 def _wrap(x) -> Tensor:
@@ -215,13 +232,21 @@ def relu(x: Tensor) -> Tensor:
 
 def leaky_relu(x: Tensor) -> Tensor:
     pos = x.data > 0
-    scale = np.where(pos, 1.0, LEAKY_SLOPE)
-    return make_op(x.data * scale, (x,), lambda g: (g * scale,))
+    return make_op(x.data * np.where(pos, 1.0, LEAKY_SLOPE), (x,),
+                   lambda g: (g * np.where(pos, 1.0, LEAKY_SLOPE),))
 
 
 def tanh(x: Tensor) -> Tensor:
     out_data = np.tanh(x.data)
     return make_op(out_data, (x,), lambda g: (g * (1.0 - out_data * out_data),))
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: each entry is kept with probability 1 - ``rate`` and
+    scaled by 1 / (1 - rate); the tape keeps only the boolean keep-mask."""
+    keep = 1.0 - rate
+    kept = rng.random(x.shape) < keep
+    return make_op(x.data * (kept / keep), (x,), lambda g: (g * (kept / keep),))
 
 
 # -- reductions and shape ops ------------------------------------------
@@ -262,6 +287,15 @@ def take_rows(x: Tensor, segs: Segments) -> Tensor:
     an index, over ``segs``, a ``Segments`` over ``len(x)`` segments."""
     return make_op(np.take(x.data, segs.index, axis=0), (x,),
                    lambda g: (_segment_reduce(g, segs, "sum"),))
+
+
+def edge_sum(a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
+    """Edge rows ``a[dst.index] + b[src.index]``: the bits of
+    ``take_rows(a, dst) + take_rows(b, src)`` and of its gradients, without
+    the two gathered (edges, ...) arrays on the tape."""
+    return make_op(np.take(a.data, dst.index, axis=0) + np.take(b.data, src.index, axis=0),
+                   (a, b), lambda g: (_segment_reduce(g, dst, "sum"),
+                                      _segment_reduce(g, src, "sum")))
 
 
 # -- segment ops --------------------------------------------------------

@@ -36,6 +36,7 @@ from .graph import (
     split_link_prediction,
     synth_sbm,
 )
+from .files import atomic_write
 from .inductive import save_collection, synth_collection
 from .svgplot import Series, line_plot
 from .training import (
@@ -127,7 +128,7 @@ def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
         print(_summary_line(model_name, "test metric", metrics))
         summary_rows.append((model_name, float(np.mean(metrics)), float(np.std(metrics)),
                              len(metrics)))
-    with open(out / "summary.csv", "w") as fh:
+    with atomic_write(out / "summary.csv") as fh:
         fh.write("model,mean,std,n_seeds\n")
         for row in summary_rows:
             fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]}\n")
@@ -168,7 +169,7 @@ def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
 
     csv_path = out / "sweep.csv"
-    with open(csv_path, "w") as fh:
+    with atomic_write(csv_path) as fh:
         fh.write("model,level,seed,metric\n")
         for model_name, level, seed, metric in rows:
             fh.write(f"{model_name},{level!r},{seed},{metric!r}\n")
@@ -211,7 +212,7 @@ def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
             mrrs.append(report["mrr"])
         print(_summary_line(model_name, f"hits@{k}", hits))
         print(_summary_line(model_name, "mrr", mrrs))
-    with open(out / "linkpred.csv", "w") as fh:
+    with atomic_write(out / "linkpred.csv") as fh:
         fh.write(f"model,seed,hits@{k},mrr\n")
         for model_name, seed, h, m in rows:
             fh.write(f"{model_name},{seed},{h!r},{m!r}\n")

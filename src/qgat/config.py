@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from .files import atomic_write
 from .training import MODEL_KINDS, TrainConfig
 
 
@@ -170,7 +171,8 @@ class Config:
             for key, value in entries.items():
                 lines.append(f"{key} = {_format_value(value)}")
             lines.append("")
-        Path(path).write_text("\n".join(lines))
+        with atomic_write(path) as fh:
+            fh.write("\n".join(lines))
 
 
 def default_config() -> Config:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Segments
+from .files import atomic_write
 
 
 class GraphFormatError(ValueError):
@@ -238,14 +239,15 @@ def save_graph_json(g: Graph, path: str | Path) -> None:
         payload["labels"] = g.labels.tolist()
     if g.masks is not None:
         payload["masks"] = {k: v.tolist() for k, v in g.masks.items()}
-    Path(path).write_text(json.dumps(payload))
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(payload))
 
 
 def save_graph_csv(g: Graph, directory: str | Path) -> None:
     """Write ``features.csv`` and ``edges.txt`` into ``directory``, the bundle
     that ``load_graph(directory, format='csv')`` reads."""
     directory = Path(directory)
-    with open(directory / "features.csv", "w") as fh:
+    with atomic_write(directory / "features.csv") as fh:
         cols = [f"f{i}" for i in range(g.feature_dim)]
         if g.labels is not None:
             cols.append("label")
@@ -255,7 +257,7 @@ def save_graph_csv(g: Graph, directory: str | Path) -> None:
             if g.labels is not None:
                 row.append(str(int(g.labels[i])))
             fh.write(",".join(row) + "\n")
-    with open(directory / "edges.txt", "w") as fh:
+    with atomic_write(directory / "edges.txt") as fh:
         for s, d in g.undirected_pairs():
             fh.write(f"{s} {d}\n")
 
@@ -275,6 +277,10 @@ def random_split_masks(n: int, rng: np.random.Generator) -> dict[str, np.ndarray
     return masks
 
 
+# node pairs ``synth_sbm`` draws at once (whole rows, at least one)
+SBM_BLOCK_PAIRS = 1 << 16
+
+
 def synth_sbm(n_per_class: int, n_classes: int, p_in: float, p_out: float,
               d: int, class_sep: float, seed: int,
               feature_std: float = 0.25) -> Graph:
@@ -290,10 +296,20 @@ def synth_sbm(n_per_class: int, n_classes: int, p_in: float, p_out: float,
     n = n_per_class * n_classes
     labels = np.repeat(np.arange(n_classes), n_per_class)
 
-    iu, ju = np.triu_indices(n, k=1)
-    probs = np.where(labels[iu] == labels[ju], p_in, p_out)
-    keep = rng.random(iu.shape[0]) < probs
-    edges = np.stack([iu[keep], ju[keep]], axis=1)
+    # the pairs i < j in row-major order, drawn in blocks of whole rows: one
+    # rng.random(k) per block gives the doubles one draw over all pairs would
+    blocks = [np.zeros((0, 2), dtype=np.int64)]
+    row = 0
+    while row < n - 1:
+        stop = min(n - 1, row + max(1, SBM_BLOCK_PAIRS // (n - 1 - row)))
+        rows = np.arange(row, stop)
+        counts = n - 1 - rows
+        iu = np.repeat(rows, counts)
+        ju = iu + 1 + np.arange(len(iu)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keep = rng.random(len(iu)) < np.where(labels[iu] == labels[ju], p_in, p_out)
+        blocks.append(np.stack([iu[keep], ju[keep]], axis=1))
+        row = stop
+    edges = np.concatenate(blocks)
 
     means = np.zeros((n_classes, d))
     for c in range(n_classes):

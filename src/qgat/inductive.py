@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .files import atomic_write
 from .graph import Graph, load_graph, save_graph_json, synth_sbm
 from .training import Model, TrainConfig, TrainResult, train
 
@@ -143,7 +144,8 @@ def save_collection(collection: GraphCollection, directory: str | Path) -> Path:
         save_graph_json(g, directory / name)
         entries.append({"path": name, "split": tag})
     manifest = directory / "manifest.json"
-    manifest.write_text(json.dumps({"graphs": entries}))
+    with atomic_write(manifest) as fh:
+        fh.write(json.dumps({"graphs": entries}))
     return manifest
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .files import atomic_write
+
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 WIDTH, HEIGHT = 640, 420
@@ -113,4 +115,5 @@ def line_plot(series: list[Series], *, title: str, xlabel: str, ylabel: str,
         parts.append(f'<text x="{lx + 28}" y="{ly + 4}">{s.label}</text>')
 
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts))
+    with atomic_write(path) as fh:
+        fh.write("\n".join(parts))

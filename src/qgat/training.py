@@ -7,6 +7,10 @@ checkpoint.  ``train`` is the one early-stopping loop and ``evaluate`` the
 one evaluator.  Everything is driven by explicit seeded generators so a
 (seed, config) pair reproduces its metric history bit-exactly.
 
+``train`` fixes glibc's mmap and trim thresholds (``_keep_freed_pages``),
+because the default dynamic ones hand the pages a consumed tape frees back to
+the OS and every epoch then faults them in again.
+
 Every data shape and task has one readout: ``split_views`` gives each split's
 graph, selection (the reduce layout of its node ids, or one per column of its
 (P, 2) node pairs) and targets, once per run; ``readout`` turns the model
@@ -15,6 +19,7 @@ output into predictions for it, and one task loss and metric score them.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field, fields, asdict
 from math import cos, pi
@@ -25,6 +30,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .attention import ACTIVATIONS, GatLayer, Gatv2Layer, QgatLayer, _AttentionLayer
 from .autodiff import Segments, Tensor, exp, log, mul, softplus, sub, take_rows, tmean, tsum
+from .files import atomic_write
 from .graph import Graph, LinkSplit
 
 MODEL_KINDS = ("qgat", "gat", "gatv2")
@@ -287,6 +293,23 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
     return data.feature_dim, data.labels.shape[1]
 
 
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+
+
+def _keep_freed_pages() -> None:
+    """Fix the allocator's thresholds through ``mallopt``; nothing where it is missing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # blocks below 32 MiB come from the heap, and up to 256 MiB of free heap
+    # top stays mapped, so the pages a backward frees serve the next forward
+    mallopt(M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(M_TRIM_THRESHOLD, 256 << 20)
+
+
 # -- loop internals ------------------------------------------------------------
 
 
@@ -412,6 +435,7 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     one observed at the best-monitored epoch.
     """
     cfg.validate()
+    _keep_freed_pages()
     views = split_views(data, cfg.task)
     drop_rng = stream_rng(cfg.seed, "dropout")
     opt = AdamWState()
@@ -478,7 +502,7 @@ def save_checkpoint(path, cfg: TrainConfig, state: dict[str, np.ndarray]) -> Non
         "weights": {name: arr.tolist() for name, arr in state.items()},
         "shapes": {name: list(arr.shape) for name, arr in state.items()},
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh)
 
 
@@ -505,7 +529,7 @@ def load_checkpoint(path) -> tuple[TrainConfig, dict[str, np.ndarray]]:
 
 def write_history_csv(history: list[MetricsRecord], path) -> None:
     """Long-format history: one row per (epoch, split)."""
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         fh.write("epoch,split,loss,metric,lr,seconds\n")
         for rec in history:
             for split in sorted(rec.losses):

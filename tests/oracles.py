@@ -177,6 +177,15 @@ def free_pairs_reference(n_nodes: int, edges, rng: np.random.Generator,
     return np.array([free[r] for r in ranks], dtype=np.int64).reshape(-1, 2)
 
 
+def sbm_pairs_reference(labels, p_in: float, p_out: float,
+                       rng: np.random.Generator) -> np.ndarray:
+    """SBM pairs (u < v) from one uniform draw over every node pair, in the
+    row-major order of the dense upper triangle."""
+    iu, ju = np.triu_indices(len(labels), k=1)
+    keep = rng.random(len(iu)) < np.where(labels[iu] == labels[ju], p_in, p_out)
+    return np.stack([iu[keep], ju[keep]], axis=1)
+
+
 # -- metric references ---------------------------------------------------
 
 

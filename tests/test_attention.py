@@ -326,17 +326,21 @@ class TestClassicalHandFixtures:
 class TestGatherSite:
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_same_edge_gathers_for_every_layer(self, kind, monkeypatch):
-        # a[dst] and b[src] in the layer plus the softmax denominators; v is
-        # read at node level by the one fused aggregation
-        calls = {"take_rows": [], "weighted_segment_sum": []}
+        # one edge_sum gathers a[dst] and b[src], one take_rows the softmax
+        # denominators; v is read at node level by the one fused aggregation
+        calls = {"edge_sum": [], "take_rows": [], "weighted_segment_sum": []}
         for name, log in calls.items():
             def counting(*args, _original=getattr(attention, name), _log=log):
                 _log.append(args)
                 return _original(*args)
             monkeypatch.setattr(attention, name, counting)
         g = random_graph(8, 0.4, 3, seed=1)
+        src, dst = g.attention_segments()
         make_layer(kind, 3, 2, 2, seed=2).forward(g, g.features)
-        assert len(calls["take_rows"]) == 3
+        [(a, b, by_a, by_b)] = calls["edge_sum"]
+        assert by_a is dst and by_b is src and len(a.data) == len(b.data) == g.n_nodes
+        [(denominators, by_denominators)] = calls["take_rows"]
+        assert by_denominators is dst and denominators.shape == (g.n_nodes, 2)
         [(alpha, v, _, _)] = calls["weighted_segment_sum"]
         assert alpha.shape == (len(g.attention_edges()[0]), 2) and v.shape == (g.n_nodes, 2, 2)
 

@@ -1,5 +1,8 @@
 """Tape correctness: every op finite-difference checked, plus segment-sum ordering."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from qgat.autodiff import (
     Tensor,
     _sort_lanes,
     central_difference,
+    dropout,
+    edge_sum,
     elu,
     exp,
     gradcheck,
@@ -314,6 +319,62 @@ class TestWeightedSegmentSum:
         np.testing.assert_array_equal(v.grad, np.zeros((3, 2, 2)))
 
 
+def closure_arrays(t: Tensor) -> list[np.ndarray]:
+    return [c.cell_contents for c in t._vjp.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+class TestFusedOps:
+    """``edge_sum`` and ``dropout`` give the bits of the tapes they replace and
+    keep less on the tape; so does ``leaky_relu`` with its boolean mask."""
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_edge_sum_matches_gather_and_add(self, heads):
+        alpha, _, src, dst = attention_inputs(heads, 1, seed=21 + heads)
+        upstream = np.repeat(alpha[..., None], 2, axis=2)
+        gen = np.random.default_rng(heads)
+        a_data, b_data = (signed_rows(gen, (dst.n, heads, 2)) for _ in range(2))
+        results = []
+        for op in (edge_sum, lambda a, b, d, s: take_rows(a, d) + take_rows(b, s)):
+            a, b = Tensor(a_data, requires_grad=True), Tensor(b_data, requires_grad=True)
+            out = op(a, b, dst, src)
+            out.backward(upstream)
+            results.append((out.data, a.grad, b.grad))
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+        for grad, segs in zip(results[0][1:], (dst, src)):
+            wide = np.bincount(segs.index, minlength=segs.n) > 8
+            zeros = grad[wide][grad[wide] == 0]
+            assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+    def test_edge_sum_tape_keeps_no_edge_rows(self):
+        _, _, src, dst = attention_inputs(2, 1, seed=5)
+        a, b = leaf((dst.n, 2, 3)), leaf((src.n, 2, 3))
+        out = edge_sum(a, b, dst, src)
+        assert out._parents == (a, b)
+        assert not any(x.dtype == np.float64 for x in closure_arrays(out))
+
+    def test_dropout_matches_mask_multiply(self):
+        data = signed_rows(np.random.default_rng(3), (40, 4, 3))
+        upstream = signed_rows(np.random.default_rng(4), (40, 4, 3))
+        mask = (np.random.default_rng(7).random(data.shape) < 0.7) / 0.7
+        results = []
+        for op in (lambda t: dropout(t, 0.3, np.random.default_rng(7)),
+                   lambda t: mul(t, Tensor(mask))):
+            x = Tensor(data, requires_grad=True)
+            out = op(x)
+            out.backward(upstream)
+            results.append((out.data, x.grad))
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("op", [lambda t: dropout(t, 0.5, np.random.default_rng(0)),
+                                    leaky_relu], ids=["dropout", "leaky_relu"])
+    def test_tape_keeps_a_boolean_mask(self, op):
+        held = closure_arrays(op(leaf((6, 3))))
+        assert held and all(x.dtype == bool for x in held)
+
+
 class TestBackwardMechanics:
     def test_grad_accumulates_over_reuse(self):
         x = leaf((3,))
@@ -354,6 +415,37 @@ class TestBackwardMechanics:
         out = (m1 + m2) + late * Tensor(-1e16)
         out.backward()
         assert x.grad[0] == (-1e16 + 1e16) + 1.0 == 1.0
+
+    def test_backward_frees_the_tape_as_it_goes(self):
+        """Each consumed node dies with its gradient and the arrays its VJP read,
+        so a chain of 1 MiB tanh nodes never holds more than a few at once."""
+        y = Tensor(rng.standard_normal(1 << 17), requires_grad=True)
+        for _ in range(20):
+            y = tanh(y)
+        tracemalloc.start()
+        try:
+            y.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20  # a kept tape peaks above 20 MiB
+
+    def test_intermediate_dies_once_backward_returns(self):
+        x = leaf((4,))
+        middle = tanh(x)
+        alive = weakref.ref(middle)
+        out = exp(middle)
+        del middle
+        out.backward()
+        assert alive() is None
+        np.testing.assert_allclose(x.grad, out.data * (1 - np.tanh(x.data) ** 2), rtol=1e-12)
+
+    def test_second_backward_through_consumed_tape_raises(self):
+        x = leaf((3,))
+        out = tanh(x) * x
+        out.backward()
+        with pytest.raises(RuntimeError, match="consumed tape"):
+            out.backward()
 
     def test_deep_chain_does_not_recurse(self):
         x = leaf((2,))

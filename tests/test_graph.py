@@ -1,5 +1,7 @@
 """Graph model, loaders, SBM generator, noise protocols, link splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from qgat.graph import (
 )
 from qgat.graph import _free_pairs
 
-from oracles import free_pairs_reference
+from oracles import free_pairs_reference, sbm_pairs_reference
 
 
 def write_csv_bundle(tmp_path, features_lines, edges_lines):
@@ -156,6 +158,27 @@ class TestSbm:
         assert g.masks["train"].sum() == 36
         assert g.masks["val"].sum() == 12
         assert g.masks["test"].sum() == 12
+
+    @pytest.mark.parametrize("n_per_class, n_classes", [(1, 1), (1, 2), (7, 3), (300, 2)])
+    def test_same_draws_as_one_pass_over_all_pairs(self, n_per_class, n_classes):
+        """Row blocks draw the doubles one ``rng.random`` over every pair would,
+        and leave the generator where it would (features come next)."""
+        g = synth_sbm(n_per_class, n_classes, 0.3, 0.02, 3, 0.0, seed=5)
+        rng = np.random.default_rng(5)
+        pairs = sbm_pairs_reference(g.labels, 0.3, 0.02, rng)
+        np.testing.assert_array_equal(g.undirected_pairs(), pairs.reshape(-1, 2))
+        noise = 0.25 * rng.standard_normal(g.features.shape)
+        np.testing.assert_array_equal(g.features, noise)
+
+    def test_memory_follows_the_edges_not_the_pairs(self):
+        tracemalloc.start()
+        try:
+            g = synth_sbm(600, 2, 0.01, 0.001, 4, 1.0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.edges) < 20_000
+        assert peak < 8 << 20  # every one of the 719,400 pairs at once took 23 MiB
 
     def test_invalid_probabilities(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qgat import autodiff, vqc
+from qgat import autodiff, training, vqc
 from qgat.graph import Graph, split_link_prediction, synth_sbm
 from qgat.training import (
     AdamWState,
@@ -160,6 +160,19 @@ class TestTrainLoop:
             assert ra.losses == rb.losses
             assert ra.metrics == rb.metrics
             assert ra.lr == rb.lr
+
+    @pytest.mark.parametrize("libc", [lambda name: object(), None], ids=["no-mallopt", "no-libc"])
+    def test_allocator_setting_is_skipped_without_mallopt(self, monkeypatch, libc):
+        """Without ``mallopt`` (or a C library to look it up in) ``train`` runs as usual."""
+        def missing(name):
+            raise OSError("no C library")
+
+        g = fixture_graph()
+        cfg = small_cfg(epochs=3)
+        _, want = run_training(g, cfg)
+        monkeypatch.setattr(training.ctypes, "CDLL", libc or missing)
+        _, got = run_training(g, cfg)
+        assert [r.losses for r in got.history] == [r.losses for r in want.history]
 
     @pytest.mark.parametrize("model", ["qgat", "gat", "gatv2"])
     def test_loss_decreases_over_first_ten_epochs(self, model):
