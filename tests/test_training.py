@@ -142,6 +142,14 @@ class TestLosses:
         assert via_op == bce_with_logits(Tensor(pred), targets).item()
 
 
+def no_mallopt(name):
+    return object()
+
+
+def no_libc(name):
+    raise OSError("no C library")
+
+
 class TestTrainLoop:
     def test_zero_epochs_returns_initial_evaluation(self):
         g = fixture_graph()
@@ -161,16 +169,13 @@ class TestTrainLoop:
             assert ra.metrics == rb.metrics
             assert ra.lr == rb.lr
 
-    @pytest.mark.parametrize("libc", [lambda name: object(), None], ids=["no-mallopt", "no-libc"])
-    def test_allocator_setting_is_skipped_without_mallopt(self, monkeypatch, libc):
+    @pytest.mark.parametrize("cdll", [no_mallopt, no_libc], ids=["no-mallopt", "no-libc"])
+    def test_allocator_setting_is_skipped_without_mallopt(self, monkeypatch, cdll):
         """Without ``mallopt`` (or a C library to look it up in) ``train`` runs as usual."""
-        def missing(name):
-            raise OSError("no C library")
-
         g = fixture_graph()
         cfg = small_cfg(epochs=3)
         _, want = run_training(g, cfg)
-        monkeypatch.setattr(training.ctypes, "CDLL", libc or missing)
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
         _, got = run_training(g, cfg)
         assert [r.losses for r in got.history] == [r.losses for r in want.history]
 
