@@ -1,22 +1,31 @@
 """Minimal reverse-mode autodiff over numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray and records the ops that produced it.
-``Tensor.backward`` walks the tape in descending creation order and
-accumulates vector-Jacobian products into ``.grad`` of every reachable
-tensor with ``requires_grad`` set.  Ops never mutate their inputs.
+A ``Tensor`` is two objects: the value the forward code holds (``data``, a
+float64 ndarray) and a small tape ``Node`` (``Tensor.node``) with the
+gradient, the ``requires_grad`` flag, the parents' nodes, the VJP and the
+creation number.  An op links its output's node to its inputs' *nodes*, and
+its VJP captures, when the op is recorded, only the arrays or shapes it
+reads -- never a Tensor.  So the tape holds no value that no VJP reads: an
+intermediate whose Tensor the forward drops is freed there and then, not
+when the backward reaches it.  ``Tensor.backward`` walks the nodes in
+descending creation order and accumulates vector-Jacobian products into the
+``grad`` of every reachable node with ``requires_grad`` set.  Ops never
+mutate their inputs.
 
 Three properties matter for callers:
 
 * graph nodes are only recorded when some input requires a gradient; an
   evaluation forward clears the flags of the model's parameters
   (``training._predictions``), so it records no tape;
-* ``backward`` consumes the tape: one backward per forward.  Each node lets
-  go of its parents and VJP once its VJP has run, so it, its gradient and
-  the arrays its VJP read are freed while the backward goes on, and a
-  second backward through it raises ``RuntimeError``.  A VJP keeps only
-  what it reads: ``dropout`` and ``leaky_relu`` a boolean mask, and
-  ``edge_sum`` (the attention logits' input ``a[dst] + b[src]``) no edge
-  rows at all;
+* the tape keeps only what the VJPs read, and ``backward`` consumes it: one
+  backward per forward.  ``add``, ``sub``, ``tsum``, ``reshape``,
+  ``tslice``, ``take_rows`` and ``edge_sum`` (the attention logits' input
+  ``a[dst] + b[src]``) keep shapes or index layouts only; ``mul``, ``div``,
+  ``matmul``, ``log`` and ``softplus`` their operand arrays; ``exp``,
+  ``tanh`` and ``elu`` their output; ``dropout``, ``relu``, ``leaky_relu``
+  and ``elu`` a boolean mask.  Each node lets go of its parents and VJP once its VJP has run, so
+  it, its gradient and the arrays its VJP read are freed while the backward
+  goes on, and a second backward through it raises ``RuntimeError``;
 * ``segment_sum``, ``segment_max``, ``weighted_segment_sum`` and the
   ``take_rows`` backward share one reduce over a ``Segments``, the layout of
   an index array over ``n`` segments, and every row op takes its index in
@@ -48,16 +57,44 @@ LEAKY_SLOPE = 0.2  # classical GAT-family convention
 _CREATED = itertools.count()
 
 
+class Node:
+    """A tensor's place on the tape: its gradient, its ``requires_grad`` flag, its
+    parents' nodes, its VJP and its creation number.  It holds no value: the
+    arrays its VJP reads are captured in the VJP when the op is recorded."""
+
+    __slots__ = ("grad", "requires_grad", "parents", "vjp", "created")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.parents: tuple[Node, ...] = ()
+        self.vjp: Vjp | None = None
+        self.created = next(_CREATED)
+
+
+def _on_node(name: str) -> property:
+    """A Tensor attribute that reads and writes its node's ``name``."""
+    return property(lambda t: getattr(t.node, name),
+                    lambda t, value: setattr(t.node, name, value))
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp", "_created", "__weakref__")
+    """A float64 value (``data``) and its tape ``node``.
+
+    ``grad``, ``requires_grad`` and ``_vjp`` read and write the node's.  The
+    tape links nodes, so once the forward drops a Tensor its ``data`` is
+    freed unless some VJP captured that array.
+    """
+
+    __slots__ = ("data", "node", "__weakref__")
+
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _vjp = _on_node("vjp")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Vjp | None = None
-        self._created = next(_CREATED)
+        self.node = Node(requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -71,7 +108,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        self.node.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Backpropagate ``seed`` (defaults to ones) from this tensor, consuming the tape.
@@ -87,21 +124,22 @@ class Tensor:
         if seed.shape != self.data.shape:
             raise ValueError(f"seed shape {seed.shape} != tensor shape {self.data.shape}")
 
-        self.grad = seed if self.grad is None else self.grad + seed
-        pending = {self._created: self}
-        heap = [-self._created]
+        root = self.node
+        root.grad = seed if root.grad is None else root.grad + seed
+        pending = {root.created: root}
+        heap = [-root.created]
         while heap:
             node = pending.pop(-heapq.heappop(heap))
-            if node._vjp is None:
+            if node.vjp is None:
                 continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
+            for parent, g in zip(node.parents, node.vjp(node.grad)):
                 if g is None or not parent.requires_grad:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-                if parent._created not in pending:
-                    pending[parent._created] = parent
-                    heapq.heappush(heap, -parent._created)
-            node._parents, node._vjp = (), _consumed
+                if parent.created not in pending:
+                    pending[parent.created] = parent
+                    heapq.heappush(heap, -parent.created)
+            node.parents, node.vjp = (), _consumed
 
     # -- operator sugar ------------------------------------------------
     def __add__(self, other):
@@ -129,12 +167,15 @@ def _wrap(x) -> Tensor:
 
 
 def make_op(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Vjp) -> Tensor:
-    """Record an op node; constant-folds when no parent needs gradients."""
+    """Record an op node linked to its parents' nodes; constant-folds when no
+    parent needs gradients.  ``vjp`` must capture the arrays it reads, not
+    the parent Tensors, or it keeps their values on the tape."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._vjp = vjp
+    if any(p.node.requires_grad for p in parents):
+        node = out.node
+        node.requires_grad = True
+        node.parents = tuple(p.node for p in parents)
+        node.vjp = vjp
     return out
 
 
@@ -152,51 +193,35 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return make_op(
-        a.data + b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)),
-    )
+    a_shape, b_shape = a.shape, b.shape
+    return make_op(a.data + b.data, (a, b),
+                   lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return make_op(
-        a.data - b.data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)),
-    )
+    a_shape, b_shape = a.shape, b.shape
+    return make_op(a.data - b.data, (a, b),
+                   lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return make_op(
-        a.data * b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        ),
-    )
+    x, y = a.data, b.data
+    return make_op(x * y, (a, b),
+                   lambda g: (_unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    return make_op(
-        a.data / b.data,
-        (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        ),
-    )
+    x, y = a.data, b.data
+    return make_op(x / y, (a, b),
+                   lambda g: (_unbroadcast(g / y, x.shape),
+                              _unbroadcast(-g * x / (y * y), y.shape)))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError("matmul supports 2-D operands only")
-    return make_op(
-        a.data @ b.data,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
+    x, y = a.data, b.data
+    return make_op(x @ y, (a, b), lambda g: (g @ y.T, x.T @ g))
 
 
 # -- elementwise nonlinearities ---------------------------------------
@@ -208,7 +233,8 @@ def exp(x: Tensor) -> Tensor:
 
 
 def log(x: Tensor) -> Tensor:
-    return make_op(np.log(x.data), (x,), lambda g: (g / x.data,))
+    values = x.data
+    return make_op(np.log(values), (x,), lambda g: (g / values,))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -216,7 +242,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: Tensor) -> Tensor:
-    return make_op(np.logaddexp(0.0, x.data), (x,), lambda g: (g * _sigmoid(x.data),))
+    values = x.data
+    return make_op(np.logaddexp(0.0, values), (x,), lambda g: (g * _sigmoid(values),))
 
 
 def elu(x: Tensor) -> Tensor:
@@ -253,11 +280,13 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
 
 
 def tsum(x: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    shape = x.shape
+
     def vjp(g: np.ndarray):
         if axis is None:
-            return (np.broadcast_to(g, x.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.data.shape).copy(),)
+        return (np.broadcast_to(g_exp, shape).copy(),)
 
     return make_op(x.data.sum(axis=axis, keepdims=keepdims), (x,), vjp)
 
@@ -268,14 +297,17 @@ def tmean(x: Tensor, axis: int | None = None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    return make_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
+    x_shape = x.shape
+    return make_op(x.data.reshape(shape), (x,), lambda g: (g.reshape(x_shape),))
 
 
 def tslice(x: Tensor, key) -> Tensor:
     """Basic indexing ``x[key]`` (slices and integers, e.g. ``np.s_[:, 1:4]``), copied;
     the backward writes the gradient into zeros of ``x``'s shape at ``key``."""
+    shape = x.shape
+
     def vjp(g: np.ndarray):
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape)
         full[key] = g
         return (full,)
 
@@ -461,14 +493,15 @@ def weighted_segment_sum(alpha: Tensor, v: Tensor, src: Segments, dst: Segments)
     of its gradients, but no (edges, heads * dim) array outlives one width
     bucket or one row block, and the tape keeps only ``alpha`` and ``v``.
     """
-    heads, dim = v.shape[1:]
+    weights, v_shape = alpha.data, v.shape
+    heads, dim = v_shape[1:]
     nodes = v.data.reshape(len(v.data), heads * dim)
-    out = _weighted_reduce(nodes, alpha.data, dst, src).reshape(dst.n, heads, dim)
+    out = _weighted_reduce(nodes, weights, dst, src).reshape(dst.n, heads, dim)
 
     def vjp(g: np.ndarray):
         g = g.reshape(dst.n, heads * dim)
-        grad_v = _weighted_reduce(g, alpha.data, src, dst).reshape(v.shape)
-        grad_alpha = np.empty_like(alpha.data)
+        grad_v = _weighted_reduce(g, weights, src, dst).reshape(v_shape)
+        grad_alpha = np.empty_like(weights)
         step = max(1, BLOCK_ELEMS // (heads * dim))
         for lo in range(0, len(grad_alpha), step):
             edges = slice(lo, lo + step)
@@ -511,7 +544,9 @@ def gradient_errors(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: f
     Each gradient is compared with central differences entry by entry as
     |analytic - numeric| / max(|numeric|, atol / rtol); differences within
     ``atol`` count as zero, being finite-difference noise.  A NaN anywhere
-    makes that tensor's error NaN.
+    makes that tensor's error NaN.  The step is ``eps`` times the tensor's
+    largest magnitude (``eps`` for an all-zero tensor), so a function of
+    x / |x| is stepped in proportion to |x| whatever its scale.
     """
     out = fn(*tensors)
     for t in tensors:
@@ -520,7 +555,9 @@ def gradient_errors(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: f
     worst = []
     for t in tensors:
         analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
-        numeric = central_difference(lambda: fn(*tensors).data.sum(), t.data, eps)
+        scale = np.max(np.abs(t.data), initial=0.0)
+        step = eps * scale if scale > 0 else eps
+        numeric = central_difference(lambda: fn(*tensors).data.sum(), t.data, step)
         diff = np.abs(analytic - numeric)
         scaled = diff / np.maximum(np.abs(numeric), atol / rtol)
         worst.append(float(np.max(np.where(diff <= atol, 0.0, scaled))))

@@ -137,11 +137,13 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
     ``backward(upstream)`` returns the exact gradients of
     sum(upstream * expectations): (grad_angles (L, n_q, 3), grad_inputs (B, input_dim)).
     Psi exists one row block at a time, in the forward and again in the
-    backward, which keeps only the encoded rows and their norms.
+    backward, which keeps of the batch only the encoded rows, their norms and
+    the input width.
     """
     _check_shapes(angles, layout)
     n = layout.n_qubits
     dim = 1 << n
+    m = inputs.shape[1]
     encoded, norms = encode_batch(inputs, n)  # E, real (B, 2^n)
     rows = _unitary_rows(angles, layout)
     stacked = np.concatenate([rows.real, rows.imag], axis=1)  # [Re R | Im R]
@@ -152,7 +154,6 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
         expectations[blk] = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
 
     def backward(upstream: np.ndarray):
-        m = inputs.shape[1]
         twice = 2.0 * stacked.T  # a power of two: the bits of 2.0 * (lam @ stacked.T)
         lam = np.empty((len(encoded), 2 * dim))
         grad_inputs = np.empty((len(encoded), m))

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from qgat import vqc
 from qgat.autodiff import (
     NETWORKS,
     Segments,
@@ -305,9 +306,12 @@ class TestWeightedSegmentSum:
         alpha, v, src, dst = attention_inputs(2, 3, seed=4)
         leaves = Tensor(alpha, requires_grad=True), Tensor(v, requires_grad=True)
         out = weighted_segment_sum(*leaves, src, dst)
-        assert out._parents == leaves
+        assert out.node.parents == tuple(t.node for t in leaves)
         held = [cell.cell_contents for cell in out._vjp.__closure__]
-        assert not any(isinstance(x, np.ndarray) and len(x) == len(alpha) for x in held)
+        assert not any(isinstance(x, Tensor) for x in held)
+        # the only edge rows kept are alpha's own
+        edge_rows = [x for x in held if isinstance(x, np.ndarray) and len(x) == len(alpha)]
+        assert len(edge_rows) == 1 and edge_rows[0] is leaves[0].data
 
     def test_no_edges(self):
         none = Segments(np.zeros(0, dtype=np.int64), 3)
@@ -351,7 +355,7 @@ class TestFusedOps:
         _, _, src, dst = attention_inputs(2, 1, seed=5)
         a, b = leaf((dst.n, 2, 3)), leaf((src.n, 2, 3))
         out = edge_sum(a, b, dst, src)
-        assert out._parents == (a, b)
+        assert out.node.parents == (a.node, b.node)
         assert not any(x.dtype == np.float64 for x in closure_arrays(out))
 
     def test_dropout_matches_mask_multiply(self):
@@ -440,6 +444,25 @@ class TestBackwardMechanics:
         assert alive() is None
         np.testing.assert_allclose(x.grad, out.data * (1 - np.tanh(x.data) ** 2), rtol=1e-12)
 
+    def test_dropped_intermediate_is_freed_before_backward(self):
+        """The tape links nodes, not Tensors: once the forward drops an
+        intermediate whose value no VJP reads (``add`` keeps shapes, ``tanh``
+        its output), its Tensor and its array are freed before the backward
+        starts, and the gradient is the one of a run that keeps them."""
+        data = rng.standard_normal((4, 3))
+        grads = []
+        for keep in (True, False):
+            x = Tensor(data, requires_grad=True)
+            middle = x + Tensor(1.0)
+            refs = weakref.ref(middle), weakref.ref(middle.data)
+            out = tanh(middle)
+            if not keep:
+                del middle
+                assert all(ref() is None for ref in refs)
+            out.backward()
+            grads.append(x.grad)
+        np.testing.assert_array_equal(*grads)
+
     def test_second_backward_through_consumed_tape_raises(self):
         x = leaf((3,))
         out = tanh(x) * x
@@ -474,6 +497,27 @@ class TestGradcheck:
         err_a, err_b = gradient_errors(nan_for_second, [a, b])
         assert err_a == 0.0
         assert np.isnan(err_b)
+
+    def test_step_scales_with_the_tensor(self):
+        """The circuit reads x / |x|, so its input gradient scales as 1 / |x|.
+        On a row of norm 1.1e-3, an absolute 1e-6 step misreads the correct
+        adjoint gradient by more than 1e-4; a step scaled to the row does not."""
+        gen = np.random.default_rng(103)
+        x = gen.standard_normal((1, 4))
+        x *= 1.1e-3 / np.linalg.norm(x)
+        angles = gen.uniform(0, 2 * np.pi, (1, 2, 3))
+        upstream = Tensor(gen.standard_normal((1, 2)))
+        layout = vqc.build_layout(2, 1)
+
+        def weighted(inputs, a):
+            return vqc.expectations_op(inputs, a, layout) * upstream
+
+        inputs = Tensor(x, requires_grad=True)
+        weighted(inputs, Tensor(angles)).backward()
+        absolute = central_difference(
+            lambda: weighted(Tensor(x), Tensor(angles)).data.sum(), x, 1e-6)
+        assert np.max(np.abs(inputs.grad - absolute) / np.abs(absolute)) > 1e-4
+        gradcheck(weighted, [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)])
 
     def test_central_difference_restores_input(self):
         x = rng.standard_normal((3, 4))[:, ::2]  # strided view: perturbed in place all the same

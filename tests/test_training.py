@@ -303,6 +303,85 @@ class TestEvaluate:
         assert all(t.requires_grad for t in model.params().values())
 
 
+def closure_contents(fn) -> list:
+    """What ``fn``'s closure holds, and what the closures of functions in it hold."""
+    held = []
+    for cell in fn.__closure__ or ():
+        held.append(cell.cell_contents)
+        for inner in getattr(cell.cell_contents, "__closure__", None) or ():
+            held.append(inner.cell_contents)
+    return held
+
+
+def tape_contents(root: autodiff.Node) -> list:
+    """Every object the VJPs of the tape below ``root`` hold, two closure levels
+    deep, so that the circuit's ``backward`` inside its node's VJP is included."""
+    held, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.parents)
+        if node.vjp is not None:
+            held += closure_contents(node.vjp)
+    return held
+
+
+def distinct_bytes(objects) -> int:
+    """Bytes of the distinct buffers behind the arrays among ``objects``: a view
+    counts as the array it was taken from."""
+    buffers = {}
+    for x in objects:
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            buffers[id(x)] = x.nbytes
+    return sum(buffers.values())
+
+
+class TestTapeContents:
+    """The tape keeps what the VJPs read, captured as arrays: no VJP holds a
+    Tensor, so a value the forward drops is freed before the backward."""
+
+    # kB the closures may hold at the start of the backward, with dropout on
+    # and 2-qubit circuits, on the 60-node fixture (222 to 606 attention
+    # edges): 1.25 times what they held when the tape stopped keeping each
+    # Tensor's value (45 to 168 kB; 110 to 393 kB before)
+    BOUND_KB = {
+        ("qgat", "node-class"): 175, ("gat", "node-class"): 115, ("gatv2", "node-class"): 195,
+        ("qgat", "multi-label"): 80, ("gat", "multi-label"): 56, ("gatv2", "multi-label"): 86,
+        ("qgat", "link-pred"): 178, ("gat", "link-pred"): 132, ("gatv2", "link-pred"): 210,
+    }
+
+    @pytest.mark.parametrize("model_kind", ["qgat", "gat", "gatv2"])
+    @pytest.mark.parametrize("task", ["node-class", "multi-label", "link-pred"])
+    def test_closures_hold_arrays_only(self, monkeypatch, model_kind, task):
+        if task == "node-class":
+            data = fixture_graph()
+        elif task == "link-pred":
+            data = split_link_prediction(fixture_graph(), 0.1, 0.2, 1, seed=0)
+        else:
+            coll = synth_collection(2, 1, 1, n_labels=2, seed=0)
+            data = {split: batch_graphs(coll.by_split(split))[0] for split in SPLITS}
+        cfg = small_cfg(model=model_kind, task=task, hidden_dims=[4, 4], dropout=0.5,
+                        n_qubits=2)
+        model = build_model(cfg, 8, 2)
+        held = []
+        backward = Tensor.backward
+
+        def inspecting(self, *args, **kwargs):
+            held.extend(tape_contents(self.node))
+            return backward(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "backward", inspecting)
+        view = split_views(data, task)["train"]
+        training.training_step(model, view, cfg, AdamWState(), 0.01, np.random.default_rng(0))
+        assert held
+        assert not [x for x in held if isinstance(x, Tensor)]
+        assert distinct_bytes(held) <= 1000 * self.BOUND_KB[model_kind, task]
+
+
 class TestLinkPrediction:
     def test_memorization_reaches_perfect_hits_at_one(self):
         rng = np.random.default_rng(0)
