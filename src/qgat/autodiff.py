@@ -330,6 +330,24 @@ def edge_sum(a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
                                       _segment_reduce(g, src, "sum")))
 
 
+def pair_dot(x: Tensor, u: Segments, v: Segments) -> Tensor:
+    """Row dot products ``<x[u.index[p]], x[v.index[p]]>`` of a (nodes, dim) ``x``:
+    the bits of ``tsum(mul(take_rows(x, u), take_rows(x, v)), axis=1)`` and of
+    its gradient, but the tape keeps ``x``'s array, not the two gathered
+    (pairs, dim) ones; the backward gathers them again."""
+    data = x.data
+    prod = np.take(data, u.index, axis=0)
+    prod *= np.take(data, v.index, axis=0)
+
+    def vjp(g: np.ndarray):
+        g = g[:, None]
+        grad = _segment_reduce(g * np.take(data, v.index, axis=0), u, "sum")
+        grad += _segment_reduce(g * np.take(data, u.index, axis=0), v, "sum")
+        return (grad,)
+
+    return make_op(prod.sum(axis=1), (x,), vjp)
+
+
 # -- segment ops --------------------------------------------------------
 
 
@@ -342,6 +360,11 @@ class Segments:
     ``(width, members)`` source rows (lane ``w`` of a segment is its ``w``-th
     row in index order), the mask of padding lanes and the flat positions of
     those lanes in the block's ``(width * members)`` rows.
+
+    Rows are grouped by segment, each segment's in index order, by one
+    argsort of the distinct keys ``index * len(index) + row``: the order a
+    stable argsort of ``index`` gives, without its timsort.  The keys stay
+    below 2**63 while ``n * len(index)`` does.
     """
 
     __slots__ = ("index", "n", "buckets")
@@ -349,7 +372,8 @@ class Segments:
     def __init__(self, index: np.ndarray, n: int):
         self.index = np.asarray(index)
         self.n = n
-        order = np.argsort(self.index, kind="stable")
+        size = len(self.index)
+        order = np.argsort(self.index * np.int64(size) + np.arange(size))
         counts = np.bincount(self.index, minlength=n)
         starts = np.cumsum(counts) - counts
         filled = np.flatnonzero(counts)

@@ -6,6 +6,15 @@ self-loop per node).  Undirected inputs are expanded to both directions.
 Graphs are immutable after construction; every transformation returns a
 new Graph.  ``features``, ``edges``, ``labels`` and ``masks`` are plain
 attributes.
+
+Every edge set is built on one primitive: a pair (a, b) of node ids is the
+int64 key ``a * n_nodes + b``, so sorting keys sorts pairs by (a, b), equal
+neighbours in a sorted key array are repeated pairs, and ``divmod(key,
+n_nodes)`` gives the pair back.  Keys stay below 2**63 for up to about
+3e9 nodes.  ``edges`` is the decoded sorted unique keys (src, dst);
+``undirected_pairs()`` (keys (lo, hi)) and ``attention_edges()`` (keys
+(dst, src), self-loops added) are built once per graph and returned
+read-only.
 """
 
 from __future__ import annotations
@@ -22,6 +31,22 @@ from .files import atomic_write
 
 class GraphFormatError(ValueError):
     """Raised on malformed graph files, with file/line context in the message."""
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``keys`` sorted in place, each repeated key kept once."""
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _pair_rows(keys: np.ndarray, n: int) -> np.ndarray:
+    """The (E, 2) int64 rows (a, b) of the pair keys ``a * n + b``."""
+    rows = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(rows[:, 0], rows[:, 1]))
+    return rows
 
 
 class Graph:
@@ -41,21 +66,27 @@ class Graph:
         self.masks = masks
         if masks is not None:
             self._check_masks(masks)
+        self._pairs: np.ndarray | None = None
         self._loop_edges: tuple[np.ndarray, np.ndarray] | None = None
         self._loop_segments: tuple[Segments, Segments] | None = None
 
     def _canonicalize(self, edges: np.ndarray, undirected: bool) -> np.ndarray:
-        if edges.size and (edges.min() < 0 or edges.max() >= self.n_nodes):
-            bad = edges[((edges < 0) | (edges >= self.n_nodes)).any(axis=1)][0]
+        """Validated (E, 2) int64 edges without self-loops or repeats, sorted by
+        (src, dst): the sorted unique keys ``src * n + dst`` of every edge and,
+        when ``undirected``, of its reverse, decoded."""
+        n = self.n_nodes
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            bad = edges[((edges < 0) | (edges >= n)).any(axis=1)][0]
             raise ValueError(
-                f"edge ({bad[0]}, {bad[1]}) references a node outside 0..{self.n_nodes - 1}"
+                f"edge ({bad[0]}, {bad[1]}) references a node outside 0..{n - 1}"
             )
-        if undirected and edges.size:
-            edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
-        if edges.size:
-            edges = edges[edges[:, 0] != edges[:, 1]]
-            edges = np.unique(edges, axis=0)  # sorts by (src, dst) and dedupes
-        return edges.reshape(-1, 2)
+        src, dst = edges[:, 0], edges[:, 1]
+        off = src != dst
+        src, dst = src[off], dst[off]
+        keys = src * n + dst
+        if undirected:
+            keys = np.concatenate([keys, dst * n + src])
+        return _pair_rows(_sorted_unique(keys), n)
 
     def _check_masks(self, masks: dict[str, np.ndarray]) -> None:
         unknown = sorted(set(masks) - {"train", "val", "test"})
@@ -77,25 +108,31 @@ class Graph:
         return self.features.shape[1]
 
     def undirected_pairs(self) -> np.ndarray:
-        """Unordered node pairs (u < v) with at least one direction present."""
-        if not self.edges.size:
-            return np.empty((0, 2), dtype=np.int64)
-        lo = np.minimum(self.edges[:, 0], self.edges[:, 1])
-        hi = np.maximum(self.edges[:, 0], self.edges[:, 1])
-        return np.unique(np.stack([lo, hi], axis=1), axis=0)
+        """Unordered node pairs (u < v) with at least one direction present,
+        sorted by (u, v): the sorted unique keys ``u * n + v``, decoded.  Built
+        once per graph and returned read-only."""
+        if self._pairs is None:
+            src, dst = self.edges[:, 0], self.edges[:, 1]
+            keys = np.minimum(src, dst) * self.n_nodes + np.maximum(src, dst)
+            self._pairs = _pair_rows(_sorted_unique(keys), self.n_nodes)
+            self._pairs.setflags(write=False)
+        return self._pairs
 
     def attention_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) arrays including one self-loop per node, sorted by (dst, src).
 
         Sorting fixes a canonical per-destination ordering so that layers see
-        identical segment contents regardless of input edge order.
+        identical segment contents regardless of input edge order.  The keys
+        ``dst * n + src`` are distinct (``edges`` holds no repeat and no
+        self-loop), so one sort of them orders the edges and ``divmod`` splits
+        them into dst and src.  Built once per graph and returned read-only.
         """
         if self._loop_edges is None:
-            loops = np.arange(self.n_nodes, dtype=np.int64)
-            src = np.concatenate([self.edges[:, 0], loops])
-            dst = np.concatenate([self.edges[:, 1], loops])
-            order = np.lexsort((src, dst))
-            src, dst = src[order], dst[order]
+            n = self.n_nodes
+            loops = np.arange(n, dtype=np.int64) * (n + 1)
+            keys = np.concatenate([self.edges[:, 1] * n + self.edges[:, 0], loops])
+            keys.sort()
+            dst, src = np.divmod(keys, n)
             src.setflags(write=False)
             dst.setflags(write=False)
             self._loop_edges = (src, dst)
@@ -347,10 +384,8 @@ def _free_pairs(g: Graph, rng: np.random.Generator, size: int) -> np.ndarray:
     n = g.n_nodes
     rows = np.arange(n, dtype=np.int64)
     row_start = rows * (n - 1) - rows * (rows - 1) // 2  # rank of (u, u + 1)
-    lo = np.minimum(g.edges[:, 0], g.edges[:, 1])
-    hi = np.maximum(g.edges[:, 0], g.edges[:, 1])
-    off_diagonal = lo < hi
-    taken = np.unique(row_start[lo[off_diagonal]] + hi[off_diagonal] - lo[off_diagonal] - 1)
+    lo, hi = g.undirected_pairs().T
+    taken = row_start[lo] + hi - lo - 1  # strictly increasing: the pairs are sorted and distinct
     n_free = n * (n - 1) // 2 - taken.size
     if size > n_free:
         raise ValueError(f"cannot draw {size} pairs: only {n_free} non-adjacent pairs remain")

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .attention import ACTIVATIONS, GatLayer, Gatv2Layer, QgatLayer, _AttentionLayer
-from .autodiff import Segments, Tensor, exp, log, mul, softplus, sub, take_rows, tmean, tsum
+from .autodiff import (Segments, Tensor, exp, log, mul, pair_dot, softplus, sub, take_rows, tmean,
+                       tsum)
 from .files import atomic_write
 from .graph import Graph, LinkSplit
 
@@ -350,8 +351,7 @@ def readout(out: Tensor, select: Segments | tuple[Segments, Segments]) -> Tensor
     """Rows of ``out`` for a node selection; <out_u, out_v> for each (u, v) of a pair one."""
     if isinstance(select, Segments):
         return take_rows(out, select)
-    u, v = select
-    return tsum(mul(take_rows(out, u), take_rows(out, v)), axis=1)
+    return pair_dot(out, *select)
 
 
 def training_step(model: Model, view: View, cfg: TrainConfig,

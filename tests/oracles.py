@@ -163,6 +163,25 @@ def segment_sum_reference(values, seg, n_segments: int) -> np.ndarray:
 # -- graph references -----------------------------------------------------
 
 
+def canonical_edges_reference(n_nodes: int, edges, undirected: bool):
+    """(edges, undirected pairs, attention (src, dst)) of an edge list, from a
+    Python set of (src, dst) tuples: self-loops dropped, the reverse of each
+    edge added when ``undirected``; edges and pairs sorted by their tuples,
+    the attention edges (one self-loop per node added) by (dst, src)."""
+    directed = {(int(s), int(d)) for s, d in edges if s != d}
+    if undirected:
+        directed |= {(d, s) for s, d in directed}
+    pairs = {(min(s, d), max(s, d)) for s, d in directed}
+    by_dst = sorted([(d, s) for s, d in directed] + [(u, u) for u in range(n_nodes)])
+
+    def rows(tuples) -> np.ndarray:
+        return np.array(tuples, dtype=np.int64).reshape(-1, 2)
+
+    attention = rows(by_dst)
+    return (rows(sorted(directed)), rows(sorted(pairs)),
+            (attention[:, 1].copy(), attention[:, 0].copy()))
+
+
 def free_pairs_reference(n_nodes: int, edges, rng: np.random.Generator,
                          size: int) -> np.ndarray:
     """Enumerate every non-adjacent pair (u < v) row by row, then index it by

@@ -24,6 +24,7 @@ from qgat.autodiff import (
     make_op,
     matmul,
     mul,
+    pair_dot,
     relu,
     reshape,
     segment_max,
@@ -152,6 +153,23 @@ class TestSegmentOps:
             direct = np.full((n,) + vals.shape[1:], -np.inf)
             np.maximum.at(direct, seg, vals)
             np.testing.assert_array_equal(segment_max(vals, Segments(seg, n)), direct)
+
+    @pytest.mark.parametrize("index, n", [(skewed_segments(), 60),
+                                          (rng.integers(0, 5, 40).astype(np.int32), 5),
+                                          (np.zeros(0, dtype=np.int64), 3)])
+    def test_lanes_follow_the_stable_order(self, index, n):
+        # lane w of a segment is its w-th row: the order of np.argsort(kind="stable")
+        order = np.argsort(index, kind="stable")
+        counts = np.bincount(index, minlength=n)
+        starts = np.cumsum(counts) - counts
+        seen = []
+        for members, rows, pad, _ in Segments(index, n).buckets:
+            for j, seg in enumerate(members):
+                lanes = rows[:, j]
+                want = order[starts[seg]:starts[seg] + counts[seg]]
+                np.testing.assert_array_equal(lanes[~pad[:, j]], want)
+                seen.append(seg)
+        assert sorted(seen) == np.flatnonzero(counts).tolist()
 
     def test_take_rows_backward_order_independent(self):
         idx = skewed_segments()
@@ -329,8 +347,8 @@ def closure_arrays(t: Tensor) -> list[np.ndarray]:
 
 
 class TestFusedOps:
-    """``edge_sum`` and ``dropout`` give the bits of the tapes they replace and
-    keep less on the tape; so does ``leaky_relu`` with its boolean mask."""
+    """``edge_sum``, ``pair_dot`` and ``dropout`` give the bits of the tapes they
+    replace and keep less on the tape; so does ``leaky_relu`` with its boolean mask."""
 
     @pytest.mark.parametrize("heads", [1, 3])
     def test_edge_sum_matches_gather_and_add(self, heads):
@@ -357,6 +375,28 @@ class TestFusedOps:
         out = edge_sum(a, b, dst, src)
         assert out.node.parents == (a.node, b.node)
         assert not any(x.dtype == np.float64 for x in closure_arrays(out))
+
+    def test_pair_dot_matches_gather_multiply_sum(self):
+        alpha, _, v, u = attention_inputs(1, 1, seed=31)
+        gen = np.random.default_rng(31)
+        data = signed_rows(gen, (u.n, 3, 1))[..., 0]
+        upstream = alpha[:, 0] * gen.standard_normal(len(alpha))
+        results = []
+        for op in (pair_dot, lambda t, a, b: tsum(mul(take_rows(t, a), take_rows(t, b)), axis=1)):
+            x = Tensor(data, requires_grad=True)
+            out = op(x, u, v)
+            out.backward(upstream)
+            results.append((out.data, x.grad))
+        for got, want in zip(*results):
+            assert_same_bits(got, want)
+        assert (x.grad == 0).any()
+
+    def test_pair_dot_tape_keeps_no_pair_rows(self):
+        _, _, v, u = attention_inputs(1, 1, seed=6)
+        x = leaf((u.n, 4))
+        out = pair_dot(x, u, v)
+        assert out.node.parents == (x.node,)
+        assert [a for a in closure_arrays(out) if a.dtype == np.float64] == [x.data]
 
     def test_dropout_matches_mask_multiply(self):
         data = signed_rows(np.random.default_rng(3), (40, 4, 3))

@@ -2,7 +2,8 @@
 attention aggregation, relabelling a graph's nodes permutes every layer's
 outputs and input gradients bit for bit, softmax rows sum to 1, degenerate
 rows of an encode batch affect no other row, and the circuit's adjoint
-gradients and the slicing op's gradients match finite differences.
+gradients and the slicing op's gradients match finite differences, and a
+graph's edge arrays match the set-built oracle byte for byte.
 
 These carry the permutation-equivariance contract of the attention layers
 down to their kernels.  Its scope: layer outputs and per-node gradients are
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import configuration, given, settings
+from hypothesis import configuration, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -28,7 +29,7 @@ from qgat.autodiff import (Segments, Tensor, gradcheck, gradient_errors, segment
 from qgat.graph import Graph
 from qgat.statevector import NORM_EPS, encode_batch
 
-from oracles import segment_sum_reference
+from oracles import canonical_edges_reference, segment_sum_reference
 
 # No example database, and the constants Hypothesis caches from the source
 # while pytest collects go to the system temp directory, not ``.hypothesis/``:
@@ -272,3 +273,33 @@ def slice_problems(draw, kind):
 def test_tslice_gradient(kind, data):
     x, key, upstream = data.draw(slice_problems(kind))
     gradcheck(lambda t: tslice(t, key) * Tensor(upstream), [Tensor(x, requires_grad=True)])
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges, undirected): repeats, both directions, self-loops, isolated
+    nodes, edgeless graphs and n = 1 all occur."""
+    n = draw(st.integers(1, 12))
+    edges = draw(arrays(np.int64, (draw(st.integers(0, 30)), 2),
+                        elements=st.integers(0, n - 1)))
+    repeats = draw(st.integers(0, len(edges)))
+    edges = np.concatenate([edges, edges[:repeats, ::-1], edges[:repeats // 2]])
+    return n, edges, draw(st.booleans())
+
+
+@PROPERTY
+@given(edge_lists())
+@example((1, np.zeros((0, 2), dtype=np.int64), False))
+@example((1, np.zeros((2, 2), dtype=np.int64), True))
+# a repeat, both directions, a self-loop and the isolated nodes 3 and 4
+@example((5, np.array([[0, 1], [1, 0], [0, 1], [2, 1], [2, 2]]), False))
+def test_edge_arrays_match_set_oracle(problem):
+    n, edges, undirected = problem
+    g = Graph(np.zeros((n, 1)), edges, undirected=undirected)
+    want_edges, want_pairs, want_attention = canonical_edges_reference(n, edges, undirected)
+    src, dst = g.attention_edges()
+    for got, want in zip((g.edges, g.undirected_pairs(), src, dst),
+                         (want_edges, want_pairs, *want_attention)):
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert not any(a.flags.writeable for a in (g.undirected_pairs(), src, dst))
