@@ -154,9 +154,10 @@ class TestSegmentOps:
             np.maximum.at(direct, seg, vals)
             np.testing.assert_array_equal(segment_max(vals, Segments(seg, n)), direct)
 
-    @pytest.mark.parametrize("index, n", [(skewed_segments(), 60),
-                                          (rng.integers(0, 5, 40).astype(np.int32), 5),
-                                          (np.zeros(0, dtype=np.int64), 3)])
+    @pytest.mark.parametrize("index, n", [
+        (np.random.default_rng(8).permutation(np.repeat(np.arange(60), np.arange(60) % 23)), 60),
+        (np.random.default_rng(9).integers(0, 5, 40).astype(np.int32), 5),
+        (np.zeros(0, dtype=np.int64), 3)])
     def test_lanes_follow_the_stable_order(self, index, n):
         # lane w of a segment is its w-th row: the order of np.argsort(kind="stable")
         order = np.argsort(index, kind="stable")
