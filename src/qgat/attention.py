@@ -5,9 +5,11 @@ b and v; edge j -> i gets logit f(a_i + b_j) and value v_j.  Then softmax over
 each in-neighborhood (self-loop included), weighted sum, merge (concat or
 mean), activation, dropout, residual.  Layers differ only in a, b, v and f.
 The layer makes the edge rows a_i + b_j in one op (``autodiff.edge_sum``),
-which keeps no gathered rows on the tape, and the weighted sum reads v at
-node level (``autodiff.weighted_segment_sum``), so no per-edge copy of the
-values is made.
+which keeps no gathered rows on the tape.  ``neighborhood_softmax`` makes
+the softmax numerators z and their per-node sums, and
+``autodiff.softmax_aggregate`` runs from the logits to the aggregated output,
+reading v at node level.  Its tape keeps z, the per-node sums, the boolean
+dropout mask and v: one (edges, heads) float array per layer.
 
 QGAT logits: the projected pair [W h_i || W h_j || h_i || h_j] is compressed
 to length 2^n_q * ceil(heads / n_q), chunked, amplitude-encoded, and run
@@ -32,11 +34,10 @@ from . import vqc
 from .autodiff import (
     Segments,
     Tensor,
-    div,
     dropout,
     edge_sum,
     elu,
-    exp,
+    keep_mask,
     leaky_relu,
     matmul,
     mul,
@@ -44,13 +45,12 @@ from .autodiff import (
     reshape,
     segment_max,
     segment_sum,
-    sub,
+    softmax_aggregate,
+    take_rows,  # noqa: F401  perfbench's tracer patches attention.take_rows
     tanh,
-    take_rows,
     tmean,
     tslice,
     tsum,
-    weighted_segment_sum,
 )
 from .graph import Graph
 
@@ -68,18 +68,22 @@ def glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, shape)
 
 
-def neighborhood_softmax(logits: Tensor, dst: Segments) -> Tensor:
-    """Per-(destination, head) softmax with max-subtraction stabilization."""
-    shift = segment_max(logits.data, dst)
-    z = exp(sub(logits, Tensor(np.take(shift, dst.index, axis=0))))
-    return div(z, take_rows(segment_sum(z, dst), dst))
+def neighborhood_softmax(logits: np.ndarray, dst: Segments) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of the per-(destination, head) softmax of the (edges, heads)
+    ``logits``, stabilized by max-subtraction: the numerators
+    z = exp(logits - shift[dst]), with shift the per-node maxima, and their
+    per-node sums den, so that alpha = z / den[dst].  Plain arrays, recorded
+    on no tape: ``softmax_aggregate`` divides and differentiates."""
+    z = logits - np.take(segment_max(logits, dst), dst.index, axis=0)
+    np.exp(z, out=z)
+    return z, segment_sum(Tensor(z), dst).data
 
 
 class _AttentionLayer:
     """Shared skeleton, the one place that reads edge rows: subclasses supply
     ``_node_terms(h) -> (a, b, v)``, one row per node, and ``_edge_logits(z)``,
     the (edges, heads) logits of z = a[dst] + b[src]; edge values are v[src],
-    weighted and summed by ``weighted_segment_sum`` without being gathered."""
+    weighted and summed by ``softmax_aggregate`` without being gathered."""
 
     def __init__(self, in_dim: int, head_dim: int, heads: int, *,
                  merge: str = "concat", dropout: float = 0.0,
@@ -113,12 +117,15 @@ class _AttentionLayer:
     def _own_params(self) -> dict[str, Tensor]:
         raise NotImplementedError
 
-    def _drop(self, t: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
+    def _drops(self, training: bool, rng: np.random.Generator | None) -> bool:
         if not training or self.dropout_rate == 0.0:
-            return t
+            return False
         if rng is None:
             raise ValueError("training-mode dropout needs an RNG")
-        return dropout(t, self.dropout_rate, rng)
+        return True
+
+    def _drop(self, t: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
+        return dropout(t, self.dropout_rate, rng) if self._drops(training, rng) else t
 
     def forward(self, graph: Graph, features, *, training: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
@@ -129,9 +136,12 @@ class _AttentionLayer:
         n = graph.n_nodes
         a, b, v = self._node_terms(self._drop(x, training, rng))
         logits = self._edge_logits(edge_sum(a, b, dst, src))
-        alpha = self._drop(neighborhood_softmax(logits, dst), training, rng)
+        z, den = neighborhood_softmax(logits.data, dst)
+        kept = (keep_mask(z.shape, self.dropout_rate, rng)
+                if self._drops(training, rng) else None)
         # the aggregation reads v as (nodes, heads, head_dim)
-        agg = weighted_segment_sum(alpha, reshape(v, (n, self.heads, self.head_dim)), src, dst)
+        agg = softmax_aggregate(logits, reshape(v, (n, self.heads, self.head_dim)), z, den,
+                                src, dst, kept, self.dropout_rate)
         if self.merge == "concat":
             merged = reshape(agg, (n, self.heads * self.head_dim))
         else:

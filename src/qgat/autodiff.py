@@ -23,10 +23,13 @@ Three properties matter for callers:
   ``a[dst] + b[src]``) keep shapes or index layouts only; ``mul``, ``div``,
   ``matmul``, ``log`` and ``softplus`` their operand arrays; ``exp``,
   ``tanh`` and ``elu`` their output; ``dropout``, ``relu``, ``leaky_relu``
-  and ``elu`` a boolean mask.  Each node lets go of its parents and VJP once its VJP has run, so
-  it, its gradient and the arrays its VJP read are freed while the backward
-  goes on, and a second backward through it raises ``RuntimeError``;
-* ``segment_sum``, ``segment_max``, ``weighted_segment_sum`` and the
+  and ``elu`` a boolean mask; ``pair_dot`` its node-level operand;
+  ``softmax_aggregate`` the softmax numerators z, the per-node sums, the
+  boolean dropout mask and the node-level values.  Each node lets go of its
+  parents and VJP once its VJP has run, so it, its gradient and the arrays
+  its VJP read are freed while the backward goes on, and a second backward
+  through it raises ``RuntimeError``;
+* ``segment_sum``, ``segment_max``, ``softmax_aggregate`` and the
   ``take_rows`` backward share one reduce over a ``Segments``, the layout of
   an index array over ``n`` segments, and every row op takes its index in
   that one form.  ``Graph`` caches the layouts of its attention edges and
@@ -36,10 +39,11 @@ Three properties matter for callers:
   8, ``np.sort`` above), left to right, so they depend on the multiset of
   values only, not on row order -- required for bit-exact permutation
   equivariance of neighborhood aggregation and of the per-node gradients
-  through it.
-  ``weighted_segment_sum`` is the attention aggregation: it weights each
-  bucket's gathered rows in place, so the weighted edge rows never exist
-  all at once and never sit on the tape.
+  through it.  The reduce holds one width bucket's block at a time.
+  ``softmax_aggregate`` is one attention layer from its logits to its
+  output: it weights each bucket's gathered rows in place, so the weighted
+  edge rows never exist all at once, and it rebuilds the attention weights
+  in its backward instead of keeping them.
 """
 
 from __future__ import annotations
@@ -268,11 +272,16 @@ def tanh(x: Tensor) -> Tensor:
     return make_op(out_data, (x,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
+def keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """Inverted dropout's boolean mask: each entry is kept with probability 1 - ``rate``."""
+    return rng.random(shape) < 1.0 - rate
+
+
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: each entry is kept with probability 1 - ``rate`` and
     scaled by 1 / (1 - rate); the tape keeps only the boolean keep-mask."""
     keep = 1.0 - rate
-    kept = rng.random(x.shape) < keep
+    kept = keep_mask(x.shape, rate, rng)
     return make_op(x.data * (kept / keep), (x,), lambda g: (g * (kept / keep),))
 
 
@@ -407,9 +416,10 @@ def _sort_lanes(block: np.ndarray) -> None:
     if network is None:
         block.sort(axis=0)
         return
+    low = np.empty_like(block[0])  # one lane, reused by every comparator
     for i, j in network:
         lo, hi = block[i], block[j]
-        low = np.minimum(lo, hi)
+        np.minimum(lo, hi, out=low)
         # np.minimum and np.maximum return their second operand when the two
         # compare equal: with the operands swapped, -0.0 and 0.0 trade places
         # instead of one of them being written twice
@@ -454,6 +464,9 @@ def _reduce_buckets(segs: Segments, cols: int, kind: str, gather: Callable,
             if len(block) not in NETWORKS:
                 _restore_zero_signs(sums, lanes, rows, pad)
             out[members] = sums
+            del sums
+        # free this bucket's block before the next one is gathered
+        del block
     return out
 
 
@@ -504,38 +517,68 @@ def segment_sum(x: Tensor, segs: Segments) -> Tensor:
 
 
 # elements of the (edges, heads * dim) products one step of the
-# ``weighted_segment_sum`` backward makes at once
+# ``softmax_aggregate`` backward makes at once
 BLOCK_ELEMS = 1 << 16
 
 
-def weighted_segment_sum(alpha: Tensor, v: Tensor, src: Segments, dst: Segments) -> Tensor:
-    """Attention aggregation: out[i, h] = sum over the edges e into i of
-    ``alpha[e, h] * v[src.index[e], h]``, where edge e ends at ``dst.index[e]``;
-    alpha is (edges, heads), v (nodes, heads, dim) and out (dst.n, heads, dim).
+def softmax_aggregate(logits: Tensor, v: Tensor, z: np.ndarray, den: np.ndarray,
+                      src: Segments, dst: Segments, kept: np.ndarray | None = None,
+                      rate: float = 0.0) -> Tensor:
+    """Attention from logits to aggregated output: out[i, h] = sum over the edges
+    e into i of ``alpha[e, h] * v[src.index[e], h]``, where edge e ends at
+    ``dst.index[e]``, alpha is the per-(destination, head) softmax of the
+    (edges, heads) ``logits``, dropped where ``kept`` is False and scaled by
+    1 / (1 - ``rate``), v is (nodes, heads, dim) and out (dst.n, heads, dim).
 
-    The bits of ``segment_sum(alpha[..., None] * take_rows(v, src), dst)`` and
-    of its gradients, but no (edges, heads * dim) array outlives one width
-    bucket or one row block, and the tape keeps only ``alpha`` and ``v``.
+    ``z`` and ``den`` are the softmax numerators ``exp(logits - shift[dst])``
+    and their per-(node, head) sums, as ``attention.neighborhood_softmax``
+    makes them; ``kept`` is the (edges, heads) mask of ``keep_mask``, or None
+    without dropout.  The output and gradients have the bits of the tape
+    ``sub``, ``exp``, ``segment_sum``, ``take_rows``, ``div``, ``dropout`` and
+    a gather-weight-sum would record, but this tape keeps only z, den, the
+    mask and v: the backward gathers den[dst] again, rebuilds alpha with the
+    forward's arithmetic and runs those ops' VJPs in the tape's order.  No
+    (edges, heads * dim) array outlives one width bucket or one row block.
     """
-    weights, v_shape = alpha.data, v.shape
+    keep = 1.0 - rate
+    v_shape = v.shape
     heads, dim = v_shape[1:]
     nodes = v.data.reshape(len(v.data), heads * dim)
-    out = _weighted_reduce(nodes, weights, dst, src).reshape(dst.n, heads, dim)
+
+    def weights(den_e: np.ndarray) -> np.ndarray:
+        alpha = z / den_e
+        if kept is not None:
+            alpha *= kept / keep
+        return alpha
+
+    out = _weighted_reduce(nodes, weights(np.take(den, dst.index, axis=0)), dst, src)
 
     def vjp(g: np.ndarray):
         g = g.reshape(dst.n, heads * dim)
-        grad_v = _weighted_reduce(g, weights, src, dst).reshape(v_shape)
-        grad_alpha = np.empty_like(weights)
+        den_e = np.take(den, dst.index, axis=0)
+        grad_v = _weighted_reduce(g, weights(den_e), src, dst).reshape(v_shape)
+        grad = np.empty_like(z)  # of the dropped alpha, then of each op below it
         step = max(1, BLOCK_ELEMS // (heads * dim))
-        for lo in range(0, len(grad_alpha), step):
+        for lo in range(0, len(grad), step):
             edges = slice(lo, lo + step)
             prod = np.take(g, dst.index[edges], axis=0)
             prod *= np.take(nodes, src.index[edges], axis=0)
             by_head = prod.reshape(len(prod), heads, dim)
-            grad_alpha[edges] = _unbroadcast(by_head, (len(prod), heads, 1))[..., 0]
-        return grad_alpha, grad_v
+            grad[edges] = _unbroadcast(by_head, (len(prod), heads, 1))[..., 0]
+        if kept is not None:
+            grad *= kept / keep  # dropout
+        # div: alpha = z / den_e; the take_rows backward sums den_e's terms per node
+        grad_den_e = np.negative(grad)
+        grad_den_e *= z
+        grad_den_e /= den_e * den_e
+        grad_den = _segment_reduce(grad_den_e, dst, "sum")
+        del grad_den_e
+        grad /= den_e
+        grad += np.take(grad_den, dst.index, axis=0)  # segment_sum
+        grad *= z  # exp; the shift is a constant, so sub passes the gradient on
+        return grad, grad_v
 
-    return make_op(out, (alpha, v), vjp)
+    return make_op(out.reshape(dst.n, heads, dim), (logits, v), vjp)
 
 
 def segment_max(values: np.ndarray, segs: Segments) -> np.ndarray:

@@ -41,7 +41,7 @@ def edge_logits(layer, g, features=None):
     with mock.patch.object(attention, "neighborhood_softmax",
                            wraps=neighborhood_softmax) as softmax:
         layer.forward(g, g.features if features is None else features)
-    return softmax.call_args.args[0].data
+    return softmax.call_args.args[0]
 
 
 @pytest.fixture
@@ -222,8 +222,8 @@ class TestSoftmaxAndBounds:
     def capture_alpha(self, layer, g):
         _, dst = g.attention_segments()
         logits = edge_logits(layer, g)
-        alpha = neighborhood_softmax(Tensor(logits), dst)
-        return logits, alpha.data, dst.index
+        z, den = neighborhood_softmax(logits, dst)
+        return logits, z / den[dst.index], dst.index
 
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_alpha_sums_to_one(self, kind):
@@ -326,9 +326,10 @@ class TestClassicalHandFixtures:
 class TestGatherSite:
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_same_edge_gathers_for_every_layer(self, kind, monkeypatch):
-        # one edge_sum gathers a[dst] and b[src], one take_rows the softmax
-        # denominators; v is read at node level by the one fused aggregation
-        calls = {"edge_sum": [], "take_rows": [], "weighted_segment_sum": []}
+        # one edge_sum gathers a[dst] and b[src]; the one op from logits to
+        # output gathers the per-node softmax denominators by dst and reads v
+        # at node level
+        calls = {"edge_sum": [], "softmax_aggregate": []}
         for name, log in calls.items():
             def counting(*args, _original=getattr(attention, name), _log=log):
                 _log.append(args)
@@ -339,10 +340,10 @@ class TestGatherSite:
         make_layer(kind, 3, 2, 2, seed=2).forward(g, g.features)
         [(a, b, by_a, by_b)] = calls["edge_sum"]
         assert by_a is dst and by_b is src and len(a.data) == len(b.data) == g.n_nodes
-        [(denominators, by_denominators)] = calls["take_rows"]
+        [(logits, v, z, denominators, by_v, by_denominators, _, _)] = calls["softmax_aggregate"]
         assert by_denominators is dst and denominators.shape == (g.n_nodes, 2)
-        [(alpha, v, _, _)] = calls["weighted_segment_sum"]
-        assert alpha.shape == (len(g.attention_edges()[0]), 2) and v.shape == (g.n_nodes, 2, 2)
+        assert by_v is src and v.shape == (g.n_nodes, 2, 2)
+        assert logits.shape == z.shape == (len(g.attention_edges()[0]), 2)
 
 
 class TestSegmentLayouts:

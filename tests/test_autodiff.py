@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 
 from qgat import vqc
+from qgat.attention import neighborhood_softmax
 from qgat.autodiff import (
     NETWORKS,
     Segments,
     Tensor,
+    _segment_reduce,
     _sort_lanes,
     central_difference,
+    div,
     dropout,
     edge_sum,
     elu,
@@ -29,12 +32,13 @@ from qgat.autodiff import (
     reshape,
     segment_max,
     segment_sum,
+    softmax_aggregate,
     softplus,
+    sub,
     take_rows,
     tanh,
     tmean,
     tsum,
-    weighted_segment_sum,
 )
 
 from oracles import segment_sum_reference
@@ -183,6 +187,27 @@ class TestSegmentOps:
         take_rows(x, Segments(idx[perm], 60)).backward(upstream[perm])
         np.testing.assert_array_equal(x.grad, base)
 
+    @pytest.mark.parametrize("kind", ["sum", "max"])
+    def test_one_bucket_block_at_a_time(self, kind):
+        """Two 4 MB width buckets (widths 4 and 8) in 32 columns: a reduce holds
+        one bucket's block, the output and one lane of scratch at a time, plus
+        a few KiB of Python objects, not two blocks."""
+        m, cols = 2000, 32
+        sizes = np.r_[np.full(m, 8), np.full(2 * m, 4)]
+        index = np.random.default_rng(0).permutation(np.repeat(np.arange(len(sizes)), sizes))
+        segs = Segments(index, len(sizes))
+        values = np.random.default_rng(1).standard_normal((len(index), cols))
+        block = max(rows.size for _, rows, _, _ in segs.buckets) * cols * 8
+        lane = max(len(members) for members, _, _, _ in segs.buckets) * cols * 8
+        tracemalloc.start()
+        try:
+            _segment_reduce(values, segs, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(segs.buckets) == 2 and block == 4_096_000
+        assert peak < block + len(sizes) * cols * 8 + lane + (64 << 10)
+
 
 # every network width, the np.sort path above it, and the widths either side of each bucket edge
 ORACLE_WIDTHS = [*range(1, 18)] * 6 + [31, 32, 33, 63, 64, 65, 127, 128, 129, 255, 256, 257, 600]
@@ -288,58 +313,130 @@ def attention_inputs(heads: int, dim: int, seed: int):
     return alpha, signed_rows(gen, (n, heads, dim)), Segments(src, n), Segments(dst, n)
 
 
-def unfused_aggregate(alpha: Tensor, v: Tensor, src: Segments, dst: Segments) -> Tensor:
-    """The tape ``weighted_segment_sum`` replaces: gather, weight, sum."""
+def softmax_inputs(heads: int, dim: int, seed: int):
+    """(logits, v, kept, src, dst): edges into segments of every ORACLE_WIDTHS width
+    on the even node ids, the odd ids without edges, and sources of the same
+    widths, each edge's source in its destination's sign class.
+
+    v is negative in the negative class and positive in the other, a tenth of
+    it zeros of its class's sign.  A twentieth of the logits are -800, whose
+    exp underflows to 0.0.  The keep-mask drops about 30% of the weights and
+    every weight into or out of a fifth of the nodes, so wide segments sum to
+    zeros of either sign, forward and backward, through the ``np.sort`` path."""
+    gen = np.random.default_rng(seed)
+    dst = np.concatenate([np.full(w, 2 * i) for i, w in enumerate(ORACLE_WIDTHS)])
+    n = 2 * len(ORACLE_WIDTHS) + 1
+    negative = gen.random(n) < 0.5
+    src = dst.copy()
+    for side in (negative[dst], ~negative[dst]):
+        rows = np.flatnonzero(side)
+        src[rows] = dst[gen.permutation(rows)]
+    logits = 3.0 * gen.standard_normal((len(dst), heads))
+    logits[gen.random(logits.shape) < 0.05] = -800.0
+    silent = gen.random(n) < 0.2
+    kept = (gen.random(logits.shape) < 0.7) & ~(silent[dst] | silent[src])[:, None]
+    return logits, class_signed(gen, negative, (n, heads, dim)), kept, \
+        Segments(src, n), Segments(dst, n), negative
+
+
+def class_signed(gen: np.random.Generator, negative: np.ndarray, shape) -> np.ndarray:
+    """Gaussian magnitudes, a tenth of them zero, signed by the rows' class."""
+    magnitudes = np.abs(gen.standard_normal(shape)) * (gen.random(shape) >= 0.1)
+    return np.copysign(magnitudes, np.where(negative, -1.0, 1.0).reshape(-1, 1, 1))
+
+
+def fused_attention(logits: Tensor, v: Tensor, kept, rate: float, src: Segments,
+                    dst: Segments) -> Tensor:
+    z, den = neighborhood_softmax(logits.data, dst)
+    return softmax_aggregate(logits, v, z, den, src, dst, kept, rate)
+
+
+def unfused_attention(logits: Tensor, v: Tensor, kept, rate: float, src: Segments,
+                      dst: Segments) -> Tensor:
+    """The tape ``softmax_aggregate`` replaces, op by op: shift, exp, per-node
+    sums, gathered sums, divide, dropout (as a mask multiply), gather, weight, sum."""
+    shift = segment_max(logits.data, dst)
+    z = exp(sub(logits, Tensor(np.take(shift, dst.index, axis=0))))
+    alpha = div(z, take_rows(segment_sum(z, dst), dst))
+    if kept is not None:
+        alpha = mul(alpha, Tensor(kept / (1.0 - rate)))
     return segment_sum(mul(reshape(alpha, alpha.shape + (1,)), take_rows(v, src)), dst)
 
 
+def assert_zeros_of_both_signs(values: np.ndarray, segs: Segments) -> None:
+    wide = np.bincount(segs.index, minlength=segs.n) > 8
+    zeros = values[wide][values[wide] == 0]
+    assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+
+
+# (kept, rate) of each dropout setting a test runs: off, and on at 0.3
+DROPOUT = ((False, 0.0), (True, 0.3))
+
+
 class TestWeightedSegmentSum:
+    """``softmax_aggregate``: one attention layer's softmax, dropout and weighted
+    segment sum as one op, against the oracle and the tape it replaces."""
+
     @pytest.mark.parametrize("heads, dim", [(1, 1), (2, 3), (3, 2)])
     def test_matches_reference(self, heads, dim):
-        alpha, v, src, dst = attention_inputs(heads, dim, seed=heads + dim)
-        want = segment_sum_reference(alpha[..., None] * v[src.index], dst.index, dst.n)
-        wide = np.bincount(dst.index, minlength=dst.n) > 8
-        zeros = want[wide][want[wide] == 0]
-        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-        got = weighted_segment_sum(Tensor(alpha), Tensor(v), src, dst).data
-        assert_same_bits(got, want)
+        logits, v, mask, src, dst, _ = softmax_inputs(heads, dim, seed=heads + dim)
+        for drops, rate in DROPOUT:
+            kept = mask if drops else None
+            z, den = neighborhood_softmax(logits, dst)
+            weights = z / den[dst.index] * (kept / (1.0 - rate) if drops else 1.0)
+            want = segment_sum_reference(weights[..., None] * v[src.index], dst.index, dst.n)
+            got = softmax_aggregate(Tensor(logits), Tensor(v), z, den, src, dst, kept, rate).data
+            assert_same_bits(got, want)
+            if drops:
+                assert_zeros_of_both_signs(want, dst)
 
     @pytest.mark.parametrize("heads, dim", [(1, 1), (2, 3), (3, 2)])
     def test_gradients_match_unfused_tape(self, heads, dim):
-        alpha, v, src, dst = attention_inputs(heads, dim, seed=10 + heads + dim)
-        upstream = signed_rows(np.random.default_rng(dim), (dst.n, heads, dim))
-        results = []
-        for aggregate in (weighted_segment_sum, unfused_aggregate):
-            leaves = Tensor(alpha, requires_grad=True), Tensor(v, requires_grad=True)
-            out = aggregate(*leaves, src, dst)
-            out.backward(upstream)
-            results.append((out.data, *(t.grad for t in leaves)))
-        for got, want in zip(*results):
-            assert_same_bits(got, want)
-        grad_v = results[0][2]
-        wide = np.bincount(src.index, minlength=src.n) > 8
-        zeros = grad_v[wide][grad_v[wide] == 0]
-        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        logits, v, mask, src, dst, negative = softmax_inputs(heads, dim, seed=10 + heads + dim)
+        upstream = class_signed(np.random.default_rng(dim), negative, (dst.n, heads, dim))
+        for drops, rate in DROPOUT:
+            results = []
+            for attend in (fused_attention, unfused_attention):
+                leaves = Tensor(logits, requires_grad=True), Tensor(v, requires_grad=True)
+                out = attend(*leaves, mask if drops else None, rate, src, dst)
+                out.backward(upstream)
+                results.append((out.data, *(t.grad for t in leaves)))
+            for got, want in zip(*results):
+                assert_same_bits(got, want)
+            if drops:
+                assert_zeros_of_both_signs(results[0][2], src)
 
     def test_tape_keeps_only_node_rows(self):
-        alpha, v, src, dst = attention_inputs(2, 3, seed=4)
-        leaves = Tensor(alpha, requires_grad=True), Tensor(v, requires_grad=True)
-        out = weighted_segment_sum(*leaves, src, dst)
+        logits, v, kept, src, dst, _ = softmax_inputs(2, 3, seed=4)
+        z, den = neighborhood_softmax(logits, dst)
+        leaves = Tensor(logits, requires_grad=True), Tensor(v, requires_grad=True)
+        out = softmax_aggregate(*leaves, z, den, src, dst, kept, 0.3)
         assert out.node.parents == tuple(t.node for t in leaves)
-        held = [cell.cell_contents for cell in out._vjp.__closure__]
+        held = closure_contents(out._vjp)
         assert not any(isinstance(x, Tensor) for x in held)
-        # the only edge rows kept are alpha's own
-        edge_rows = [x for x in held if isinstance(x, np.ndarray) and len(x) == len(alpha)]
-        assert len(edge_rows) == 1 and edge_rows[0] is leaves[0].data
+        # z is the only float edge row array kept: den is per node, the mask boolean
+        edge_rows = {id(x): x.dtype for x in held
+                     if isinstance(x, np.ndarray) and len(x) == len(logits)}
+        assert edge_rows == {id(z): np.float64, id(kept): bool}
+        assert any(x is den for x in held)
 
     def test_no_edges(self):
         none = Segments(np.zeros(0, dtype=np.int64), 3)
-        alpha, v = Tensor(np.zeros((0, 2)), requires_grad=True), leaf((3, 2, 2))
-        out = weighted_segment_sum(alpha, v, none, none)
+        logits, v = Tensor(np.zeros((0, 2)), requires_grad=True), leaf((3, 2, 2))
+        out = fused_attention(logits, v, np.zeros((0, 2), dtype=bool), 0.5, none, none)
         out.backward(np.ones((3, 2, 2)))
         np.testing.assert_array_equal(out.data, np.zeros((3, 2, 2)))
-        assert alpha.grad.shape == (0, 2)
+        assert logits.grad.shape == (0, 2)
         np.testing.assert_array_equal(v.grad, np.zeros((3, 2, 2)))
+
+
+def closure_contents(fn) -> list:
+    """What ``fn``'s closure holds, and what the closures of functions in it hold."""
+    held = []
+    for cell in fn.__closure__ or ():
+        held.append(cell.cell_contents)
+        held += closure_contents(cell.cell_contents) if callable(cell.cell_contents) else []
+    return held
 
 
 def closure_arrays(t: Tensor) -> list[np.ndarray]:

@@ -25,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 from qgat import vqc
 from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
 from qgat.autodiff import (Segments, Tensor, gradcheck, gradient_errors, segment_sum,
-                           take_rows, tslice, weighted_segment_sum)
+                           softmax_aggregate, take_rows, tslice)
 from qgat.graph import Graph
 from qgat.statevector import NORM_EPS, encode_batch
 
@@ -88,7 +88,8 @@ def test_take_rows_backward_ignores_row_order(problem):
 @given(segment_problems(trailing=st.sampled_from([(1,), (3,)])))
 def test_softmax_rows_sum_to_one(problem):
     logits, dst, n, _ = problem
-    alpha = neighborhood_softmax(Tensor(logits), Segments(dst, n)).data
+    z, den = neighborhood_softmax(logits, Segments(dst, n))
+    alpha = z / den[dst]
     totals = np.zeros((n, logits.shape[1]))
     np.add.at(totals, dst, alpha)
     filled = np.bincount(dst, minlength=n) > 0
@@ -97,43 +98,46 @@ def test_softmax_rows_sum_to_one(problem):
 
 @st.composite
 def aggregation_problems(draw):
-    """(alpha, v, src, dst, upstream, node_perm, edge_perm): weights of random
-    edges among n nodes, a third of them 0.0 as dropout leaves them, node
+    """(logits, kept, v, src, dst, upstream, node_perm, edge_perm): logits of
+    random edges among n nodes, a keep-mask dropping a third of them, node
     values and an upstream gradient with signed zeros, and a relabelling."""
     n = draw(st.integers(1, 6))
     edges = draw(st.integers(0, 40))
     src, dst = (draw(arrays(np.int64, edges, elements=st.integers(0, n - 1))) for _ in "sd")
     heads, dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    alpha = gen.random((edges, heads))
-    alpha[gen.random(alpha.shape) < 0.3] = 0.0
+    logits = gen.standard_normal((edges, heads))
+    kept = gen.random(logits.shape) >= 0.3
     v, upstream = gen.standard_normal((2, n, heads, dim))
     for values in (v, upstream):
         zero = gen.random(values.shape) < 0.2
         values[zero] = np.copysign(0.0, gen.standard_normal(zero.sum()))
     node_perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
     edge_perm = np.array(draw(st.permutations(range(edges))), dtype=np.int64)
-    return alpha, v, src, dst, upstream, node_perm, edge_perm
+    return logits, kept, v, src, dst, upstream, node_perm, edge_perm
 
 
 @PROPERTY
 @given(aggregation_problems())
 def test_weighted_segment_sum_is_equivariant(problem):
-    """Relabelling the nodes and reordering the edges relabels the output and
-    both gradients, bit for bit."""
-    alpha, v, src, dst, upstream, node_perm, edge_perm = problem
+    """``softmax_aggregate``, with dropout: relabelling the nodes and reordering
+    the edges relabels the output and both gradients, bit for bit."""
+    logits, kept, v, src, dst, upstream, node_perm, edge_perm = problem
     n, inverse = len(v), np.argsort(node_perm)  # node i becomes node_perm[i]
     results = []
-    for a, x, s, d, g in ((alpha, v, src, dst, upstream),
-                          (alpha[edge_perm], v[inverse], node_perm[src[edge_perm]],
-                           node_perm[dst[edge_perm]], upstream[inverse])):
+    for a, k, x, s, d, g in ((logits, kept, v, src, dst, upstream),
+                             (logits[edge_perm], kept[edge_perm], v[inverse],
+                              node_perm[src[edge_perm]], node_perm[dst[edge_perm]],
+                              upstream[inverse])):
         leaves = Tensor(a, requires_grad=True), Tensor(x, requires_grad=True)
-        out = weighted_segment_sum(*leaves, Segments(s, n), Segments(d, n))
+        by_src, by_dst = Segments(s, n), Segments(d, n)
+        z, den = neighborhood_softmax(a, by_dst)
+        out = softmax_aggregate(*leaves, z, den, by_src, by_dst, k, 0.3)
         out.backward(g)
         results.append((out.data, leaves[0].grad, leaves[1].grad))
-    (out, grad_alpha, grad_v), (out2, grad_alpha2, grad_v2) = results
+    (out, grad_logits, grad_v), (out2, grad_logits2, grad_v2) = results
     assert_same_bits(out2[node_perm], out)
-    assert_same_bits(grad_alpha2, grad_alpha[edge_perm])
+    assert_same_bits(grad_logits2, grad_logits[edge_perm])
     assert_same_bits(grad_v2[node_perm], grad_v)
 
 

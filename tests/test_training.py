@@ -304,18 +304,26 @@ class TestEvaluate:
 
 
 def closure_contents(fn) -> list:
-    """What ``fn``'s closure holds, and what the closures of functions in it hold."""
-    held = []
-    for cell in fn.__closure__ or ():
-        held.append(cell.cell_contents)
-        for inner in getattr(cell.cell_contents, "__closure__", None) or ():
-            held.append(inner.cell_contents)
+    """Every object ``fn``'s closure holds, descending into tuples, lists, dict
+    values and the closures of functions among them."""
+    held, seen, stack = [], {id(fn)}, [cell.cell_contents for cell in fn.__closure__ or ()]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        held.append(x)
+        if isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif isinstance(x, dict):
+            stack.extend(x.values())
+        stack.extend(cell.cell_contents for cell in getattr(x, "__closure__", None) or ())
     return held
 
 
 def tape_contents(root: autodiff.Node) -> list:
-    """Every object the VJPs of the tape below ``root`` hold, two closure levels
-    deep, so that the circuit's ``backward`` inside its node's VJP is included."""
+    """Every object the VJPs of the tape below ``root`` hold (``closure_contents``),
+    so that the circuit's ``backward`` inside its node's VJP is included."""
     held, seen, stack = [], set(), [root]
     while stack:
         node = stack.pop()
@@ -346,12 +354,13 @@ class TestTapeContents:
 
     # kB the closures may hold at the start of the backward, with dropout on
     # and 2-qubit circuits, on the 60-node fixture (222 to 606 attention
-    # edges): 1.25 times what they held when the tape stopped keeping each
-    # Tensor's value (45 to 168 kB; 110 to 393 kB before)
+    # edges): 1.25 times what they held once each layer's softmax, dropout
+    # and aggregation kept one (edges, heads) float array instead of three
+    # (32 to 117 kB; 45 to 154 kB before, counted the same way)
     BOUND_KB = {
-        ("qgat", "node-class"): 175, ("gat", "node-class"): 115, ("gatv2", "node-class"): 195,
-        ("qgat", "multi-label"): 80, ("gat", "multi-label"): 56, ("gatv2", "multi-label"): 86,
-        ("qgat", "link-pred"): 178, ("gat", "link-pred"): 132, ("gatv2", "link-pred"): 210,
+        ("qgat", "node-class"): 128, ("gat", "node-class"): 67, ("gatv2", "node-class"): 146,
+        ("qgat", "multi-label"): 65, ("gat", "multi-label"): 40, ("gatv2", "multi-label"): 70,
+        ("qgat", "link-pred"): 116, ("gat", "link-pred"): 70, ("gatv2", "link-pred"): 149,
     }
 
     @pytest.mark.parametrize("model_kind", ["qgat", "gat", "gatv2"])
