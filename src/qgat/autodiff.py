@@ -521,6 +521,16 @@ def segment_sum(x: Tensor, segs: Segments) -> Tensor:
 BLOCK_ELEMS = 1 << 16
 
 
+def _attention_weights(z: np.ndarray, den_e: np.ndarray, kept: np.ndarray | None,
+                       keep: float) -> np.ndarray:
+    """alpha = z / den_e, then inverted dropout: zero where ``kept`` is False, else
+    scaled by 1 / ``keep``; the arithmetic of ``div`` and ``dropout``."""
+    alpha = z / den_e
+    if kept is not None:
+        alpha *= kept / keep
+    return alpha
+
+
 def softmax_aggregate(logits: Tensor, v: Tensor, z: np.ndarray, den: np.ndarray,
                       src: Segments, dst: Segments, kept: np.ndarray | None = None,
                       rate: float = 0.0) -> Tensor:
@@ -544,19 +554,15 @@ def softmax_aggregate(logits: Tensor, v: Tensor, z: np.ndarray, den: np.ndarray,
     v_shape = v.shape
     heads, dim = v_shape[1:]
     nodes = v.data.reshape(len(v.data), heads * dim)
-
-    def weights(den_e: np.ndarray) -> np.ndarray:
-        alpha = z / den_e
-        if kept is not None:
-            alpha *= kept / keep
-        return alpha
-
-    out = _weighted_reduce(nodes, weights(np.take(den, dst.index, axis=0)), dst, src)
+    alpha = _attention_weights(z, np.take(den, dst.index, axis=0), kept, keep)
+    out = _weighted_reduce(nodes, alpha, dst, src)
 
     def vjp(g: np.ndarray):
         g = g.reshape(dst.n, heads * dim)
         den_e = np.take(den, dst.index, axis=0)
-        grad_v = _weighted_reduce(g, weights(den_e), src, dst).reshape(v_shape)
+        alpha = _attention_weights(z, den_e, kept, keep)
+        grad_v = _weighted_reduce(g, alpha, src, dst).reshape(v_shape)
+        del alpha
         grad = np.empty_like(z)  # of the dropped alpha, then of each op below it
         step = max(1, BLOCK_ELEMS // (heads * dim))
         for lo in range(0, len(grad), step):
