@@ -532,8 +532,8 @@ def _attention_weights(z: np.ndarray, den_e: np.ndarray, kept: np.ndarray | None
 
 
 def softmax_aggregate(logits: Tensor, v: Tensor, z: np.ndarray, den: np.ndarray,
-                      src: Segments, dst: Segments, kept: np.ndarray | None = None,
-                      rate: float = 0.0) -> Tensor:
+                      src: Segments, dst: Segments, kept: np.ndarray | None,
+                      rate: float) -> Tensor:
     """Attention from logits to aggregated output: out[i, h] = sum over the edges
     e into i of ``alpha[e, h] * v[src.index[e], h]``, where edge e ends at
     ``dst.index[e]``, alpha is the per-(destination, head) softmax of the

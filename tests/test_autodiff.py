@@ -314,9 +314,10 @@ def attention_inputs(heads: int, dim: int, seed: int):
 
 
 def softmax_inputs(heads: int, dim: int, seed: int):
-    """(logits, v, kept, src, dst): edges into segments of every ORACLE_WIDTHS width
-    on the even node ids, the odd ids without edges, and sources of the same
-    widths, each edge's source in its destination's sign class.
+    """(logits, v, kept, src, dst, negative): edges into segments of every
+    ORACLE_WIDTHS width on the even node ids, the odd ids without edges, and
+    sources of the same widths, each edge's source in its destination's sign
+    class (``negative`` marks one class).
 
     v is negative in the negative class and positive in the other, a tenth of
     it zeros of its class's sign.  A twentieth of the logits are -800, whose
@@ -369,7 +370,7 @@ def assert_zeros_of_both_signs(values: np.ndarray, segs: Segments) -> None:
     assert np.signbit(zeros).any() and not np.signbit(zeros).all()
 
 
-# (kept, rate) of each dropout setting a test runs: off, and on at 0.3
+# (drops, rate) of each dropout setting a test runs: off, and on at 0.3
 DROPOUT = ((False, 0.0), (True, 0.3))
 
 
