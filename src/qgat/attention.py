@@ -54,12 +54,18 @@ from .autodiff import (
 )
 from .graph import Graph
 
+
+def identity(t: Tensor) -> Tensor:
+    return t
+
+
+# module-level functions only, so that a layer, and a trained model, pickles
 ACTIVATIONS = {
     "elu": elu,
     "relu": relu,
     "leaky_relu": leaky_relu,
     "tanh": tanh,
-    "identity": lambda t: t,
+    "identity": identity,
 }
 
 

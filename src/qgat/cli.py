@@ -4,6 +4,14 @@ Subcommands: train, noise-sweep, linkpred, gradcheck, params, synth.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 The whole configuration is checked before a command creates ``--out``, so
 exit 2 means nothing was written.
+
+Every training run is one cell, (data, TrainConfig, noise kind, level).
+``train``, ``linkpred`` and ``noise-sweep`` load their data once and run
+their cells through ``_run_cell``, which ``_run_cells`` calls in cell order,
+serially or in one process pool; a pool returns the trained models by
+pickle, and its results equal the serial ones bit for bit.  Only
+``noise-sweep`` takes ``--jobs``, as before the runner was shared, so no
+command gained an option; ``train`` and ``linkpred`` run one job.
 Set QGAT_LOG=debug|info|warning for log verbosity.
 """
 
@@ -27,6 +35,7 @@ from .graph import (
     FEATURE_NOISE_GRID,
     STRUCTURAL_NOISE_GRID,
     Graph,
+    LinkSplit,
     add_feature_noise,
     add_structural_noise,
     load_graph,
@@ -41,8 +50,10 @@ from .inductive import save_collection, synth_collection
 from .svgplot import Series, line_plot
 from .training import (
     MODEL_KINDS,
+    Model,
     TrainConfig,
     TrainingDivergedError,
+    TrainResult,
     build_model,
     infer_dims,
     link_eval,
@@ -54,18 +65,17 @@ from .training import (
 log = logging.getLogger("qgat")
 
 
+def _sbm_args(cfg: Config) -> dict:
+    """[data]'s SBM keys as keyword arguments of ``synth_sbm`` and ``synth_collection``."""
+    args = {key: cfg.get("data", key)
+            for key in ("n_per_class", "n_classes", "p_in", "p_out", "class_sep", "seed")}
+    return args | {"d": cfg.get("data", "feature_dim")}
+
+
 def _load_data(cfg: Config) -> Graph:
     source = cfg.get("data", "source")
     if source == "synth":
-        return synth_sbm(
-            cfg.get("data", "n_per_class"),
-            cfg.get("data", "n_classes"),
-            cfg.get("data", "p_in"),
-            cfg.get("data", "p_out"),
-            cfg.get("data", "feature_dim"),
-            cfg.get("data", "class_sep"),
-            cfg.get("data", "seed"),
-        )
+        return synth_sbm(**_sbm_args(cfg))
     graph = load_graph(cfg.get("data", "path"), format=source)
     if graph.masks is None:
         # the seeded 60/20/20 node split that synth_sbm draws
@@ -82,25 +92,65 @@ def _link_split(cfg: Config, graph: Graph):
 
 
 def _train_configs(cfg: Config, data, task: str | None = None, models: list[str] | None = None
-                   ) -> list[tuple[str, list[TrainConfig]]]:
-    """One ``TrainConfig`` per seed for each model (``experiment.models`` by
-    default); data that the task cannot read is a configuration error."""
-    runs = [(model, [make_train_config(cfg, model, seed, task)
-                     for seed in cfg.get("experiment", "seeds")])
-            for model in models or cfg.get("experiment", "models")]
+                   ) -> list[TrainConfig]:
+    """One ``TrainConfig`` per (model, seed), model-major, over
+    ``experiment.models`` by default; data that the task cannot read is a
+    configuration error."""
+    tcs = [make_train_config(cfg, model, seed, task)
+           for model in models or cfg.get("experiment", "models")
+           for seed in cfg.get("experiment", "seeds")]
     try:
-        for _, tcs in runs:
-            for tc in tcs:
-                infer_dims(data, tc)
+        for tc in tcs:
+            infer_dims(data, tc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return runs
+    return tcs
 
 
-def _summary_line(model: str, metric_name: str, values: list[float]) -> str:
-    mean = float(np.mean(values))
-    std = float(np.std(values))
-    return f"{model}: {metric_name} = {mean:.4f} +/- {std:.4f} over {len(values)} seeds"
+# (data, run config, noise kind, noise level): one training run
+Cell = tuple[Graph | LinkSplit, TrainConfig, str | None, float]
+
+
+def _run_cell(cell: Cell) -> tuple[Model, TrainResult]:
+    """Train on the cell's data, perturbed first when its level is above 0;
+    top level, and its result picklable, so that a process pool can run it."""
+    data, tc, kind, level = cell
+    log.info("training %s seed %d, noise level %r", tc.model, tc.seed, level)
+    if level > 0:
+        noise = add_feature_noise if kind == "feature" else add_structural_noise
+        data = noise(data, level, tc.seed)
+    return run_training(data, tc)
+
+
+def _run_cells(cells: list[Cell], jobs: int) -> list[tuple[Model, TrainResult]]:
+    """``_run_cell`` of each cell, in cell order, serially or on ``jobs`` workers."""
+    if jobs == 1:
+        return [_run_cell(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_run_cell, cells))
+
+
+def _by_model(cells: list[Cell], values: list) -> dict[str, list]:
+    """One value per cell, grouped by the cell's model in cell order."""
+    groups: dict[str, list] = {}
+    for (_, tc, _, _), value in zip(cells, values, strict=True):
+        groups.setdefault(tc.model, []).append(value)
+    return groups
+
+
+def _summarize(model: str, metric_name: str, values) -> tuple[str, float, float, int]:
+    """Print one model's per-seed mean +/- std line; return (model, mean, std, count)."""
+    mean, std = float(np.mean(values)), float(np.std(values))
+    print(f"{model}: {metric_name} = {mean:.4f} +/- {std:.4f} over {len(values)} seeds")
+    return model, mean, std, len(values)
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; strings as they are, every other value by ``repr``."""
+    with atomic_write(path) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
 
 
 def _prepare_out(cfg: Config, out: Path) -> None:
@@ -113,78 +163,42 @@ def _prepare_out(cfg: Config, out: Path) -> None:
 
 def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
     graph = _load_data(cfg)
-    runs = _train_configs(cfg, graph)
+    cells = [(graph, tc, None, 0.0) for tc in _train_configs(cfg, graph)]
     _prepare_out(cfg, out)
-    summary_rows = []
-    for model_name, tcs in runs:
-        metrics = []
-        for tc in tcs:
-            log.info("training %s seed %d", model_name, tc.seed)
-            _, result = run_training(graph, tc)
-            write_history_csv(result.history, out / f"metrics_{model_name}_seed{tc.seed}.csv")
-            save_checkpoint(out / f"checkpoint_{model_name}_seed{tc.seed}.json", tc,
-                            result.best_state)
-            metrics.append(result.test_metric)
-        print(_summary_line(model_name, "test metric", metrics))
-        summary_rows.append((model_name, float(np.mean(metrics)), float(np.std(metrics)),
-                             len(metrics)))
-    with atomic_write(out / "summary.csv") as fh:
-        fh.write("model,mean,std,n_seeds\n")
-        for row in summary_rows:
-            fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]}\n")
+    results = [result for _, result in _run_cells(cells, jobs)]
+    for (_, tc, _, _), result in zip(cells, results):
+        write_history_csv(result.history, out / f"metrics_{tc.model}_seed{tc.seed}.csv")
+        save_checkpoint(out / f"checkpoint_{tc.model}_seed{tc.seed}.json", tc,
+                        result.best_state)
+    metrics = _by_model(cells, [result.test_metric for result in results])
+    _write_csv(out / "summary.csv", "model,mean,std,n_seeds",
+               [_summarize(model, "test metric", values) for model, values in metrics.items()])
     return 0
 
 
 # -- noise sweep ----------------------------------------------------------------
 
 
-def _sweep_cell(payload: dict) -> tuple[str, float, int, float]:
-    """One (model, level, seed) training run; top level so pools can pickle it."""
-    tc, level = payload["tc"], payload["level"]
-    graph = _load_data(Config(payload["values"]))
-    if level > 0:
-        noise = add_feature_noise if payload["kind"] == "feature" else add_structural_noise
-        graph = noise(graph, level, tc.seed)
-    _, result = run_training(graph, tc)
-    return tc.model, level, tc.seed, result.test_metric
-
-
 def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
     kind = cfg.get("noise", "kind")
     levels = cfg.get("noise", "levels") or list(
         FEATURE_NOISE_GRID if kind == "feature" else STRUCTURAL_NOISE_GRID)
-    # the clean graph is loaded here only to check the runs against it; each
-    # cell loads its own copy, since the worker pool pickles every cell
-    runs = _train_configs(cfg, _load_data(cfg))
+    graph = _load_data(cfg)
+    cells = [(graph, tc, kind, level) for tc in _train_configs(cfg, graph) for level in levels]
     _prepare_out(cfg, out)
-
-    cells = [{"values": cfg.values, "tc": tc, "level": lv, "kind": kind}
-             for _, tcs in runs for lv in levels for tc in tcs]
     log.info("noise sweep: %d cells (%s)", len(cells), kind)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
-    else:
-        rows = [_sweep_cell(c) for c in cells]
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-
-    csv_path = out / "sweep.csv"
-    with atomic_write(csv_path) as fh:
-        fh.write("model,level,seed,metric\n")
-        for model_name, level, seed, metric in rows:
-            fh.write(f"{model_name},{level!r},{seed},{metric!r}\n")
+    metrics = [result.test_metric for _, result in _run_cells(cells, jobs)]
+    _write_csv(out / "sweep.csv", "model,level,seed,metric",
+               sorted((tc.model, level, tc.seed, metric)
+                      for (_, tc, _, level), metric in zip(cells, metrics)))
 
     series = []
-    for model_name, _ in runs:
-        means, stds = [], []
-        for level in levels:
-            vals = [m for mo, lv, _, m in rows if mo == model_name and lv == level]
-            means.append(float(np.mean(vals)))
-            stds.append(float(np.std(vals)))
-        series.append(Series(model_name, list(levels), means, stds))
-        print(_summary_line(model_name, f"metric at max {kind} noise",
-                            [m for mo, lv, _, m in rows
-                             if mo == model_name and lv == levels[-1]]))
+    for model, values in _by_model(cells, metrics).items():
+        # each seed's cells run every level in turn
+        per_level = [values[i::len(levels)] for i in range(len(levels))]
+        series.append(Series(model, list(levels), [float(np.mean(v)) for v in per_level],
+                             [float(np.std(v)) for v in per_level]))
+        _summarize(model, f"metric at max {kind} noise", per_level[-1])
     line_plot(series, title=f"Robustness under {kind} noise",
               xlabel="noise level", ylabel="test metric", path=out / "sweep.svg")
     return 0
@@ -199,23 +213,16 @@ def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
     if not len(split.splits["test"].positives):
         raise ConfigError(f"linkpred.frac_test = {cfg.get('linkpred', 'frac_test')} holds out "
                           "no test edge of this graph")
-    runs = _train_configs(cfg, split, task="link-pred")
+    cells = [(split, tc, None, 0.0) for tc in _train_configs(cfg, split, task="link-pred")]
     _prepare_out(cfg, out)
-    rows = []
-    for model_name, tcs in runs:
-        hits, mrrs = [], []
-        for tc in tcs:
-            model, result = run_training(split, tc)
-            report = link_eval(model, split, k)["test"]
-            rows.append((model_name, tc.seed, report[f"hits@{k}"], report["mrr"]))
-            hits.append(report[f"hits@{k}"])
-            mrrs.append(report["mrr"])
-        print(_summary_line(model_name, f"hits@{k}", hits))
-        print(_summary_line(model_name, "mrr", mrrs))
-    with atomic_write(out / "linkpred.csv") as fh:
-        fh.write(f"model,seed,hits@{k},mrr\n")
-        for model_name, seed, h, m in rows:
-            fh.write(f"{model_name},{seed},{h!r},{m!r}\n")
+    reports = [link_eval(model, split, k)["test"] for model, _ in _run_cells(cells, jobs)]
+    scores = [(report[f"hits@{k}"], report["mrr"]) for report in reports]
+    for model, per_seed in _by_model(cells, scores).items():
+        hits, mrrs = zip(*per_seed)
+        _summarize(model, f"hits@{k}", hits)
+        _summarize(model, "mrr", mrrs)
+    _write_csv(out / "linkpred.csv", f"model,seed,hits@{k},mrr",
+               [(tc.model, tc.seed, *score) for (_, tc, _, _), score in zip(cells, scores)])
     return 0
 
 
@@ -273,21 +280,21 @@ def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
     data = _load_data(cfg)
     if cfg.get("experiment", "task") == "link-pred":
         data = _link_split(cfg, data)
-    runs = _train_configs(cfg, data, models=list(MODEL_KINDS))
+    tcs = _train_configs(cfg, data, models=list(MODEL_KINDS))
     print(f"{'model':<8}{'layer':<10}{'component':<16}{'parameters':>12}")
-    for model_name, (tc, *_) in runs:
+    for tc in tcs[::len(cfg.get("experiment", "seeds"))]:  # each model's first seed
         model = build_model(tc, *infer_dims(data, tc))
         total = 0
         for i, layer in enumerate(model.layers):
             for comp, tensor in layer.params().items():
                 size = int(np.prod(tensor.shape))
                 total += size
-                print(f"{model_name:<8}layer{i:<5}{comp:<16}{size:>12}")
+                print(f"{tc.model:<8}layer{i:<5}{comp:<16}{size:>12}")
         quantum = sum(
             int(np.prod(l.angles.shape)) for l in model.layers if isinstance(l, QgatLayer)
         )
-        print(f"{model_name:<8}{'-':<10}{'quantum total':<16}{quantum:>12}")
-        print(f"{model_name:<8}{'-':<10}{'total':<16}{total:>12}")
+        print(f"{tc.model:<8}{'-':<10}{'quantum total':<16}{quantum:>12}")
+        print(f"{tc.model:<8}{'-':<10}{'total':<16}{total:>12}")
     return 0
 
 
@@ -296,17 +303,8 @@ def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
 
 def cmd_synth(cfg: Config, out: Path, jobs: int) -> int:
     if cfg.get("experiment", "task") == "multi-label":
-        collection = synth_collection(
-            2, 1, 1,
-            n_per_class=cfg.get("data", "n_per_class"),
-            n_classes=cfg.get("data", "n_classes"),
-            p_in=cfg.get("data", "p_in"),
-            p_out=cfg.get("data", "p_out"),
-            d=cfg.get("data", "feature_dim"),
-            class_sep=cfg.get("data", "class_sep"),
-            n_labels=cfg.get("data", "n_classes"),
-            seed=cfg.get("data", "seed"),
-        )
+        collection = synth_collection(2, 1, 1, n_labels=cfg.get("data", "n_classes"),
+                                      **_sbm_args(cfg))
         _prepare_out(cfg, out)
         manifest = save_collection(collection, out / "collection")
         print(f"wrote {manifest}")

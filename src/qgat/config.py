@@ -5,7 +5,8 @@ or keys are rejected, and the resolved map is echoed back to disk so any run
 can be reproduced from its echo file alone.
 
 Each key has exactly one rule.  A key's rule sits beside its default in
-``SCHEMA``: its parser rejects a value of the wrong type or range.  The keys
+``SCHEMA``: its parser rejects a value of the wrong type or range, and a
+list whose items repeat or are out of order where that matters.  The keys
 that configure one training run are checked by ``TrainConfig.validate``
 alone.  ``check`` holds the few rules that join two keys.
 """
@@ -13,7 +14,9 @@ alone.  ``check`` holds the few rules that join two keys.
 from __future__ import annotations
 
 import configparser
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -57,6 +60,17 @@ def _checked(parse, ok, rule: str, *, nonempty: bool = False):
         for item in items:
             if not ok(item):
                 raise ValueError(f"{item!r} is not {rule}")
+        return value
+    return checked
+
+
+def _pairwise(parse, ok, rule: str):
+    """``parse``, then reject a list with an item a before an item b that fail ``ok(a, b)``."""
+    def checked(text: str):
+        value = parse(text)
+        for a, b in itertools.combinations(value, 2):
+            if not ok(a, b):
+                raise ValueError(f"items must {rule}, got {a!r} before {b!r}")
         return value
     return checked
 
@@ -107,8 +121,10 @@ def _with_train_defaults(schema: dict[str, dict[str, tuple[Any, Any]]]):
 # (parser, default) per key; parsers also serve as type documentation.
 SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
     "experiment": {
-        "models": (_one_of(_str_list, MODEL_KINDS, nonempty=True), ["qgat"]),
-        "seeds": (_at_least(_int_list, 0, nonempty=True), [0]),
+        "models": (_pairwise(_one_of(_str_list, MODEL_KINDS, nonempty=True), operator.ne,
+                             "differ"), ["qgat"]),
+        "seeds": (_pairwise(_at_least(_int_list, 0, nonempty=True), operator.ne, "differ"),
+                  [0]),
     },
     "data": {
         "source": (_one_of(str, ("synth", "csv", "json")), "synth"),
@@ -125,7 +141,8 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
     "training": {},
     "noise": {
         "kind": (_one_of(str, ("feature", "structural")), "feature"),
-        "levels": (_at_least(_float_list, 0), []),  # empty -> protocol grid for the kind
+        # empty -> protocol grid for the kind; the sweep's summary reads the last level
+        "levels": (_pairwise(_at_least(_float_list, 0), operator.lt, "strictly increase"), []),
     },
     "linkpred": {
         "frac_val": (_FRACTION, 0.1),  # frac_val + frac_test below 1

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qgat import vqc
-from qgat.cli import main
+from qgat.cli import _run_cells, main
+from qgat.graph import split_link_prediction, synth_sbm
+from qgat.training import TrainConfig
 
 TINY = """
 [experiment]
@@ -134,6 +136,11 @@ class TestTrain:
         ("train", "training.lr=inf"),
         ("train", "training.lr_min=inf"),
         ("train", "training.weight_decay=inf"),
+        ("train", "experiment.seeds=0,0"),
+        ("train", "experiment.seeds=1,0,1"),
+        ("train", "experiment.models=gat,qgat,gat"),
+        ("noise-sweep", "noise.levels=0.2,0.0"),
+        ("noise-sweep", "noise.levels=0.0,0.1,0.1"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
         # whitespace separates the overrides of one case
@@ -214,14 +221,34 @@ class TestNoiseSweep:
         code, _ = self.run_sweep(tmp_path, "adversarial")
         assert code == 2
 
-    def test_parallel_jobs_reproduce_serial(self, tmp_path):
+    def test_parallel_jobs_reproduce_serial(self, tmp_path, capsys):
         cfg = tmp_path / "s.ini"
         cfg.write_text(TINY + "\n[noise]\nkind = feature\nlevels = 0.0,0.1\n")
         out1, out2 = tmp_path / "serial", tmp_path / "par"
         assert main(["noise-sweep", "--config", str(cfg), "--out", str(out1)]) == 0
+        serial = capsys.readouterr().out
         assert main(["noise-sweep", "--config", str(cfg), "--out", str(out2),
                      "--jobs", "2"]) == 0
-        assert (out1 / "sweep.csv").read_text() == (out2 / "sweep.csv").read_text()
+        assert capsys.readouterr().out == serial
+        for name in ("sweep.csv", "sweep.svg"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+class TestCellRunner:
+    @pytest.mark.parametrize("task", ["node-class", "link-pred"])
+    def test_pool_reproduces_serial(self, task):
+        graph = synth_sbm(10, 2, 0.3, 0.02, 4, 1.0, 0)
+        data = graph if task == "node-class" else split_link_prediction(graph, 0.1, 0.2, 1, 0)
+        cells = [(data, TrainConfig(model=model, seed=seed, task=task, epochs=3,
+                                    hidden_dims=[4, 4], heads_per_layer=[2, 2], n_qubits=2,
+                                    dropout=0.2), None, 0.0)
+                 for model in ("qgat", "gat") for seed in (0, 1)]
+        serial, pooled = _run_cells(cells, 1), _run_cells(cells, 2)
+        for (_, a), (_, b) in zip(serial, pooled, strict=True):
+            assert ([(rec.losses, rec.metrics) for rec in a.history]
+                    == [(rec.losses, rec.metrics) for rec in b.history])
+            assert ({name: arr.tobytes() for name, arr in a.best_state.items()}
+                    == {name: arr.tobytes() for name, arr in b.best_state.items()})
 
 
 class TestLinkpred:

@@ -1,6 +1,7 @@
 """Optimizer, schedule, losses, and the training loop."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -441,6 +442,17 @@ class TestPersistence:
         fresh = build_model(cfg2, g.feature_dim, 2)
         fresh.load_state_dict(state)
         np.testing.assert_array_equal(fresh.forward(g).data, model.forward(g).data)
+
+    @pytest.mark.parametrize("model_kind", ["qgat", "gat", "gatv2"])
+    def test_trained_model_pickles_bit_exact(self, model_kind):
+        # a process pool hands each trained model back by pickle
+        g = fixture_graph()
+        model, _ = run_training(g, small_cfg(model=model_kind, epochs=3, dropout=0.2,
+                                             n_qubits=2))
+        copy = pickle.loads(pickle.dumps(model))
+        assert ({name: arr.tobytes() for name, arr in copy.state_dict().items()}
+                == {name: arr.tobytes() for name, arr in model.state_dict().items()})
+        assert copy.forward(g).data.tobytes() == model.forward(g).data.tobytes()
 
     def saved_checkpoint(self, tmp_path, edit):
         model = build_model(small_cfg(), 8, 2)
