@@ -4,8 +4,10 @@ All three share one message-passing skeleton.  A layer supplies node terms a,
 b and v; edge j -> i gets logit f(a_i + b_j) and value v_j.  Then softmax over
 each in-neighborhood (self-loop included), weighted sum, merge (concat or
 mean), activation, dropout, residual.  Layers differ only in a, b, v and f.
-The layer makes the edge rows a_i + b_j in one op (``autodiff.edge_sum``),
-which keeps no gathered rows on the tape.  ``neighborhood_softmax`` makes
+GAT and GATv2 make the edge rows a_i + b_j in one op (``autodiff.edge_sum``),
+which keeps no gathered rows on the tape; QGAT hands a, b and the edge
+layouts to its circuit as ``autodiff.EdgeRows``, and the circuit makes the
+rows in its forward and again in its backward.  ``neighborhood_softmax`` makes
 the softmax numerators z and their per-node sums, and
 ``autodiff.softmax_aggregate`` runs from the logits to the aggregated output,
 reading v at node level.  Its tape keeps z, the per-node sums, the boolean
@@ -17,7 +19,9 @@ through a shared strongly-entangling circuit; Z expectations (one per qubit
 per execution) become the per-head logits, surplus tail values dropped.  No
 LeakyReLU is applied to quantum logits.  The compression is linear, so its
 rows split into a_i = [W h_i || h_i] P_dst and b_j = [W h_j || h_j] P_src,
-four row slices (``autodiff.tslice``) of ``compress``.
+four row slices (``autodiff.tslice``) of ``compress``.  Its tape keeps a, b
+(nodes, 2^n_q * n_exec) and one norm per execution, not the encoded
+(edges * n_exec, 2^n_q) rows.
 Value projections reuse per-head column slices of the shared multi-head
 projection unless a separate value matrix is requested.
 
@@ -32,6 +36,7 @@ import numpy as np
 
 from . import vqc
 from .autodiff import (
+    EdgeRows,
     Segments,
     Tensor,
     dropout,
@@ -87,9 +92,10 @@ def neighborhood_softmax(logits: np.ndarray, dst: Segments) -> tuple[np.ndarray,
 
 class _AttentionLayer:
     """Shared skeleton, the one place that reads edge rows: subclasses supply
-    ``_node_terms(h) -> (a, b, v)``, one row per node, and ``_edge_logits(z)``,
-    the (edges, heads) logits of z = a[dst] + b[src]; edge values are v[src],
-    weighted and summed by ``softmax_aggregate`` without being gathered."""
+    ``_node_terms(h) -> (a, b, v)``, one row per node, and
+    ``_edge_logits(a, b, dst, src)``, the (edges, heads) logits of
+    z = a[dst] + b[src]; edge values are v[src], weighted and summed by
+    ``softmax_aggregate`` without being gathered."""
 
     def __init__(self, in_dim: int, head_dim: int, heads: int, *,
                  merge: str = "concat", dropout: float = 0.0,
@@ -141,7 +147,7 @@ class _AttentionLayer:
         src, dst = graph.attention_segments()
         n = graph.n_nodes
         a, b, v = self._node_terms(self._drop(x, training, rng))
-        logits = self._edge_logits(edge_sum(a, b, dst, src))
+        logits = self._edge_logits(a, b, dst, src)
         z, den = neighborhood_softmax(logits.data, dst)
         kept = (keep_mask(z.shape, self.dropout_rate, rng)
                 if self._drops(training, rng) else None)
@@ -197,10 +203,10 @@ class QgatLayer(_AttentionLayer):
         v = proj if self.value_proj is None else matmul(h, self.value_proj)
         return a, b, v
 
-    def _edge_logits(self, z: Tensor) -> Tensor:
-        chunks = reshape(z, (z.shape[0] * self.n_exec, 1 << self.n_qubits))
-        expectations = vqc.expectations_op(chunks, self.angles, self.layout)
-        per_edge = reshape(expectations, (z.shape[0], self.n_exec * self.n_qubits))
+    def _edge_logits(self, a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
+        rows = EdgeRows(a, b, dst, src, 1 << self.n_qubits)
+        expectations = vqc.expectations_op(rows, self.angles, self.layout)
+        per_edge = reshape(expectations, (len(dst), self.n_exec * self.n_qubits))
         return tslice(per_edge, np.s_[:, :self.heads])
 
 
@@ -226,8 +232,8 @@ class GatLayer(_AttentionLayer):
         score_src = tsum(mul(proj3, self.attn_src), axis=2)
         return score_dst, score_src, proj
 
-    def _edge_logits(self, z: Tensor) -> Tensor:
-        return leaky_relu(z)
+    def _edge_logits(self, a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
+        return leaky_relu(edge_sum(a, b, dst, src))
 
 
 class Gatv2Layer(_AttentionLayer):
@@ -248,7 +254,8 @@ class Gatv2Layer(_AttentionLayer):
         pl = matmul(h, self.proj_src)
         return matmul(h, self.proj_dst), pl, pl
 
-    def _edge_logits(self, z: Tensor) -> Tensor:
-        joint3 = leaky_relu(reshape(z, (z.shape[0], self.heads, self.head_dim)))
+    def _edge_logits(self, a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
+        joint3 = leaky_relu(reshape(edge_sum(a, b, dst, src),
+                                    (len(dst), self.heads, self.head_dim)))
         return tsum(mul(joint3, self.attn), axis=2)
 

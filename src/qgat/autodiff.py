@@ -20,7 +20,9 @@ Three properties matter for callers:
 * the tape keeps only what the VJPs read, and ``backward`` consumes it: one
   backward per forward.  ``add``, ``sub``, ``tsum``, ``reshape``,
   ``tslice``, ``take_rows`` and ``edge_sum`` (the attention logits' input
-  ``a[dst] + b[src]``) keep shapes or index layouts only; ``mul``, ``div``,
+  ``a[dst] + b[src]``) keep shapes or index layouts only; ``EdgeRows`` hands
+  the same rows to an op ungathered (``vqc.expectations_op`` keeps a's and
+  b's arrays and makes the rows again in its backward); ``mul``, ``div``,
   ``matmul``, ``log`` and ``softplus`` their operand arrays; ``exp``,
   ``tanh`` and ``elu`` their output; ``dropout``, ``relu``, ``leaky_relu``
   and ``elu`` a boolean mask; ``pair_dot`` its node-level operand;
@@ -330,13 +332,50 @@ def take_rows(x: Tensor, segs: Segments) -> Tensor:
                    lambda g: (_segment_reduce(g, segs, "sum"),))
 
 
+def _edge_rows(a: np.ndarray, b: np.ndarray, dst: Segments, src: Segments) -> np.ndarray:
+    return np.take(a, dst.index, axis=0) + np.take(b, src.index, axis=0)
+
+
+def _edge_row_grads(g: np.ndarray, dst: Segments, src: Segments):
+    return _segment_reduce(g, dst, "sum"), _segment_reduce(g, src, "sum")
+
+
 def edge_sum(a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
     """Edge rows ``a[dst.index] + b[src.index]``: the bits of
     ``take_rows(a, dst) + take_rows(b, src)`` and of its gradients, without
     the two gathered (edges, ...) arrays on the tape."""
-    return make_op(np.take(a.data, dst.index, axis=0) + np.take(b.data, src.index, axis=0),
-                   (a, b), lambda g: (_segment_reduce(g, dst, "sum"),
-                                      _segment_reduce(g, src, "sum")))
+    return make_op(_edge_rows(a.data, b.data, dst, src), (a, b),
+                   lambda g: _edge_row_grads(g, dst, src))
+
+
+class EdgeRows:
+    """``edge_sum(a, b, dst, src)``'s rows, not made: an op's input given by the
+    node-level (nodes, k * width) Tensors a and b and the edge layouts, read as
+    (edges * k, width) rows, row r being chunk r % k of edge r // k's row.
+    ``len`` is that row count.  An op that takes them (``vqc.expectations_op``)
+    keeps a's and b's arrays, not the rows, and makes the rows again when its
+    backward needs them."""
+
+    __slots__ = ("a", "b", "dst", "src", "width")
+
+    def __init__(self, a: Tensor, b: Tensor, dst: Segments, src: Segments, width: int):
+        self.a, self.b, self.dst, self.src, self.width = a, b, dst, src, width
+
+    def __len__(self) -> int:
+        return len(self.dst) * (self.a.shape[1] // self.width)
+
+    def reader(self) -> Callable[[], np.ndarray]:
+        """A callable that makes the rows, a fresh (len(self), width) array, at
+        each call with ``edge_sum``'s arithmetic; it holds a's and b's arrays
+        and the layouts, not the Tensors."""
+        a, b, dst, src, width = self.a.data, self.b.data, self.dst, self.src, self.width
+        return lambda: _edge_rows(a, b, dst, src).reshape(-1, width)
+
+    def grads(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """A callable from the rows' (len(self), width) gradient to a's and b's,
+        through ``edge_sum``'s VJP; it holds the layouts only."""
+        dst, src, shape = self.dst, self.src, (len(self.dst), self.a.shape[1])
+        return lambda g: _edge_row_grads(g.reshape(shape), dst, src)
 
 
 def pair_dot(x: Tensor, u: Segments, v: Segments) -> Tensor:

@@ -123,10 +123,12 @@ def _run_cell(cell: Cell) -> tuple[Model, TrainResult]:
 
 
 def _run_cells(cells: list[Cell], jobs: int) -> list[tuple[Model, TrainResult]]:
-    """``_run_cell`` of each cell, in cell order, serially or on ``jobs`` workers."""
-    if jobs == 1:
+    """``_run_cell`` of each cell, in cell order, serially or on ``jobs`` workers,
+    but never on more workers than there are cells."""
+    workers = min(jobs, len(cells))
+    if workers <= 1:
         return [_run_cell(cell) for cell in cells]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell, cells))
 
 

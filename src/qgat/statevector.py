@@ -12,7 +12,8 @@ the B = 1 case.
 
 ``encode_batch`` returns real float64 rows: amplitude-encoded real features
 carry no phase, and the circuit multiplies them into its complex unitary as
-a real GEMM.
+a real GEMM.  Its normalisation is ``reencode``, which the circuit's
+backward also calls to rebuild the rows from the norms it kept.
 """
 
 from __future__ import annotations
@@ -126,11 +127,21 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     padded = np.zeros((x.shape[0], dim), dtype=np.float64)
     padded[:, : x.shape[1]] = x
     norms = np.linalg.norm(padded, axis=1)
-    degenerate = norms < NORM_EPS
-    safe = np.where(degenerate, 1.0, norms)
-    padded /= safe[:, None]
-    if degenerate.any():
-        padded[degenerate] = 0.0
-        padded[degenerate, 0] = 1.0
-    return padded, np.where(degenerate, 0.0, norms)
+    norms[norms < NORM_EPS] = 0.0
+    return reencode(padded, norms, n_qubits), norms
 
+
+def reencode(x: np.ndarray, norms: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The states ``encode_batch(x, n_qubits)`` returns, from the same rows and
+    the norms it reported, bit for bit, without its checks or its norm pass:
+    each row divided by its norm, and a row of norm 0 made |0...0>.  ``x``
+    must be a fresh array: one 2^n wide is normalized in place and returned."""
+    dim = 1 << n_qubits
+    if x.shape[1] < dim:
+        x = np.concatenate([x, np.zeros((len(x), dim - x.shape[1]))], axis=1)
+    degenerate = norms == 0.0
+    x /= np.where(degenerate, 1.0, norms)[:, None]
+    if degenerate.any():
+        x[degenerate] = 0.0
+        x[degenerate, 0] = 1.0
+    return x

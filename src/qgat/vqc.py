@@ -20,23 +20,36 @@ folds the batch into one GEMM; as E is real, sum_b 2 Re <Lambda_b, dU x_b>
 One path serves every qubit count: U costs 16 * 4^n bytes, 4 KB at the
 default n = 4 and 16 MB at n = 10.
 
-There are two ways in: ``expectations_op``, the autodiff node the QGAT
-layer records, and ``circuit_forward_batch``, plain arrays in and out.  A
-single input vector is the B = 1 case of either.
+The backward does not keep E: it makes the raw rows again and re-encodes
+them with ``statevector.reencode`` and the stored norms, the forward's
+arithmetic without its norm pass.  It then forms Lambda for every block,
+C in one whole-batch GEMM, and writes each block's input gradient over
+that block's rows, so at its peak it holds E and Lambda, (B, 3 * 2^n)
+floats.  The VJP keeps the norms, R and what makes the rows.
+
+There are two ways in: ``expectations_op``, the autodiff node, and
+``circuit_forward_batch``, plain arrays in and out.  The node takes a
+(B, width) rows Tensor, whose array its VJP keeps, or ``autodiff.EdgeRows``,
+the rows a_i + b_j that the QGAT layer gives by its node-level terms and
+edge layouts: the VJP then keeps a's and b's (nodes, k * 2^n) arrays, never
+a (edges * k, 2^n) one, and returns a's and b's gradients through
+``edge_sum``'s VJP.  A single input vector is the B = 1 case of either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .autodiff import Tensor, make_op
+from .autodiff import EdgeRows, Tensor, make_op
 from .statevector import (
     cnot_batch,
     encode_batch,
     pauli_y_half_batch,
     pauli_z_half_batch,
+    reencode,
     ry_batch,
     rz_batch,
     z_sign_matrix,
@@ -131,20 +144,23 @@ def _row_blocks(batch: int, dim: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
+def _circuit(read_rows: Callable[[], np.ndarray], angles: np.ndarray,
+             layout: EntanglingLayout):
     """Z expectations (B, n_qubits) of a batch of raw input rows, and their backward.
 
-    ``backward(upstream)`` returns the exact gradients of
-    sum(upstream * expectations): (grad_angles (L, n_q, 3), grad_inputs (B, input_dim)).
-    Psi exists one row block at a time, in the forward and again in the
-    backward, which keeps of the batch only the encoded rows, their norms and
-    the input width.
+    ``read_rows()`` makes the (B, width) rows, width <= 2^n, as a fresh array:
+    once here and once in the backward, which re-encodes them with the stored
+    norms instead of keeping them.  ``backward(upstream)`` returns the exact
+    gradients of sum(upstream * expectations): (grad_angles (L, n_q, 3),
+    grad_rows (B, 2^n)), the second with respect to the rows zero-padded to
+    2^n, written into the re-encoded rows' buffer.  Psi exists one row block
+    at a time, in the forward and again in the backward, which keeps of the
+    batch only the norms.
     """
     _check_shapes(angles, layout)
     n = layout.n_qubits
     dim = 1 << n
-    m = inputs.shape[1]
-    encoded, norms = encode_batch(inputs, n)  # E, real (B, 2^n)
+    encoded, norms = encode_batch(read_rows(), n)  # E, real (B, 2^n)
     rows = _unitary_rows(angles, layout)
     stacked = np.concatenate([rows.real, rows.imag], axis=1)  # [Re R | Im R]
     blocks = _row_blocks(len(encoded), dim)
@@ -154,21 +170,25 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
         expectations[blk] = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
 
     def backward(upstream: np.ndarray):
-        twice = 2.0 * stacked.T  # a power of two: the bits of 2.0 * (lam @ stacked.T)
+        encoded = reencode(read_rows(), norms, n)
         lam = np.empty((len(encoded), 2 * dim))
-        grad_inputs = np.empty((len(encoded), m))
         for blk in blocks:
             psi = encoded[blk] @ stacked
             # [Re | Im] of Psi * (g Z^T), the one (b, 2^n) factor broadcast over both halves
             halves = lam[blk].reshape(len(psi), 2, dim)
             np.multiply(psi.reshape(len(psi), 2, dim),
                         (upstream[blk] @ z_sign_matrix(n).T)[:, None], out=halves)
-            grad_amp = lam[blk] @ twice
-            radial = np.sum(grad_amp * encoded[blk], axis=1, keepdims=True)
-            grad_inputs[blk] = grad_amp[:, :m] - encoded[blk, :m] * radial
         # sum_b 2 Re <lam_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> with C = E^T lam, one GEMM
         # over the whole batch: it adds over rows, so blocks would change its bits
         parts = encoded.T @ lam
+        twice = 2.0 * stacked.T  # a power of two: the bits of 2.0 * (lam @ stacked.T)
+        for blk in blocks:
+            grad_amp = lam[blk] @ twice
+            radial = np.sum(grad_amp * encoded[blk], axis=1, keepdims=True)
+            # the block's rows are read for the last time: its gradient goes in their place
+            grad_rows = encoded[blk]
+            grad_rows *= radial
+            np.subtract(grad_amp, grad_rows, out=grad_rows)
         costate = parts[:, :dim] + 1j * parts[:, dim:]
         ket = rows.copy()
         grad_angles = np.zeros_like(angles)
@@ -186,9 +206,9 @@ def _circuit(inputs: np.ndarray, angles: np.ndarray, layout: EntanglingLayout):
             gate(ket, n, wires, -angle)
             gate(costate, n, wires, -angle)
         nonzero = norms > 0
-        np.divide(grad_inputs, norms[:, None], out=grad_inputs, where=nonzero[:, None])
-        grad_inputs[~nonzero] = 0.0
-        return grad_angles, grad_inputs
+        np.divide(encoded, norms[:, None], out=encoded, where=nonzero[:, None])
+        encoded[~nonzero] = 0.0
+        return grad_angles, encoded
 
     return expectations, backward
 
@@ -197,18 +217,33 @@ def circuit_forward_batch(inputs: np.ndarray, angles: np.ndarray,
                           layout: EntanglingLayout) -> np.ndarray:
     """Z expectations (B, n_qubits) for a batch of raw input rows."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    expectations, _ = _circuit(inputs, np.asarray(angles, dtype=np.float64), layout)
-    _count_executions(inputs.shape[0])
+    expectations, _ = _circuit(inputs.copy, np.asarray(angles, dtype=np.float64), layout)
+    _count_executions(len(expectations))
     return expectations
 
 
-def expectations_op(inputs: Tensor, angles: Tensor, layout: EntanglingLayout) -> Tensor:
-    """Autodiff node: batched circuit expectations with adjoint-mode backward."""
-    expectations, backward = _circuit(inputs.data, angles.data, layout)
-    _count_executions(inputs.data.shape[0])
+def expectations_op(inputs: Tensor | EdgeRows, angles: Tensor,
+                    layout: EntanglingLayout) -> Tensor:
+    """Autodiff node: batched circuit expectations with adjoint-mode backward.
+
+    ``inputs`` is a (B, width) Tensor of rows, or ``EdgeRows``, rows given by
+    node-level Tensors a and b and the edge layouts, whose gradients the VJP
+    returns through ``edge_sum``'s VJP.  The tape keeps the row norms and the
+    rows Tensor's array, or a's and b's arrays, never the encoded rows.
+    """
+    if isinstance(inputs, Tensor):
+        width = inputs.shape[-1]
+        parents, read_rows = (inputs,), inputs.data.copy
+
+        def input_grads(grad_rows):
+            return (grad_rows[:, :width],)
+    else:
+        parents, read_rows, input_grads = (inputs.a, inputs.b), inputs.reader(), inputs.grads()
+    expectations, backward = _circuit(read_rows, angles.data, layout)
+    _count_executions(len(expectations))
 
     def vjp(g: np.ndarray):
-        grad_angles, grad_inputs = backward(g)
-        return grad_inputs, grad_angles
+        grad_angles, grad_rows = backward(g)
+        return (*input_grads(grad_rows), grad_angles)
 
-    return make_op(expectations, (inputs, angles), vjp)
+    return make_op(expectations, (*parents, angles), vjp)

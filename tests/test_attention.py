@@ -44,6 +44,12 @@ def edge_logits(layer, g, features=None):
     return softmax.call_args.args[0]
 
 
+def circuit_rows(inputs) -> np.ndarray:
+    """The rows a circuit call runs on: a rows Tensor's array, or the rows
+    ``autodiff.EdgeRows`` makes."""
+    return inputs.data.copy() if isinstance(inputs, Tensor) else inputs.reader()()
+
+
 @pytest.fixture
 def circuit_calls(monkeypatch):
     """(inputs, expectations) of every circuit call the layers make, in order."""
@@ -52,7 +58,7 @@ def circuit_calls(monkeypatch):
 
     def recording(inputs, angles, layout):
         out = run(inputs, angles, layout)
-        calls.append((inputs.data.copy(), out.data.copy()))
+        calls.append((circuit_rows(inputs), out.data.copy()))
         return out
 
     monkeypatch.setattr(vqc, "expectations_op", recording)
@@ -326,19 +332,26 @@ class TestClassicalHandFixtures:
 class TestGatherSite:
     @pytest.mark.parametrize("kind", ["qgat", "gat", "gatv2"])
     def test_same_edge_gathers_for_every_layer(self, kind, monkeypatch):
-        # one edge_sum gathers a[dst] and b[src]; the one op from logits to
-        # output gathers the per-node softmax denominators by dst and reads v
-        # at node level
-        calls = {"edge_sum": [], "softmax_aggregate": []}
+        # one edge_sum gathers a[dst] and b[src], or, for QGAT, the circuit
+        # reads them as EdgeRows; the one op from logits to output gathers the
+        # per-node softmax denominators by dst and reads v at node level
+        calls = {"edge_sum": [], "softmax_aggregate": [], "expectations_op": []}
         for name, log in calls.items():
-            def counting(*args, _original=getattr(attention, name), _log=log):
+            owner = vqc if name == "expectations_op" else attention
+            def counting(*args, _original=getattr(owner, name), _log=log):
                 _log.append(args)
                 return _original(*args)
-            monkeypatch.setattr(attention, name, counting)
+            monkeypatch.setattr(owner, name, counting)
         g = random_graph(8, 0.4, 3, seed=1)
         src, dst = g.attention_segments()
         make_layer(kind, 3, 2, 2, seed=2).forward(g, g.features)
-        [(a, b, by_a, by_b)] = calls["edge_sum"]
+        if kind == "qgat":
+            assert not calls["edge_sum"]
+            [(rows, _, _)] = calls["expectations_op"]
+            a, b, by_a, by_b = rows.a, rows.b, rows.dst, rows.src
+        else:
+            assert not calls["expectations_op"]
+            [(a, b, by_a, by_b)] = calls["edge_sum"]
         assert by_a is dst and by_b is src and len(a.data) == len(b.data) == g.n_nodes
         [(logits, v, z, denominators, by_v, by_denominators, _, _)] = calls["softmax_aggregate"]
         assert by_denominators is dst and denominators.shape == (g.n_nodes, 2)

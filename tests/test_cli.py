@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgat import vqc
+from qgat import cli, vqc
 from qgat.cli import _run_cells, main
 from qgat.graph import split_link_prediction, synth_sbm
 from qgat.training import TrainConfig
@@ -233,6 +233,28 @@ class TestNoiseSweep:
         for name in ("sweep.csv", "sweep.svg"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_pool_never_exceeds_cell_count(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "s.ini"
+        cfg.write_text(TINY + "\n[noise]\nkind = feature\nlevels = 0.0,0.1\n")
+        requested = []
+        pool = cli.ProcessPoolExecutor
+
+        def recording(max_workers):
+            requested.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", recording)
+        out1, out4 = tmp_path / "serial", tmp_path / "par"
+        assert main(["noise-sweep", "--config", str(cfg), "--out", str(out1),
+                     "--seeds", "0"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["noise-sweep", "--config", str(cfg), "--out", str(out4),
+                     "--seeds", "0", "--jobs", "4"]) == 0
+        assert capsys.readouterr().out == serial
+        assert requested == [2]  # one model, one seed, two levels: two cells
+        for name in ("sweep.csv", "sweep.svg", "config_echo.ini"):
+            assert (out1 / name).read_bytes() == (out4 / name).read_bytes(), name
+
 
 class TestCellRunner:
     @pytest.mark.parametrize("task", ["node-class", "link-pred"])
@@ -310,7 +332,12 @@ class TestGradcheck:
         def doubled_angle_vjp(inputs, angles, layout):
             out = run(inputs, angles, layout)
             vjp = out._vjp
-            out._vjp = lambda g: (vjp(g)[0], 2.0 * vjp(g)[1])
+
+            def doubled(g):
+                *input_grads, grad_angles = vjp(g)  # one input gradient, or a's and b's
+                return (*input_grads, 2.0 * grad_angles)
+
+            out._vjp = doubled
             return out
 
         monkeypatch.setattr(vqc, "expectations_op", doubled_angle_vjp)
@@ -320,6 +347,8 @@ class TestGradcheck:
         assert "circuit.angles: max relative error 1.000e+00 [FAIL]" in printed
         assert "qgat_layer.angles: max relative error 1.000e+00 [FAIL]" in printed
         assert "circuit.inputs: max relative error 0.000e+00 [ok]" in printed
+        # the layer's circuit takes a and b as EdgeRows: their gradients stay exact
+        assert "qgat_layer.compress: max relative error 0.000e+00 [ok]" in printed
 
     def test_nan_gradient_fails(self, monkeypatch, capsys):
         run = vqc.expectations_op
@@ -327,7 +356,7 @@ class TestGradcheck:
         def nan_angle_vjp(inputs, angles, layout):
             out = run(inputs, angles, layout)
             vjp = out._vjp
-            out._vjp = lambda g: (vjp(g)[0], np.full(angles.shape, np.nan))
+            out._vjp = lambda g: (*vjp(g)[:-1], np.full(angles.shape, np.nan))
             return out
 
         monkeypatch.setattr(vqc, "expectations_op", nan_angle_vjp)
@@ -337,6 +366,7 @@ class TestGradcheck:
         assert "circuit.angles: max relative error nan [FAIL]" in printed
         assert "qgat_layer.angles: max relative error nan [FAIL]" in printed
         assert "circuit.inputs: max relative error 0.000e+00 [ok]" in printed
+        assert "qgat_layer.compress: max relative error 0.000e+00 [ok]" in printed
 
 
 class TestParams:

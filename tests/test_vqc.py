@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qgat import vqc
-from qgat.autodiff import Tensor, gradcheck
+from qgat.autodiff import EdgeRows, Segments, Tensor, edge_sum, gradcheck, reshape, tslice
+from qgat.statevector import NORM_EPS
 from qgat.vqc import EntanglingLayout, build_layout
 
 from oracles import circuit_expectations_reference, circuit_reference
@@ -267,6 +268,53 @@ class TestBatch:
             for got, ref in zip((out.data, inputs.grad, angle_t.grad), want):
                 np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64),
                                               err_msg=f"batch {batch}")
+
+
+class TestEdgeRows:
+    """``expectations_op`` on ``EdgeRows`` against the chain the QGAT layer ran
+    before, ``expectations_op(reshape(edge_sum(a, b, dst, src)))``: values and
+    the a, b and angle gradients bit for bit."""
+
+    @pytest.mark.parametrize("n_q,heads", [(1, 1), (2, 2), (2, 3), (4, 4), (4, 6)])
+    def test_same_bits_as_edge_sum_chain(self, n_q, heads):
+        rng = np.random.default_rng(n_q * 10 + heads)
+        n_exec, dim = -(-heads // n_q), 1 << n_q  # 3 and 6 heads drop a surplus tail
+        nodes, edges = 40, 1500  # 3,000 rows at n = 4, two of the circuit's row blocks
+        ends = rng.integers(0, nodes, (2, edges))
+        ends[:, :2] = [[0, 2], [1, 3]]  # edges 1 -> 0 and 3 -> 2
+        dst, src = Segments(ends[0], nodes), Segments(ends[1], nodes)
+        a0 = rng.standard_normal((nodes, n_exec * dim))
+        b0 = rng.standard_normal((nodes, n_exec * dim))
+        a0[0] = -b0[1]  # edge 1 -> 0's row is zero, encoded as |0...0>
+        a0[2, :dim] = 1e-14 - b0[3, :dim]  # edge 3 -> 2's first chunk is below NORM_EPS
+        layout = build_layout(n_q, 2)
+        angles0 = rng.uniform(0, 2 * np.pi, (2, n_q, 3))
+        upstream = rng.standard_normal((edges, heads))
+
+        def run(fused):
+            a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+            angles = Tensor(angles0, requires_grad=True)
+            if fused:
+                inputs = EdgeRows(a, b, dst, src, dim)
+            else:
+                inputs = reshape(edge_sum(a, b, dst, src), (edges * n_exec, dim))
+            out = vqc.expectations_op(inputs, angles, layout)
+            logits = tslice(reshape(out, (edges, n_exec * n_q)), np.s_[:, :heads])
+            logits.backward(upstream)
+            return logits.data, a.grad, b.grad, angles.grad
+
+        rows = EdgeRows(Tensor(a0), Tensor(b0), dst, src, dim).reader()()
+        norms = np.linalg.norm(rows, axis=1)
+        assert (norms == 0).any() and ((norms > 0) & (norms < NORM_EPS)).any()
+        for got, want in zip(run(True), run(False), strict=True):
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_rows_wider_than_the_circuit_raise(self):
+        a = Tensor(np.ones((3, 5)), requires_grad=True)
+        dst = src = Segments(np.array([0, 1, 2]), 3)
+        with pytest.raises(ValueError, match="exceeds"):
+            vqc.expectations_op(EdgeRows(a, a, dst, src, 5), Tensor(np.zeros((1, 2, 3))),
+                                build_layout(2, 1))
 
 
 class TestExecutionCounter:
