@@ -124,11 +124,17 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"input length {x.shape[1]} exceeds 2^{n_qubits} = {dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
-    padded = np.zeros((x.shape[0], dim), dtype=np.float64)
-    padded[:, : x.shape[1]] = x
+    padded = _padded(x, dim)
     norms = np.linalg.norm(padded, axis=1)
     norms[norms < NORM_EPS] = 0.0
     return reencode(padded, norms, n_qubits), norms
+
+
+def _padded(x: np.ndarray, dim: int) -> np.ndarray:
+    """A fresh (B, dim) copy of the rows of ``x``, zero-padded on the right."""
+    padded = np.zeros((x.shape[0], dim), dtype=np.float64)
+    padded[:, : x.shape[1]] = x
+    return padded
 
 
 def reencode(x: np.ndarray, norms: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -138,7 +144,7 @@ def reencode(x: np.ndarray, norms: np.ndarray, n_qubits: int) -> np.ndarray:
     must be a fresh array: one 2^n wide is normalized in place and returned."""
     dim = 1 << n_qubits
     if x.shape[1] < dim:
-        x = np.concatenate([x, np.zeros((len(x), dim - x.shape[1]))], axis=1)
+        x = _padded(x, dim)
     degenerate = norms == 0.0
     x /= np.where(degenerate, 1.0, norms)[:, None]
     if degenerate.any():
