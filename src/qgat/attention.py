@@ -19,9 +19,9 @@ through a shared strongly-entangling circuit; Z expectations (one per qubit
 per execution) become the per-head logits, surplus tail values dropped.  No
 LeakyReLU is applied to quantum logits.  The compression is linear, so its
 rows split into a_i = [W h_i || h_i] P_dst and b_j = [W h_j || h_j] P_src,
-four row slices (``autodiff.tslice``) of ``compress``.  Its tape keeps a, b
-(nodes, 2^n_q * n_exec) and one norm per execution, not the encoded
-(edges * n_exec, 2^n_q) rows.
+four row slices (``autodiff.tslice``) of ``compress``.  The circuit's tape
+keeps a, b (nodes, 2^n_q * n_exec) and one norm per execution, not the
+encoded (edges * n_exec, 2^n_q) rows.
 Value projections reuse per-head column slices of the shared multi-head
 projection unless a separate value matrix is requested.
 
