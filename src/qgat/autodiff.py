@@ -333,7 +333,9 @@ def take_rows(x: Tensor, segs: Segments) -> Tensor:
 
 
 def _edge_rows(a: np.ndarray, b: np.ndarray, dst: Segments, src: Segments) -> np.ndarray:
-    return np.take(a, dst.index, axis=0) + np.take(b, src.index, axis=0)
+    rows = np.take(a, dst.index, axis=0)
+    rows += np.take(b, src.index, axis=0)
+    return rows
 
 
 def _edge_row_grads(g: np.ndarray, dst: Segments, src: Segments):

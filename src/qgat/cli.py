@@ -8,10 +8,9 @@ exit 2 means nothing was written.
 Every training run is one cell, (data, TrainConfig, noise kind, level).
 ``train``, ``linkpred`` and ``noise-sweep`` load their data once and run
 their cells through ``_run_cell``, which ``_run_cells`` calls in cell order,
-serially or in one process pool; a pool returns the trained models by
-pickle, and its results equal the serial ones bit for bit.  Only
-``noise-sweep`` takes ``--jobs``, as before the runner was shared, so no
-command gained an option; ``train`` and ``linkpred`` run one job.
+serially or in one process pool of ``--jobs`` workers; a pool returns the
+trained models by pickle, and its results equal the serial ones bit for bit.
+``train``, ``linkpred`` and ``noise-sweep`` take ``--jobs``.
 Set QGAT_LOG=debug|info|warning for log verbosity.
 """
 
@@ -57,6 +56,7 @@ from .training import (
     build_model,
     infer_dims,
     link_eval,
+    one_blas_thread,
     run_training,
     save_checkpoint,
     write_history_csv,
@@ -156,8 +156,10 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _prepare_out(cfg: Config, out: Path) -> None:
+    """Create ``out`` and echo the configuration there, with the BLAS library
+    and its thread count once it is pinned to one thread."""
     out.mkdir(parents=True, exist_ok=True)
-    cfg.echo(out / "config_echo.ini")
+    cfg.echo(out / "config_echo.ini", [f"blas: {one_blas_thread()}"])
 
 
 # -- train -------------------------------------------------------------------
@@ -351,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated training seeds (overrides config)")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override, repeatable")
-        if name == "noise-sweep":
+        if name in ("train", "noise-sweep", "linkpred"):
             p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size")
     return parser
 

@@ -19,7 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .files import atomic_write
 from .training import MODEL_KINDS, TrainConfig
@@ -181,8 +181,10 @@ class Config:
         except ValueError as exc:
             raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
 
-    def echo(self, path: str | Path) -> None:
+    def echo(self, path: str | Path, notes: Sequence[str] = ()) -> None:
+        """The resolved map as INI, ``notes`` as comment lines after the header."""
         lines = ["# effective configuration (machine-written; reusable via --config)"]
+        lines += [f"# {note}" for note in notes]
         for section, entries in self.values.items():
             lines.append(f"[{section}]")
             for key, value in entries.items():

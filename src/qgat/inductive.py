@@ -2,11 +2,12 @@
 
 Graphs are combined by disjoint union with node-index offsets, which keeps
 per-graph semantics exactly (attention never crosses graph boundaries) while
-amortizing the forward pass.  Each split's union is built once per
-training run and goes to ``training.train`` like any other data, which
-evaluates every union each epoch.  The training step only ever reads the
-train union, so val/test features are structurally unreachable during
-gradient computation.
+amortizing the forward pass.  ``_split_unions`` builds two unions once per
+training run: the train graphs' union, the only graph a training step reads,
+so val/test features are structurally unreachable during gradient
+computation; and the union of every graph, whose masks mark each split's
+nodes, so that ``training.train`` evaluates every split in one forward each
+epoch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .files import atomic_write
 from .graph import Graph, load_graph, save_graph_json, synth_sbm
-from .training import Model, TrainConfig, TrainResult, train
+from .training import Model, TrainConfig, TrainResult, Unions, train
 
 # perfbench's tracer patches these names on this module; nothing here calls them
 from .training import evaluate as _split_eval, loss, training_step  # noqa: F401
@@ -85,8 +86,12 @@ def _multilabelize(g: Graph, n_labels: int, class_sep: float, density: float,
     return Graph(features, g.edges.copy(), labels=bits, masks=masks)
 
 
-def batch_graphs(graphs: list[Graph]) -> tuple[Graph, list[np.ndarray]]:
-    """Disjoint union with index offsets; returns (union, per-graph node ids)."""
+def batch_graphs(graphs: list[Graph], splits: list[str] | None = None
+                 ) -> tuple[Graph, list[np.ndarray]]:
+    """Disjoint union with index offsets; returns (union, per-graph node ids).
+
+    The union's masks mark each graph's nodes with its tag in ``splits``;
+    without tags every node is a train node."""
     if not graphs:
         raise ValueError("cannot batch an empty graph list")
     feats, edges, labels, node_ids = [], [], [], []
@@ -99,28 +104,27 @@ def batch_graphs(graphs: list[Graph]) -> tuple[Graph, list[np.ndarray]]:
             labels.append(g.labels)
         node_ids.append(np.arange(offset, offset + g.n_nodes))
         offset += g.n_nodes
+    masks = {split: np.zeros(offset, dtype=bool) for split in SPLITS}
+    for ids, tag in zip(node_ids, splits or ["train"] * len(graphs), strict=True):
+        masks[tag][ids] = True
     union = Graph(
         np.concatenate(feats, axis=0),
         np.concatenate(edges, axis=0) if edges else np.empty((0, 2), dtype=np.int64),
         labels=np.concatenate(labels, axis=0) if len(labels) == len(graphs) else None,
-        masks={
-            "train": np.ones(offset, dtype=bool),
-            "val": np.zeros(offset, dtype=bool),
-            "test": np.zeros(offset, dtype=bool),
-        },
+        masks=masks,
     )
     return union, node_ids
 
 
-def _split_unions(collection: GraphCollection) -> dict[str, Graph]:
-    """The batched union of each split's graphs, keyed in ``SPLITS`` order."""
-    unions = {}
+def _split_unions(collection: GraphCollection) -> Unions:
+    """The train graphs' union, which the training step reads, and the union of
+    every graph in collection order, whose masks mark each split's nodes."""
     for split in SPLITS:
-        graphs = collection.by_split(split)
-        if not graphs:
+        if split not in collection.splits:
             raise ValueError(f"collection has no {split!r} graphs")
-        unions[split], _ = batch_graphs(graphs)
-    return unions
+    step, _ = batch_graphs(collection.by_split("train"))
+    whole, _ = batch_graphs(collection.graphs, collection.splits)
+    return Unions(step, whole)
 
 
 def train_inductive(model: Model, collection: GraphCollection,

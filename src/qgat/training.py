@@ -9,12 +9,16 @@ one evaluator.  Everything is driven by explicit seeded generators so a
 
 ``train`` fixes glibc's mmap and trim thresholds (``_keep_freed_pages``),
 because the default dynamic ones hand the pages a consumed tape frees back to
-the OS and every epoch then faults them in again.
+the OS and every epoch then faults them in again.  It also pins OpenBLAS to
+one thread (``one_blas_thread``), so a (seed, config) keeps its bits on a
+host with any number of cores.
 
-Every data shape and task has one readout: ``split_views`` gives each split's
-graph, selection (the reduce layout of its node ids, or one per column of its
-(P, 2) node pairs) and targets, once per run; ``readout`` turns the model
-output into predictions for it, and one task loss and metric score them.
+Every data shape and task has one readout: ``split_views`` gives, once per
+run, the training step's view and the one graph evaluation reads, with each
+split's selection on it (the reduce layout of its node ids, or one per column
+of its (P, 2) node pairs) and targets; ``readout`` turns the model output
+into predictions for it, and one task loss and metric score them.  So every
+evaluation is one forward, whatever the data shape.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import ctypes
 import time
 from dataclasses import dataclass, field, fields, asdict
 from math import cos, pi
+from pathlib import Path
 
 import json
 import numpy as np
@@ -40,8 +45,20 @@ TASKS = ("node-class", "multi-label", "link-pred")
 _STREAMS = {"init": 0, "dropout": 1, "negatives": 2}
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
 
-# a graph, a link split, or per-split graph unions (the inductive harness)
-TrainData = Graph | LinkSplit | dict[str, Graph]
+
+@dataclass(frozen=True)
+class Unions:
+    """The inductive harness's data: ``step``, the train graphs' disjoint
+    union, is the only graph a training step reads; ``whole``, the union of
+    every graph, is the one graph evaluation reads, its masks marking each
+    split's nodes."""
+
+    step: Graph
+    whole: Graph
+
+
+# a graph, a link split, or the inductive harness's unions
+TrainData = Graph | LinkSplit | Unions
 
 
 class TrainingDivergedError(RuntimeError):
@@ -311,43 +328,85 @@ def _keep_freed_pages() -> None:
     mallopt(M_TRIM_THRESHOLD, 256 << 20)
 
 
+def one_blas_thread() -> str:
+    """Pin the OpenBLAS that numpy's wheel bundles (scipy-openblas) to one
+    thread through ctypes and describe it as "<its config>, <threads>
+    thread(s)"; "unknown", pinning nothing, where that library is missing.
+
+    Split over threads, a product whose inner dimension is a row count (the
+    circuit backward's ``encoded.T @ lam``, ``matmul``'s ``x.T @ g``) rounds
+    differently, so a QGAT run's last bits would depend on the core count.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            config = lib.scipy_openblas_get_config64_
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        get_threads.argtypes, get_threads.restype = (), ctypes.c_int
+        config.argtypes, config.restype = (), ctypes.c_char_p
+        set_threads(1)
+        return f"{config().decode()}, {get_threads()} thread(s)"
+    return "unknown"
+
+
 # -- loop internals ------------------------------------------------------------
 
 
-View = tuple[Graph, Segments | tuple[Segments, Segments], np.ndarray]
+Selection = Segments | tuple[Segments, Segments]
+View = tuple[Graph, Selection, np.ndarray]
 
 
-def split_views(data: TrainData, task: str) -> dict[str, View]:
-    """(graph the model reads, selection, targets) per non-empty split.
+@dataclass(frozen=True)
+class Views:
+    """``split_views``' output: the (graph, selection, targets) a training step
+    reads, and the one graph evaluation reads with each split's (selection,
+    targets) on it."""
 
-    A graph selects its masked node ids; a dict of per-split unions selects
-    every node of each union; link prediction selects (P, 2) pairs of the
+    step: View
+    graph: Graph
+    splits: dict[str, tuple[Selection, np.ndarray]]
+
+
+def split_views(data: TrainData, task: str) -> Views:
+    """The training step's view and each non-empty split's selection and targets.
+
+    A graph selects its masked node ids, and its train split is the step's
+    view.  Unions select the masked node ids of ``whole``, and the step reads
+    every node of ``step``.  Link prediction selects (P, 2) pairs of the
     training graph, positives (target 1.0) then negatives (0.0), as one
-    ``Segments`` per column.  An empty train split raises ``ValueError``.
+    ``Segments`` per column, and its train split is the step's view.  An
+    empty train split raises ``ValueError``.
     """
-    views = {}
-    if isinstance(data, dict):
-        for name, graph in data.items():
-            views[name] = (graph, Segments(np.arange(graph.n_nodes), graph.n_nodes), graph.labels)
-    elif task == "link-pred":
+    splits = {}
+    if task == "link-pred":
         graph = data.train_graph
         for name, split in data.splits.items():
             n_pos, n_neg = split.positives.shape[0], split.negatives.shape[0]
             if n_pos:
                 pairs = np.concatenate([split.positives, split.negatives], axis=0)
-                views[name] = (graph, tuple(Segments(ends, graph.n_nodes) for ends in pairs.T),
-                               np.concatenate([np.ones(n_pos), np.zeros(n_neg)]))
+                splits[name] = (tuple(Segments(ends, graph.n_nodes) for ends in pairs.T),
+                                np.concatenate([np.ones(n_pos), np.zeros(n_neg)]))
     else:
-        for name, mask in (data.masks or {}).items():
+        graph = data.whole if isinstance(data, Unions) else data
+        for name, mask in (graph.masks or {}).items():
             idx = np.flatnonzero(mask)
             if idx.size:
-                views[name] = (data, Segments(idx, data.n_nodes), data.labels[idx])
-    if "train" not in views:
+                splits[name] = (Segments(idx, graph.n_nodes), graph.labels[idx])
+    if "train" not in splits:
         raise ValueError(f"the 'train' split is empty: task {task} has nothing to fit")
-    return views
+    if isinstance(data, Unions):
+        step = data.step
+        return Views((step, Segments(np.arange(step.n_nodes), step.n_nodes), step.labels),
+                     graph, splits)
+    return Views((graph, *splits["train"]), graph, splits)
 
 
-def readout(out: Tensor, select: Segments | tuple[Segments, Segments]) -> Tensor:
+def readout(out: Tensor, select: Selection) -> Tensor:
     """Rows of ``out`` for a node selection; <out_u, out_v> for each (u, v) of a pair one."""
     if isinstance(select, Segments):
         return take_rows(out, select)
@@ -357,7 +416,7 @@ def readout(out: Tensor, select: Segments | tuple[Segments, Segments]) -> Tensor
 def training_step(model: Model, view: View, cfg: TrainConfig,
                   opt: AdamWState, lr: float,
                   rng: np.random.Generator) -> float:
-    """One full-batch gradient step on the train view; returns the training loss."""
+    """One full-batch gradient step on the step's view; returns the training loss."""
     model.zero_grad()
     graph, select, targets = view
     out = model.forward(graph, training=True, rng=rng)
@@ -373,28 +432,23 @@ def training_step(model: Model, view: View, cfg: TrainConfig,
     return value.item()
 
 
-def _predictions(model: Model, views: dict[str, View]
-                 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(predictions, targets) per split in evaluation mode: one forward per
-    graph, since ``split_views`` lists a graph's splits together, and each
-    output is released before the next forward.  The parameters' flags are
-    cleared meanwhile, so no op records a tape."""
+def _predictions(model: Model, views: Views) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(predictions, targets) per split in evaluation mode, from one forward
+    over ``views.graph``.  The parameters' flags are cleared meanwhile, so no
+    op records a tape."""
     params = [t for t in model.params().values() if t.requires_grad]
-    preds, read, out = {}, None, None
     try:
         for t in params:
             t.requires_grad = False
-        for name, (graph, select, targets) in views.items():
-            if graph is not read:
-                read, out = graph, model.forward(graph)
-            preds[name] = (readout(out, select).data, targets)
+        out = model.forward(views.graph)
+        return {name: (readout(out, select).data, targets)
+                for name, (select, targets) in views.splits.items()}
     finally:
         for t in params:
             t.requires_grad = True
-    return preds
 
 
-def evaluate(model: Model, views: dict[str, View], task: str
+def evaluate(model: Model, views: Views, task: str
              ) -> tuple[dict[str, float], dict[str, float]]:
     """Per-split losses and task metrics of ``split_views`` output, no dropout."""
     losses, task_scores = {}, {}
@@ -427,7 +481,7 @@ class TrainResult:
 
 def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     """Early-stopped training: ``split_views`` once, then ``training_step`` on the
-    train view and ``evaluate`` on every view once per epoch.
+    step's view and ``evaluate`` of every split once per epoch.
 
     Epoch 0 records the initial-weights evaluation; ``epochs=0`` therefore
     returns that evaluation alone.  The monitored split is "val" when
@@ -436,6 +490,7 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     """
     cfg.validate()
     _keep_freed_pages()
+    one_blas_thread()
     views = split_views(data, cfg.task)
     drop_rng = stream_rng(cfg.seed, "dropout")
     opt = AdamWState()
@@ -448,7 +503,7 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
         t0 = time.perf_counter()
         try:
             if epoch:
-                training_step(model, views["train"], cfg, opt, lr_now, drop_rng)
+                training_step(model, views.step, cfg, opt, lr_now, drop_rng)
             losses, scores = evaluate(model, views, cfg.task)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{exc} (epoch {epoch})") from None

@@ -1,11 +1,15 @@
 """CLI: artifacts, exit codes, overrides, reproducibility from the config echo."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgat
 from qgat import cli, vqc
 from qgat.cli import _run_cells, main
 from qgat.graph import split_link_prediction, synth_sbm
@@ -43,6 +47,15 @@ def tiny_config(tmp_path):
 def read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def artifact_bytes(path):
+    """A run artifact's bytes; a metrics CSV's lines without the wall-clock
+    ``seconds`` column, its last."""
+    data = path.read_bytes()
+    if path.name.startswith("metrics_"):
+        return [line.rsplit(b",", 1)[0] for line in data.splitlines()]
+    return data
 
 
 class TestTrain:
@@ -157,10 +170,26 @@ class TestTrain:
         assert "multi-label" in err and "shape (20,)" in err
         assert not (tmp_path / "o").exists()
 
-    def test_jobs_belongs_to_noise_sweep_only(self, tiny_config, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            main(["train", "--config", str(tiny_config), "--jobs", "2"])
-        assert err.value.code == 2
+    @pytest.mark.parametrize("command", ["train", "linkpred"])
+    def test_parallel_jobs_reproduce_serial_artifacts(self, tmp_path, capsys, monkeypatch,
+                                                      command):
+        """Every artifact is byte-identical at ``--jobs 1`` and ``--jobs 2``
+        (``artifact_bytes``)."""
+        requested, pool = [], cli.ProcessPoolExecutor
+        monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                            lambda max_workers: requested.append(max_workers) or pool(max_workers))
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(TINY.replace("hidden_dims = 4", "hidden_dims = 4,4"))
+        outs, printed = [tmp_path / "serial", tmp_path / "par"], []
+        for out, jobs in zip(outs, ["1", "2"]):
+            assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+            printed.append(capsys.readouterr().out)
+        assert requested == [2] and printed[0] == printed[1]
+        names = sorted(path.name for path in outs[0].iterdir())
+        assert names == sorted(path.name for path in outs[1].iterdir())
+        assert len(names) == (6 if command == "train" else 2)
+        for name in names:
+            assert artifact_bytes(outs[0] / name) == artifact_bytes(outs[1] / name), name
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_usage_error(self, tiny_config, tmp_path, jobs):
@@ -174,6 +203,28 @@ class TestTrain:
         with pytest.raises(SystemExit) as err:
             main(["no-such-command"])
         assert err.value.code == 2
+
+
+class TestBlasThreads:
+    def test_bits_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        """A QGAT ``train`` on 600 nodes writes the same metrics and checkpoint
+        at one and at two OpenBLAS threads.  Unpinned, the tall products whose
+        inner dimension is the edge or node count round differently when
+        split over two threads, from epoch 2 on at this size."""
+        src = str(Path(qgat.__file__).resolve().parent.parent)
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
+            out = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "qgat.cli", "train", "--out", str(out),
+                            "--override", "experiment.models=qgat",
+                            "--override", "data.n_per_class=300",
+                            "--override", "training.epochs=5"],
+                           env=env, check=True, capture_output=True)
+            outs.append(out)
+        for name in ("checkpoint_qgat_seed0.json", "metrics_qgat_seed0.csv"):
+            assert artifact_bytes(outs[0] / name) == artifact_bytes(outs[1] / name), name
 
 
 class TestNoiseSweep:

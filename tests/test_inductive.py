@@ -5,6 +5,7 @@ import pytest
 
 from qgat import training
 from qgat.inductive import (
+    SPLITS,
     GraphCollection,
     _split_unions,
     batch_graphs,
@@ -93,29 +94,78 @@ class TestBatchedForward:
 
 class TestHeldOutIsolation:
     def test_training_never_reads_val_or_test_features(self, monkeypatch):
-        """``train`` on the per-split unions ``train_inductive`` builds does the same
-        arithmetic when the val and test unions hold only NaN features.
-        Evaluation is limited to the train view, so only a training step that
-        read a held-out view could see the NaNs."""
+        """``train`` on the unions ``train_inductive`` builds does the same
+        arithmetic when the val and test graphs hold only NaN features: every
+        training-step loss, every recorded loss and metric and the best
+        weights are unchanged.  Both runs evaluate every split on the clean
+        collection's union (QGAT's encoder rejects a NaN row), so only a
+        training step that read a held-out graph could see the NaNs."""
         coll = fixture_collection()
         cfg = fixture_cfg(epochs=5)
-        poisoned = _split_unions(coll)
-        for split in ("val", "test"):
-            poisoned[split] = poisoned[split].replace(
-                features=np.full_like(poisoned[split].features, np.nan))
-        evaluate_all = training.evaluate
-        monkeypatch.setattr(training, "evaluate", lambda model, views, task:
-                            evaluate_all(model, {"train": views["train"]}, task))
+        poisoned = GraphCollection(
+            [g if tag == "train" else g.replace(features=np.full_like(g.features, np.nan))
+             for g, tag in zip(coll.graphs, coll.splits)], coll.splits)
+        evaluate_all, step = training.evaluate, training.training_step
+        clean_views = split_views(_split_unions(coll), cfg.task)
+        monkeypatch.setattr(training, "evaluate",
+                            lambda model, views, task: evaluate_all(model, clean_views, task))
         runs = []
-        for unions in (_split_unions(coll), poisoned):
-            model = build_model(cfg, unions["train"].feature_dim, 4)
-            runs.append(train(model, unions, cfg))
-        clean, dirty = runs
-        losses = [rec.losses["train"] for rec in clean.history]
-        assert len(losses) == cfg.epochs + 1 and np.isfinite(losses).all()
-        assert [rec.losses for rec in dirty.history] == [rec.losses for rec in clean.history]
+        for collection in (coll, poisoned):
+            steps = []
+
+            def recorded(*args, **kwargs):
+                steps.append(step(*args, **kwargs))
+                return steps[-1]
+
+            monkeypatch.setattr(training, "training_step", recorded)
+            unions = _split_unions(collection)
+            model = build_model(cfg, unions.step.feature_dim, 4)
+            runs.append((steps, train(model, unions, cfg)))
+        (clean_steps, clean), (dirty_steps, dirty) = runs
+        assert np.isnan(poisoned.graphs[-1].features).all()
+        assert len(clean_steps) == cfg.epochs and np.isfinite(clean_steps).all()
+        assert dirty_steps == clean_steps
+        assert [(rec.losses, rec.metrics) for rec in dirty.history] == \
+            [(rec.losses, rec.metrics) for rec in clean.history]
         for name, value in clean.best_state.items():
             np.testing.assert_array_equal(dirty.best_state[name], value)
+
+
+class TestOneUnion:
+    @pytest.mark.parametrize("model_kind,heads,n_qubits", [("qgat", 4, 2), ("gat", 2, 2)])
+    def test_equals_per_split_unions_bitwise(self, model_kind, heads, n_qubits):
+        """Predictions, losses and metrics of the one union equal, bit for bit,
+        those of a forward over each split's own union (``batch_graphs``),
+        with QGAT running more heads than qubits (two circuits per edge)."""
+        coll = fixture_collection()
+        cfg = fixture_cfg(model=model_kind, heads_per_layer=[heads, heads], n_qubits=n_qubits)
+        model = build_model(cfg, 8, 4)
+        views = split_views(_split_unions(coll), "multi-label")
+        preds = training._predictions(model, views)
+        losses, scores = evaluate(model, views, "multi-label")
+        assert list(preds) == list(SPLITS)
+        for split in SPLITS:
+            union, _ = batch_graphs(coll.by_split(split))
+            expected = model.forward(union).data
+            pred, targets = preds[split]
+            np.testing.assert_array_equal(pred.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(targets, union.labels)
+            assert np.float64(losses[split]).view(np.int64) == np.float64(
+                training.loss("multi-label", expected, union.labels)).view(np.int64)
+            assert np.float64(scores[split]).view(np.int64) == np.float64(
+                micro_f1(expected, union.labels)).view(np.int64)
+
+    def test_masks_mark_each_graphs_split(self):
+        coll = fixture_collection()
+        unions = _split_unions(coll)
+        assert unions.whole.n_nodes == sum(g.n_nodes for g in coll.graphs)
+        np.testing.assert_array_equal(unions.step.features,
+                                      batch_graphs(coll.by_split("train"))[0].features)
+        offset = 0
+        for g, tag in zip(coll.graphs, coll.splits):
+            for split in SPLITS:
+                assert unions.whole.masks[split][offset:offset + g.n_nodes].all() == (split == tag)
+            offset += g.n_nodes
 
 
 class TestEvaluation:
