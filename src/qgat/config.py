@@ -181,7 +181,7 @@ class Config:
         except ValueError as exc:
             raise ConfigError(f"bad value for {section}.{key}: {exc}") from None
 
-    def echo(self, path: str | Path, notes: Sequence[str] = ()) -> None:
+    def echo(self, path: str | Path, notes: Sequence[str]) -> None:
         """The resolved map as INI, ``notes`` as comment lines after the header."""
         lines = ["# effective configuration (machine-written; reusable via --config)"]
         lines += [f"# {note}" for note in notes]

@@ -155,18 +155,6 @@ class TestOneUnion:
             assert np.float64(scores[split]).view(np.int64) == np.float64(
                 micro_f1(expected, union.labels)).view(np.int64)
 
-    def test_masks_mark_each_graphs_split(self):
-        coll = fixture_collection()
-        unions = _split_unions(coll)
-        assert unions.whole.n_nodes == sum(g.n_nodes for g in coll.graphs)
-        np.testing.assert_array_equal(unions.step.features,
-                                      batch_graphs(coll.by_split("train"))[0].features)
-        offset = 0
-        for g, tag in zip(coll.graphs, coll.splits):
-            for split in SPLITS:
-                assert unions.whole.masks[split][offset:offset + g.n_nodes].all() == (split == tag)
-            offset += g.n_nodes
-
 
 class TestEvaluation:
     def test_untrained_model_near_chance_on_balanced_labels(self):
