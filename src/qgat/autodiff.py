@@ -41,7 +41,10 @@ Three properties matter for callers:
   8, ``np.sort`` above), left to right, so they depend on the multiset of
   values only, not on row order -- required for bit-exact permutation
   equivariance of neighborhood aggregation and of the per-node gradients
-  through it.  The reduce holds one width bucket's block at a time.
+  through it.  A zero sum is -0.0 only when all its values are: the
+  networks keep each zero's sign by their operand order, and wider buckets
+  read it from the gathered block before the sort, since ``np.sort`` may
+  drop it.  The reduce holds one width bucket's block at a time.
   ``softmax_aggregate`` is one attention layer from its logits to its
   output: it weights each bucket's gathered rows in place, so the weighted
   edge rows never exist all at once, and it rebuilds the attention weights
@@ -408,8 +411,8 @@ class Segments:
     index array.  Segments are bucketed by their size rounded up to a power
     of two; each bucket holds its member segments, the lane-major
     ``(width, members)`` source rows (lane ``w`` of a segment is its ``w``-th
-    row in index order), the mask of padding lanes and the flat positions of
-    those lanes in the block's ``(width * members)`` rows.
+    row in index order) and the flat positions of the padding lanes in the
+    block's ``(width * members)`` rows.
 
     Rows are grouped by segment, each segment's in index order, by one
     argsort of the distinct keys ``index * len(index) + row``: the order a
@@ -434,7 +437,7 @@ class Segments:
             lanes = np.arange(1 << w)[:, None]
             pad = lanes >= counts[members]
             rows = order[np.where(pad, 0, starts[members] + lanes)]
-            self.buckets.append((members, rows, pad, np.flatnonzero(pad)))
+            self.buckets.append((members, rows, np.flatnonzero(pad)))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -476,34 +479,28 @@ def _add_lanes(block: np.ndarray) -> np.ndarray:
     return np.add.reduce(block, axis=0, initial=-0.0)
 
 
-def _restore_zero_signs(sums: np.ndarray, lanes: Callable, rows: np.ndarray,
-                        pad: np.ndarray) -> None:
-    """Give each zero in ``sums`` the sign that adding its segment's values gives:
-    -0.0 only when all of them are -0.0.  ``np.sort`` may write one of two equal
-    zeros twice, losing the other's sign.  ``lanes(rows, cols)`` gives the values
-    before the sort; it is asked only for the lanes of zero sums."""
-    seg, col = np.nonzero(sums == 0)
-    negative = np.signbit(lanes(rows[:, seg], col)) | pad[:, seg]
-    sums[seg, col] = np.where(negative.all(axis=0), -0.0, 0.0)
-
-
-def _reduce_buckets(segs: Segments, cols: int, kind: str, gather: Callable,
-                    lanes: Callable) -> np.ndarray:
+def _reduce_buckets(segs: Segments, cols: int, kind: str, gather: Callable) -> np.ndarray:
     """(segs.n, cols) per-segment sums or maxima.  ``gather(rows)`` gives a fresh
-    lane-major ``(width, members, cols)`` block of the values in ``rows``;
-    ``lanes`` is handed to ``_restore_zero_signs``."""
+    lane-major ``(width, members, cols)`` block of the values in ``rows``.
+
+    A zero sum is -0.0 only when every value added, padding included, is -0.0.
+    The networks keep each zero's sign by their operand order; ``np.sort`` may
+    write one of two equal zeros twice, losing the other's sign, so wider
+    buckets read from the block, before the sort, where every lane is -0.0."""
     identity = -np.inf if kind == "max" else -0.0
     out = np.full((segs.n, cols), -np.inf if kind == "max" else 0.0)
-    for members, rows, pad, pad_at in segs.buckets:
+    for members, rows, pad_at in segs.buckets:
         block = gather(rows)
         block.reshape(rows.size, cols)[pad_at] = identity
         if kind == "max":
             out[members] = block.max(axis=0)
         else:
+            negative = None if len(block) in NETWORKS else np.signbit(block).all(axis=0)
             _sort_lanes(block)
             sums = _add_lanes(block)
-            if len(block) not in NETWORKS:
-                _restore_zero_signs(sums, lanes, rows, pad)
+            if negative is not None:
+                zero = sums == 0
+                sums[zero] = np.where(negative[zero], -0.0, 0.0)
             out[members] = sums
             del sums
         # free this bucket's block before the next one is gathered
@@ -525,8 +522,7 @@ def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray
     (sum) or -inf (max).
     """
     flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
-    out = _reduce_buckets(segs, flat.shape[1], kind, lambda rows: np.take(flat, rows, axis=0),
-                          lambda rows, cols: flat[rows, cols])
+    out = _reduce_buckets(segs, flat.shape[1], kind, lambda rows: np.take(flat, rows, axis=0))
     return out.reshape((segs.n,) + values.shape[1:])
 
 
@@ -545,10 +541,7 @@ def _weighted_reduce(x: np.ndarray, weights: np.ndarray, by: Segments,
         np.multiply(by_head, np.take(weights, rows, axis=0)[..., None], out=by_head)
         return block
 
-    def lanes(rows, cols):
-        return weights[rows, cols // per_head] * x[other.index[rows], cols]
-
-    return _reduce_buckets(by, cols, "sum", gather, lanes)
+    return _reduce_buckets(by, cols, "sum", gather)
 
 
 def segment_sum(x: Tensor, segs: Segments) -> Tensor:

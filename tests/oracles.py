@@ -91,6 +91,56 @@ def circuit_expectations_reference(x: np.ndarray, angles: np.ndarray,
     return np.array([z_expectation(state, q, n) for q in range(n)])
 
 
+def _weighted_z(upstream: np.ndarray, n: int) -> np.ndarray:
+    """The dense observable sum_k g_k Z_k of each row g of ``upstream``, (B, 2^n, 2^n)."""
+    zs = np.stack([single_qubit_unitary(Z, q, n) for q in range(n)])
+    return np.einsum("bk,kij->bij", upstream, zs)
+
+
+def parameter_shift_reference(inputs: np.ndarray, angles: np.ndarray,
+                              ranges: tuple[int, ...], n: int,
+                              upstream: np.ndarray) -> np.ndarray:
+    """Exact gradient of f = sum(upstream * expectations) with respect to the
+    angles, by parameter shift: every angle enters through exp(-i theta P / 2)
+    with P a Pauli, so df/dtheta = [f(theta + pi/2) - f(theta - pi/2)] / 2.
+    Each f is read from the dense ``circuit_unitary``."""
+    states = np.stack([encode_reference(x, n) for x in inputs])
+    observables = _weighted_z(upstream, n)
+
+    def f(shifted):
+        psi = states @ circuit_unitary(shifted, ranges, n).T
+        return np.einsum("bi,bij,bj->", psi.conj(), observables, psi).real
+
+    grad = np.zeros_like(angles)
+    for idx in np.ndindex(angles.shape):
+        up, down = angles.copy(), angles.copy()
+        up[idx] += np.pi / 2
+        down[idx] -= np.pi / 2
+        grad[idx] = (f(up) - f(down)) / 2
+    return grad
+
+
+def quadratic_form_reference(inputs: np.ndarray, angles: np.ndarray,
+                             ranges: tuple[int, ...], n: int,
+                             upstream: np.ndarray) -> np.ndarray:
+    """Exact gradient of f = sum(upstream * expectations) with respect to the raw
+    rows.  A real row x, zero-padded to 2^n, gives f_b = x^T M x / x^T x with
+    M = sum_k g_k Re(U^H Z_k U), so df_b/dx = 2 (M x - f_b x) / x^T x, cut to
+    the row's width.  A row below ``NORM_EPS`` encodes as |0...0> whatever its
+    entries, so its gradient is 0."""
+    u = circuit_unitary(angles, ranges, n)
+    padded = np.zeros((len(inputs), 1 << n))
+    padded[:, : inputs.shape[1]] = inputs
+    grad = np.zeros_like(padded)
+    for b, (x, observable) in enumerate(zip(padded, _weighted_z(upstream, n))):
+        if np.linalg.norm(x) < sv.NORM_EPS:
+            continue
+        m = (u.conj().T @ observable @ u).real
+        xx = x @ x
+        grad[b] = 2 * (m @ x - (x @ m @ x / xx) * x) / xx
+    return grad[:, : inputs.shape[1]]
+
+
 def circuit_reference(inputs: np.ndarray, angles: np.ndarray, layout, upstream: np.ndarray):
     """(expectations, grad_inputs, grad_angles) of the batched circuit, for the
     gradients of sum(upstream * expectations), with the plainest row arithmetic:

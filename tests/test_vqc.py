@@ -8,7 +8,12 @@ from qgat.autodiff import EdgeRows, Segments, Tensor, edge_sum, gradcheck, resha
 from qgat.statevector import NORM_EPS
 from qgat.vqc import EntanglingLayout, build_layout
 
-from oracles import circuit_expectations_reference, circuit_reference
+from oracles import (
+    circuit_expectations_reference,
+    circuit_reference,
+    parameter_shift_reference,
+    quadratic_form_reference,
+)
 
 
 def forward(x, angles, layout):
@@ -315,6 +320,64 @@ class TestEdgeRows:
         with pytest.raises(ValueError, match="exceeds"):
             vqc.expectations_op(EdgeRows(a, a, dst, src, 5), Tensor(np.zeros((1, 2, 3))),
                                 build_layout(2, 1))
+
+
+def assert_exact(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal to rounding: within 1e-12 of the largest entry, entry by entry."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestExactGradients:
+    """Angle and input gradients of ``expectations_op`` against the exact oracles,
+    parameter shift and the quadratic form, at rounding level.  A finite
+    difference cannot tell an adjoint off by 1e-10 from an exact one; these do."""
+
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 6])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_rows(self, n_q, layers):
+        """Rows 2^n wide at one layer and narrower at two and three, one of them
+        zero and one below ``NORM_EPS``, whose input gradients are 0."""
+        rng = np.random.default_rng(10 * n_q + layers)
+        layout = build_layout(n_q, layers)
+        angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
+        x = rng.standard_normal((6, (1 << n_q) + 1 - layers))
+        x[1] = 0.0
+        x[4] *= 1e-14
+        upstream = rng.standard_normal((6, n_q))
+        inputs, angle_t = Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)
+        vqc.expectations_op(inputs, angle_t, layout).backward(upstream)
+        assert_exact(angle_t.grad,
+                     parameter_shift_reference(x, angles, layout.ranges, n_q, upstream))
+        assert_exact(inputs.grad, quadratic_form_reference(x, angles, layout.ranges, n_q, upstream))
+        assert not inputs.grad[[1, 4]].any()
+
+    @pytest.mark.parametrize("n_q", [2, 3])
+    def test_edge_rows_with_two_executions_per_edge(self, n_q):
+        """``EdgeRows`` whose edges each run the circuit twice (2 n heads), one
+        edge's first row zero: a's and b's gradients are the rows' gradients
+        added over each edge's ends."""
+        rng = np.random.default_rng(n_q)
+        dim, nodes, edges = 1 << n_q, 6, 12
+        ends = rng.integers(0, nodes, (2, edges))
+        ends[:, 0] = [0, 1]
+        a0, b0 = rng.standard_normal((2, nodes, 2 * dim))
+        a0[0, :dim] = -b0[1, :dim]  # edge 1 -> 0's first row is zero
+        dst, src = Segments(ends[0], nodes), Segments(ends[1], nodes)
+        layout = build_layout(n_q, 2)
+        angles = rng.uniform(0, 2 * np.pi, (2, n_q, 3))
+        upstream = rng.standard_normal((2 * edges, n_q))
+        a, b = Tensor(a0, requires_grad=True), Tensor(b0, requires_grad=True)
+        angle_t = Tensor(angles, requires_grad=True)
+        vqc.expectations_op(EdgeRows(a, b, dst, src, dim), angle_t, layout).backward(upstream)
+        rows = (a0[ends[0]] + b0[ends[1]]).reshape(2 * edges, dim)
+        assert not rows[0].any()
+        assert_exact(angle_t.grad,
+                     parameter_shift_reference(rows, angles, layout.ranges, n_q, upstream))
+        grad_rows = quadratic_form_reference(rows, angles, layout.ranges, n_q, upstream)
+        for got, end in ((a.grad, ends[0]), (b.grad, ends[1])):
+            want = np.zeros_like(a0)
+            np.add.at(want, end, grad_rows.reshape(edges, 2 * dim))
+            assert_exact(got, want)
 
 
 class TestExecutionCounter:
