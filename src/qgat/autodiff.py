@@ -23,9 +23,9 @@ Three properties matter for callers:
   ``a[dst] + b[src]``) keep shapes or index layouts only; ``EdgeRows`` hands
   the same rows to an op ungathered (``vqc.expectations_op`` keeps a's and
   b's arrays and makes the rows again in its backward); ``mul``, ``div``,
-  ``matmul``, ``log`` and ``softplus`` their operand arrays; ``exp``,
-  ``tanh`` and ``elu`` their output; ``dropout``, ``relu``, ``leaky_relu``
-  and ``elu`` a boolean mask; ``pair_dot`` its node-level operand;
+  ``matmul``, ``log`` and ``softplus`` their operand arrays; ``exp``
+  and ``elu`` their output; ``dropout``, ``leaky_relu`` and ``elu`` a
+  boolean mask; ``pair_dot`` its node-level operand;
   ``softmax_aggregate`` the softmax numerators z, the per-node sums, the
   boolean dropout mask and the node-level values.  Each node lets go of its
   parents and VJP once its VJP has run, so it, its gradient and the arrays
@@ -261,20 +261,10 @@ def elu(x: Tensor) -> Tensor:
     return make_op(out_data, (x,), lambda g: (g * np.where(pos, 1.0, out_data + 1.0),))
 
 
-def relu(x: Tensor) -> Tensor:
-    pos = x.data > 0
-    return make_op(np.where(pos, x.data, 0.0), (x,), lambda g: (g * pos,))
-
-
 def leaky_relu(x: Tensor) -> Tensor:
     pos = x.data > 0
     return make_op(x.data * np.where(pos, 1.0, LEAKY_SLOPE), (x,),
                    lambda g: (g * np.where(pos, 1.0, LEAKY_SLOPE),))
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-    return make_op(out_data, (x,), lambda g: (g * (1.0 - out_data * out_data),))
 
 
 def keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:

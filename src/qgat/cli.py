@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import vqc
-from .attention import QgatLayer
+from .attention import MODEL_KINDS, CircuitScorer, _AttentionLayer
 from .autodiff import Tensor, gradient_errors
 from .config import (Config, ConfigError, apply_overrides, check, make_train_config,
                      parse_config)
@@ -48,7 +48,6 @@ from .files import atomic_write
 from .inductive import save_collection, synth_collection
 from .svgplot import Series, line_plot
 from .training import (
-    MODEL_KINDS,
     Model,
     TrainConfig,
     TrainingDivergedError,
@@ -255,7 +254,7 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
     # end-to-end layer on a 4-node path graph
     g = Graph(rng.standard_normal((4, 3)),
               np.array([[0, 1], [1, 2], [2, 3]]), undirected=True)
-    layer = QgatLayer(3, 2, 2, 2, 2, rng=rng)
+    layer = _AttentionLayer("qgat", 3, 2, 2, rng=rng, n_qubits=2, entangling_layers=2)
     upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
     params = layer.params()
 
@@ -294,9 +293,8 @@ def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
                 size = int(np.prod(tensor.shape))
                 total += size
                 print(f"{tc.model:<8}layer{i:<5}{comp:<16}{size:>12}")
-        quantum = sum(
-            int(np.prod(l.angles.shape)) for l in model.layers if isinstance(l, QgatLayer)
-        )
+        quantum = sum(int(np.prod(l.scorer.params["angles"].shape))
+                      for l in model.layers if isinstance(l.scorer, CircuitScorer))
         print(f"{tc.model:<8}{'-':<10}{'quantum total':<16}{quantum:>12}")
         print(f"{tc.model:<8}{'-':<10}{'total':<16}{total:>12}")
     return 0

@@ -22,20 +22,12 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .files import atomic_write
-from .training import MODEL_KINDS, TrainConfig
+from .attention import MODEL_KINDS
+from .training import TrainConfig
 
 
 class ConfigError(Exception):
     """Invalid configuration; CLI maps this to exit code 2."""
-
-
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -96,11 +88,7 @@ TRAIN_KEYS: dict[tuple[str, str], tuple[Any, str]] = {
     ("model", "n_qubits"): (int, "n_qubits"),
     ("model", "entangling_layers"): (int, "entangling_layers"),
     ("model", "dropout"): (float, "dropout"),
-    ("model", "merge"): (str, "merge"),
-    ("model", "activation"): (str, "activation"),
-    ("model", "separate_value_weights"): (_bool, "separate_value_weights"),
     ("training", "lr"): (float, "learning_rate"),
-    ("training", "lr_min"): (float, "lr_min"),
     ("training", "weight_decay"): (float, "weight_decay"),
     ("training", "epochs"): (int, "epochs"),
     ("training", "patience"): (int, "patience"),

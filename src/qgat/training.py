@@ -33,13 +33,12 @@ import json
 import numpy as np
 
 from . import metrics as metrics_mod
-from .attention import ACTIVATIONS, GatLayer, Gatv2Layer, QgatLayer, _AttentionLayer
+from .attention import MODEL_KINDS, _AttentionLayer
 from .autodiff import (Segments, Tensor, exp, log, mul, pair_dot, softplus, sub, take_rows, tmean,
                        tsum)
 from .files import atomic_write
 from .graph import Graph, LinkSplit
 
-MODEL_KINDS = ("qgat", "gat", "gatv2")
 TASKS = ("node-class", "multi-label", "link-pred")
 
 _STREAMS = {"init": 0, "dropout": 1, "negatives": 2}
@@ -72,7 +71,6 @@ def stream_rng(seed: int, stream: str) -> np.random.Generator:
 @dataclass
 class TrainConfig:
     learning_rate: float = 2e-3
-    lr_min: float = 0.0
     weight_decay: float = 5e-4
     epochs: int = 200
     patience: int = 30
@@ -81,12 +79,9 @@ class TrainConfig:
     n_qubits: int = 4
     entangling_layers: int = 2
     dropout: float = 0.5
-    merge: str = "concat"
     task: str = "node-class"
     seed: int = 0
     model: str = "qgat"
-    activation: str = "elu"
-    separate_value_weights: bool = False
 
     def validate(self) -> None:
         # every comparison is written so that NaN fails it
@@ -109,15 +104,10 @@ class TrainConfig:
             raise ValueError("head counts and hidden dims must be >= 1")
         if self.n_qubits < 1 or self.entangling_layers < 1:
             raise ValueError("n_qubits and entangling_layers must be >= 1")
-        if not (0 <= self.lr_min < np.inf and 0 <= self.weight_decay < np.inf):
-            raise ValueError("lr_min and weight_decay must be finite and >= 0")
+        if not 0 <= self.weight_decay < np.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
-        if self.merge not in ("concat", "mean"):
-            raise ValueError(f"merge must be 'concat' or 'mean', got {self.merge!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {sorted(ACTIVATIONS)}, "
-                             f"got {self.activation!r}")
         if self.epochs < 0 or self.patience < 0:
             raise ValueError("epochs and patience must be >= 0")
 
@@ -167,10 +157,11 @@ def adamw_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return params
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float = 0.0) -> float:
+def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:
+    """The learning rate at ``step``, annealed from ``lr_max`` to 0 over ``total_steps``."""
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + cos(pi * step / total_steps))
+    return 0.5 * lr_max * (1.0 + cos(pi * step / total_steps))
 
 
 # -- losses -----------------------------------------------------------------
@@ -260,8 +251,9 @@ class Model:
 
 
 def build_model(cfg: TrainConfig, in_dim: int, out_dim: int) -> Model:
-    """Stack attention layers per config: concat-merge hidden layers with the
-    configured activation, then a mean-merge output layer without one."""
+    """Stack one attention layer per entry of ``cfg.heads_per_layer``, each
+    scored by ``cfg.model``: hidden layers concatenate their heads and apply
+    ELU, and the output layer averages its heads and applies no activation."""
     cfg.validate()
     rng = stream_rng(cfg.seed, "init")
     n_layers = len(cfg.heads_per_layer)
@@ -273,21 +265,9 @@ def build_model(cfg: TrainConfig, in_dim: int, out_dim: int) -> Model:
             head_dim = cfg.hidden_dims[i] if cfg.task == "link-pred" else out_dim
         else:
             head_dim = cfg.hidden_dims[i]
-        common = dict(
-            merge="mean" if last else cfg.merge,
-            dropout=cfg.dropout,
-            activation="identity" if last else cfg.activation,
-            rng=rng,
-        )
-        if cfg.model == "qgat":
-            layer = QgatLayer(dim, head_dim, cfg.heads_per_layer[i], cfg.n_qubits,
-                              cfg.entangling_layers,
-                              separate_value_weights=cfg.separate_value_weights,
-                              **common)
-        elif cfg.model == "gat":
-            layer = GatLayer(dim, head_dim, cfg.heads_per_layer[i], **common)
-        else:
-            layer = Gatv2Layer(dim, head_dim, cfg.heads_per_layer[i], **common)
+        layer = _AttentionLayer(cfg.model, dim, head_dim, cfg.heads_per_layer[i], output=last,
+                                dropout=cfg.dropout, rng=rng, n_qubits=cfg.n_qubits,
+                                entangling_layers=cfg.entangling_layers)
         layers.append(layer)
         dim = layer.out_dim
     return Model(layers)
@@ -521,7 +501,7 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     best = goodness(rec)
 
     for epoch in range(1, cfg.epochs + 1):
-        rec = run_epoch(epoch, cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate, cfg.lr_min))
+        rec = run_epoch(epoch, cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate))
         if goodness(rec) > best:
             best, best_epoch, stale = goodness(rec), epoch, 0
             best_state = model.state_dict()

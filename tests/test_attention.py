@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgat import attention, autodiff, training, vqc
-from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
+from qgat.attention import _AttentionLayer, neighborhood_softmax
 from qgat.autodiff import Tensor, gradcheck
 from qgat.graph import Graph, split_link_prediction, synth_sbm
 
@@ -18,13 +18,9 @@ def elu_ref(x):
 
 
 def make_layer(kind, in_dim, head_dim, heads, seed=0, **kw):
-    rng = np.random.default_rng(seed)
     if kind == "qgat":
-        return QgatLayer(in_dim, head_dim, heads, kw.pop("n_qubits", 2),
-                         kw.pop("entangling_layers", 2), rng=rng, **kw)
-    if kind == "gat":
-        return GatLayer(in_dim, head_dim, heads, rng=rng, **kw)
-    return Gatv2Layer(in_dim, head_dim, heads, rng=rng, **kw)
+        kw = {"n_qubits": 2, "entangling_layers": 2, **kw}
+    return _AttentionLayer(kind, in_dim, head_dim, heads, rng=np.random.default_rng(seed), **kw)
 
 
 def random_graph(n, p, d, seed):
@@ -81,8 +77,8 @@ class TestEdgeInput:
     def test_hand_micro_case(self, circuit_calls):
         # one head, scalar dims, one qubit; replace weights with ones
         layer = make_layer("qgat", 1, 1, 1, n_qubits=1, entangling_layers=1)
-        layer.feat_proj.data = np.array([[1.0]])
-        layer.compress.data = np.ones((4, 2))
+        layer.scorer.params["feat_proj"].data = np.array([[1.0]])
+        layer.scorer.params["compress"].data = np.ones((4, 2))
         g = Graph(np.array([[1.0], [2.0]]), [[0, 1]], undirected=True)
         layer.forward(g, g.features)
         (inputs, _), = circuit_calls
@@ -93,13 +89,14 @@ class TestEdgeInput:
 
     def test_output_length_formula(self, circuit_calls):
         layer = make_layer("qgat", 4, 2, 8, n_qubits=5, seed=3)
-        assert layer.encoding_dim == 64  # 2^5 * ceil(8/5)
+        assert layer.scorer.encoding_dim == 64  # 2^5 * ceil(8/5)
         g = random_graph(6, 0.5, 4, seed=5)
         layer.forward(g, g.features)
         (inputs, _), = circuit_calls
         src, dst = g.attention_edges()
-        per_edge = inputs.reshape(len(src), layer.encoding_dim)
-        w, p, h = layer.feat_proj.data, layer.compress.data, g.features
+        per_edge = inputs.reshape(len(src), layer.scorer.encoding_dim)
+        params, h = layer.scorer.params, g.features
+        w, p = params["feat_proj"].data, params["compress"].data
         for e, (i, j) in enumerate(zip(dst, src)):
             want = np.concatenate([w.T @ h[i], w.T @ h[j], h[i], h[j]]) @ p
             np.testing.assert_allclose(per_edge[e], want, rtol=1e-12, atol=1e-12)
@@ -109,11 +106,12 @@ class TestEdgeInput:
         g = Graph(np.zeros((3, 3)), [[0, 1], [1, 2]], undirected=True)
         logits = edge_logits(layer, g)
         (inputs, _), = circuit_calls
-        np.testing.assert_array_equal(inputs, np.zeros((len(logits), layer.encoding_dim)))
+        scorer = layer.scorer
+        np.testing.assert_array_equal(inputs, np.zeros((len(logits), scorer.encoding_dim)))
         # the amplitude encoder maps this to |0...0> instead of erroring
         basis = np.zeros((1, 4))
         basis[0, 0] = 1.0
-        ground = vqc.circuit_forward_batch(basis, layer.angles.data, layer.layout)
+        ground = vqc.circuit_forward_batch(basis, scorer.params["angles"].data, scorer.layout)
         np.testing.assert_array_equal(logits, np.tile(ground[:, :2], (len(logits), 1)))
 
     def test_dim_mismatch(self):
@@ -130,24 +128,26 @@ class TestLogits:
         logits = edge_logits(layer, g)
         (inputs, _), = circuit_calls
         for row, a_prime in zip(logits, inputs):
-            want = circuit_expectations_reference(a_prime, layer.angles.data,
-                                                  layer.layout.ranges, 3)
+            want = circuit_expectations_reference(a_prime, layer.scorer.params["angles"].data,
+                                                  layer.scorer.layout.ranges, 3)
             np.testing.assert_allclose(row, want, atol=1e-10)
 
     def test_head_surplus_truncated(self, circuit_calls):
         layer = make_layer("qgat", 2, 1, 8, n_qubits=5, entangling_layers=1)
-        assert layer.n_exec == 2
+        assert layer.scorer.n_exec == 2
         g = random_graph(5, 0.5, 2, seed=1)
         logits = edge_logits(layer, g)
         assert logits.shape == (len(g.attention_edges()[0]), 8)
         (inputs, expectations), = circuit_calls
-        full = vqc.circuit_forward_batch(inputs, layer.angles.data, layer.layout)
+        scorer = layer.scorer
+        full = vqc.circuit_forward_batch(inputs, scorer.params["angles"].data, scorer.layout)
         np.testing.assert_array_equal(expectations, full)
         np.testing.assert_array_equal(logits, full.reshape(len(logits), 10)[:, :8])
 
     def test_identical_chunks_give_identical_groups(self):
         layer = make_layer("qgat", 2, 1, 4, n_qubits=2, entangling_layers=1)
-        layer.compress.data[:, 4:] = layer.compress.data[:, :4]
+        compress = layer.scorer.params["compress"].data
+        compress[:, 4:] = compress[:, :4]
         logits = edge_logits(layer, random_graph(5, 0.5, 2, seed=2))
         np.testing.assert_array_equal(logits[:, :2], logits[:, 2:])
 
@@ -181,7 +181,7 @@ class TestQgatForward:
         g = Graph(np.array([[0.7, -0.3]]), np.empty((0, 2)))
         out = layer.forward(g, g.features).data
         x = g.features[0]
-        want = elu_ref(x @ layer.feat_proj.data) + x
+        want = elu_ref(x @ layer.scorer.params["feat_proj"].data) + x
         np.testing.assert_allclose(out[0], want, atol=1e-12)
 
     def test_three_node_path_matches_scripted_reference(self):
@@ -192,9 +192,9 @@ class TestQgatForward:
         g = Graph(feats, [[0, 1], [1, 2]], undirected=True)
         got = layer.forward(g, g.features).data
 
-        w = layer.feat_proj.data  # (1,1)
-        p = layer.compress.data  # (4,2)
-        u1, u2, u3 = layer.angles.data[0, 0]
+        w = layer.scorer.params["feat_proj"].data  # (1,1)
+        p = layer.scorer.params["compress"].data  # (4,2)
+        u1, u2, u3 = layer.scorer.params["angles"].data[0, 0]
         gate = rz_matrix(u1) @ ry_matrix(u2) @ rz_matrix(u3)
         neighbors = {0: [0, 1], 1: [0, 1, 2], 2: [1, 2]}
         want = np.zeros((3, 1))
@@ -212,11 +212,23 @@ class TestQgatForward:
             want[i, 0] = elu_ref(agg) + feats[i, 0]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_mean_merge(self):
-        layer = make_layer("qgat", 3, 2, 2, merge="mean")
+    def test_mean_merge(self, monkeypatch):
+        # the output layer averages its heads and applies no activation
+        aggregated, aggregate = [], attention.softmax_aggregate
+
+        def recording(*args):
+            out = aggregate(*args)
+            aggregated.append(out.data)
+            return out
+
+        monkeypatch.setattr(attention, "softmax_aggregate", recording)
+        layer = make_layer("qgat", 3, 2, 2, output=True)
         g = random_graph(6, 0.5, 3, seed=2)
         out = layer.forward(g, g.features).data
         assert out.shape == (6, 2)
+        want = aggregated[0].mean(axis=1) + g.features @ layer.shortcut.data
+        assert (aggregated[0].mean(axis=1) < 0).any()  # an ELU would change these
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
 
     def test_concat_merge_shape(self):
         layer = make_layer("qgat", 3, 2, 4, n_qubits=2)
@@ -272,9 +284,9 @@ class TestClassicalHandFixtures:
         w = np.array([[0.5, -0.2], [0.3, 0.8]])
         a_dst = np.array([[0.4, -0.6]])
         a_src = np.array([[0.1, 0.9]])
-        layer.feat_proj.data = w
-        layer.attn_dst.data = a_dst
-        layer.attn_src.data = a_src
+        layer.scorer.params["feat_proj"].data = w
+        layer.scorer.params["attn_dst"].data = a_dst
+        layer.scorer.params["attn_src"].data = a_src
         feats = np.array([[1.0, 2.0], [-1.0, 0.5]])
         g = Graph(feats, [[0, 1]], undirected=True)
         got = layer.forward(g, g.features).data
@@ -300,9 +312,9 @@ class TestClassicalHandFixtures:
         wl = np.array([[0.5, -0.2], [0.3, 0.8]])
         wr = np.array([[-0.4, 0.1], [0.7, 0.2]])
         att = np.array([[0.6, -0.3]])
-        layer.proj_src.data = wl
-        layer.proj_dst.data = wr
-        layer.attn.data = att
+        layer.scorer.params["proj_src"].data = wl
+        layer.scorer.params["proj_dst"].data = wr
+        layer.scorer.params["attn"].data = att
         feats = np.array([[1.0, 2.0], [-1.0, 0.5]])
         g = Graph(feats, [[0, 1]], undirected=True)
         got = layer.forward(g, g.features).data
@@ -497,15 +509,3 @@ class TestBackward:
         np.testing.assert_array_equal(grads["features"][3], 0.0)
         np.testing.assert_array_equal(grads["features"][2], 0.0)
         assert grads["features"][1].any()
-
-
-class TestSeparateValueWeights:
-    def test_flag_changes_value_path(self):
-        g = random_graph(5, 0.5, 3, seed=1)
-        shared = make_layer("qgat", 3, 2, 2, seed=4)
-        split = make_layer("qgat", 3, 2, 2, seed=4, separate_value_weights=True)
-        assert "value_proj" in split.params()
-        assert "value_proj" not in shared.params()
-        assert not np.array_equal(
-            shared.forward(g, g.features).data, split.forward(g, g.features).data
-        )

@@ -81,6 +81,25 @@ class TestTrain:
         assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["ini", "override"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("model", "merge", "concat"),
+        ("model", "activation", "elu"),
+        ("model", "separate_value_weights", "false"),
+        ("training", "lr_min", "0.0"),
+    ])
+    def test_deleted_key_exit_2(self, tmp_path, capsys, section, key, value, how):
+        # keys that older configurations set, at their old defaults, are unknown now
+        if how == "ini":
+            cfg = tmp_path / "old.ini"
+            cfg.write_text(f"[{section}]\n{key} = {value}\n")
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--override", f"{section}.{key}={value}"]
+        assert main(["train", *args, "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_override_changes_echoed_config(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         assert main(["train", "--config", str(tiny_config), "--out", str(out),
@@ -105,8 +124,6 @@ class TestTrain:
         ("train", "model.dropout=1.5"),
         ("params", "model.n_qubits=0"),
         ("params", "model.entangling_layers=0"),
-        ("train", "model.merge=sum"),
-        ("train", "model.activation=gelu"),
         ("train", "model.heads=0,2"),
         ("train", "model.hidden_dims=0"),
     ])
@@ -121,7 +138,6 @@ class TestTrain:
         ("train", "data.feature_dim=0"),
         ("train", "data.n_per_class=0"),
         ("synth", "data.n_classes=0"),
-        ("train", "training.lr_min=-1"),
         ("train", "training.weight_decay=-1"),
         ("gradcheck", "gradcheck.qubits=0"),
         ("gradcheck", "gradcheck.layers=0"),
@@ -144,10 +160,8 @@ class TestTrain:
         ("train", "experiment.seeds="),
         ("train", "experiment.models="),
         ("train", "training.lr=nan"),
-        ("train", "training.lr_min=nan"),
         ("train", "training.weight_decay=nan"),
         ("train", "training.lr=inf"),
-        ("train", "training.lr_min=inf"),
         ("train", "training.weight_decay=inf"),
         ("train", "experiment.seeds=0,0"),
         ("train", "experiment.seeds=1,0,1"),

@@ -3,7 +3,9 @@ attention aggregation, relabelling a graph's nodes permutes every layer's
 outputs and input gradients bit for bit, softmax rows sum to 1, degenerate
 rows of an encode batch affect no other row, and the circuit's adjoint
 gradients and the slicing op's gradients match finite differences, and a
-graph's edge arrays match the set-built oracle byte for byte.
+graph's edge arrays match the set-built oracle byte for byte.  GAT's
+attention is static: every query ranks a shared set of keys in one order;
+QGAT's is not.
 
 These carry the permutation-equivariance contract of the attention layers
 down to their kernels.  Its scope: layer outputs and per-node gradients are
@@ -23,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qgat import vqc
-from qgat.attention import GatLayer, Gatv2Layer, QgatLayer, neighborhood_softmax
+from qgat.attention import CircuitScorer, GatScorer, _AttentionLayer, neighborhood_softmax
 from qgat.autodiff import (Segments, Tensor, gradcheck, gradient_errors, segment_sum,
                            softmax_aggregate, take_rows, tslice)
 from qgat.graph import Graph
@@ -195,14 +197,19 @@ def relabelled_graphs(draw):
     return gen.standard_normal((n, 3)), np.array(edges, dtype=np.int64).reshape(-1, 2), perm, gen
 
 
+def qgat_layer(heads):
+    return lambda rng: _AttentionLayer("qgat", 3, 2, heads, rng=rng, n_qubits=2,
+                                       entangling_layers=2)
+
+
 LAYERS = {
-    "gat": lambda rng: GatLayer(3, 2, 2, rng=rng),
-    "gatv2": lambda rng: Gatv2Layer(3, 2, 2, rng=rng),
+    "gat": lambda rng: _AttentionLayer("gat", 3, 2, 2, rng=rng),
+    "gatv2": lambda rng: _AttentionLayer("gatv2", 3, 2, 2, rng=rng),
     # one, two and five heads on two qubits: one execution per edge with a surplus
     # expectation, one without, and three with one surplus
-    "qgat-h1": lambda rng: QgatLayer(3, 2, 1, 2, 2, rng=rng),
-    "qgat-h2": lambda rng: QgatLayer(3, 2, 2, 2, 2, rng=rng),
-    "qgat-h5": lambda rng: QgatLayer(3, 2, 5, 2, 2, rng=rng),
+    "qgat-h1": qgat_layer(1),
+    "qgat-h2": qgat_layer(2),
+    "qgat-h5": qgat_layer(5),
 }
 
 
@@ -224,6 +231,44 @@ def test_layers_are_equivariant_under_relabelling(kind, problem):
     (out, grad), (out2, grad2) = results
     assert_same_bits(out2[perm], out)
     assert_same_bits(grad2[perm], grad)
+
+
+def query_key_logits(scorer, features: np.ndarray, n_queries: int):
+    """The (queries, keys, heads) logits of every query, the last ``n_queries``
+    rows of ``features``, attending to every key, the rows before them, and
+    the keys' rows of the scorer's source term b."""
+    n = len(features)
+    n_keys = n - n_queries
+    dst, src = (Segments(index, n) for index in (np.repeat(np.arange(n_keys, n), n_keys),
+                                                 np.tile(np.arange(n_keys), n_queries)))
+    a, b, _ = scorer.node_terms(Tensor(features))
+    logits = scorer.edge_logits(a, b, dst, src).data
+    return logits.reshape(n_queries, n_keys, -1), b.data[:n_keys]
+
+
+@PROPERTY
+@given(n_keys=st.integers(2, 6), n_queries=st.integers(2, 5), heads=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_gat_attention_is_static(n_keys, n_queries, heads, seed):
+    """GAT's attention is static (Brody et al., arXiv:2105.14491): its logit
+    LeakyReLU(a_i + b_j) is monotone in b_j, so for each head every query
+    ranks a shared set of keys in one order, that of b_j."""
+    gen = np.random.default_rng(seed)
+    scorer = GatScorer(3, 2, heads, gen)
+    logits, b = query_key_logits(scorer, gen.standard_normal((n_keys + n_queries, 3)),
+                                 n_queries)
+    for head in range(heads):
+        by_b = logits[:, np.argsort(b[:, head]), head]
+        assert (np.diff(by_b, axis=1) >= 0).all()
+
+
+def test_circuit_attention_is_dynamic():
+    """QGAT's logit depends on the query and the key jointly: with fixed
+    weights, two queries pick different argmax keys among the same keys."""
+    gen = np.random.default_rng(0)
+    scorer = CircuitScorer(3, 2, 1, gen, n_qubits=2, entangling_layers=2)
+    logits, _ = query_key_logits(scorer, gen.standard_normal((8, 3)), 4)
+    assert len(set(logits[:, :, 0].argmax(axis=1))) > 1
 
 
 @st.composite
