@@ -22,7 +22,8 @@ Three properties matter for callers:
   ``tslice``, ``take_rows`` and ``edge_sum`` (the attention logits' input
   ``a[dst] + b[src]``) keep shapes or index layouts only; ``EdgeRows`` hands
   the same rows to an op ungathered (``vqc.expectations_op`` keeps a's and
-  b's arrays and makes the rows again in its backward); ``mul``, ``div``,
+  b's arrays and makes the rows one row block at a time, in its forward and
+  again in its backward); ``mul``, ``div``,
   ``matmul``, ``log`` and ``softplus`` their operand arrays; ``exp``
   and ``elu`` their output; ``dropout``, ``leaky_relu`` and ``elu`` a
   boolean mask; ``pair_dot`` its node-level operand;
@@ -325,9 +326,9 @@ def take_rows(x: Tensor, segs: Segments) -> Tensor:
                    lambda g: (_segment_reduce(g, segs, "sum"),))
 
 
-def _edge_rows(a: np.ndarray, b: np.ndarray, dst: Segments, src: Segments) -> np.ndarray:
-    rows = np.take(a, dst.index, axis=0)
-    rows += np.take(b, src.index, axis=0)
+def _edge_rows(a: np.ndarray, b: np.ndarray, dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    rows = np.take(a, dst, axis=0)
+    rows += np.take(b, src, axis=0)
     return rows
 
 
@@ -339,7 +340,7 @@ def edge_sum(a: Tensor, b: Tensor, dst: Segments, src: Segments) -> Tensor:
     """Edge rows ``a[dst.index] + b[src.index]``: the bits of
     ``take_rows(a, dst) + take_rows(b, src)`` and of its gradients, without
     the two gathered (edges, ...) arrays on the tape."""
-    return make_op(_edge_rows(a.data, b.data, dst, src), (a, b),
+    return make_op(_edge_rows(a.data, b.data, dst.index, src.index), (a, b),
                    lambda g: _edge_row_grads(g, dst, src))
 
 
@@ -348,8 +349,8 @@ class EdgeRows:
     node-level (nodes, k * width) Tensors a and b and the edge layouts, read as
     (edges * k, width) rows, row r being chunk r % k of edge r // k's row.
     ``len`` is that row count.  An op that takes them (``vqc.expectations_op``)
-    keeps a's and b's arrays, not the rows, and makes the rows again when its
-    backward needs them."""
+    keeps a's and b's arrays, not the rows, and makes a slice of the rows
+    whenever it needs them, so the rows never need to exist all at once."""
 
     __slots__ = ("a", "b", "dst", "src", "width")
 
@@ -359,12 +360,22 @@ class EdgeRows:
     def __len__(self) -> int:
         return len(self.dst) * (self.a.shape[1] // self.width)
 
-    def reader(self) -> Callable[[], np.ndarray]:
-        """A callable that makes the rows, a fresh (len(self), width) array, at
-        each call with ``edge_sum``'s arithmetic; it holds a's and b's arrays
-        and the layouts, not the Tensors."""
-        a, b, dst, src, width = self.a.data, self.b.data, self.dst, self.src, self.width
-        return lambda: _edge_rows(a, b, dst, src).reshape(-1, width)
+    def reader(self) -> Callable[[slice], np.ndarray]:
+        """A callable that makes the rows of a slice ``rows`` (start and stop
+        given), a fresh (rows, width) array, at each call with ``edge_sum``'s
+        arithmetic.  It gathers only the edges the slice falls in, so a slice
+        may start or end inside an edge; it holds a's and b's arrays and the
+        edge indices, not the Tensors."""
+        a, b, dst, src, width = self.a.data, self.b.data, self.dst.index, self.src.index, self.width
+        per_edge = a.shape[1] // width
+
+        def read(rows: slice) -> np.ndarray:
+            first = rows.start // per_edge
+            edges = slice(first, -(-rows.stop // per_edge))
+            made = _edge_rows(a, b, dst[edges], src[edges]).reshape(-1, width)
+            return made[rows.start - first * per_edge:rows.stop - first * per_edge]
+
+        return read
 
     def grads(self) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """A callable from the rows' (len(self), width) gradient to a's and b's,
@@ -639,9 +650,10 @@ def gradient_errors(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: f
     of ``tensors``, leaves that require a gradient.
 
     Each gradient is compared with central differences entry by entry as
-    |analytic - numeric| / max(|numeric|, atol / rtol); differences within
-    ``atol`` count as zero, being finite-difference noise.  A NaN anywhere
-    makes that tensor's error NaN.  The step is ``eps`` times the tensor's
+    |analytic - numeric| / max(|numeric|, atol / rtol), and the worst entry is
+    reported as it is, so a passing gradient shows how close it came: an
+    entry within ``atol`` reads at most ``rtol``.  A NaN anywhere makes that
+    tensor's error NaN.  The step is ``eps`` times the tensor's
     largest magnitude (``eps`` for an all-zero tensor), so a function of
     x / |x| is stepped in proportion to |x| whatever its scale.
     """
@@ -657,7 +669,7 @@ def gradient_errors(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: f
         numeric = central_difference(lambda: fn(*tensors).data.sum(), t.data, step)
         diff = np.abs(analytic - numeric)
         scaled = diff / np.maximum(np.abs(numeric), atol / rtol)
-        worst.append(float(np.max(np.where(diff <= atol, 0.0, scaled))))
+        worst.append(float(np.max(scaled)))
     return worst
 
 

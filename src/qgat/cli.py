@@ -234,7 +234,9 @@ def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
 
 def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
                      trials: int) -> dict[str, float]:
-    """Worst relative gradient error per component, adjoint vs central differences."""
+    """Worst relative gradient error per component, tape gradients vs central
+    differences: the circuit's on random rows, and a layer's of every model
+    kind on a 4-node path graph."""
     rng = np.random.default_rng(7)
     report = {"circuit.angles": 0.0, "circuit.inputs": 0.0}
     for n_q in qubit_grid:
@@ -251,16 +253,15 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
                 for name, err in zip(("circuit.inputs", "circuit.angles"), errors):
                     report[name] = float(np.maximum(report[name], err))  # keeps a NaN
 
-    # end-to-end layer on a 4-node path graph
     g = Graph(rng.standard_normal((4, 3)),
               np.array([[0, 1], [1, 2], [2, 3]]), undirected=True)
-    layer = _AttentionLayer("qgat", 3, 2, 2, rng=rng, n_qubits=2, entangling_layers=2)
-    upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
-    params = layer.params()
-
-    errors = gradient_errors(lambda *_: layer.forward(g, g.features) * upstream,
-                             list(params.values()), eps=1e-6, atol=1e-7)
-    report.update((f"qgat_layer.{name}", err) for name, err in zip(params, errors))
+    for kind in MODEL_KINDS:
+        layer = _AttentionLayer(kind, 3, 2, 2, rng=rng, n_qubits=2, entangling_layers=2)
+        upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
+        params = layer.params()
+        errors = gradient_errors(lambda *_: layer.forward(g, g.features) * upstream,
+                                 list(params.values()), eps=1e-6, atol=1e-7)
+        report.update((f"{kind}_layer.{name}", err) for name, err in zip(params, errors))
     return report
 
 

@@ -125,7 +125,8 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
     padded = _padded(x, dim)
-    norms = np.linalg.norm(padded, axis=1)
+    # np.linalg.norm's arithmetic for real rows, without its conj copy
+    norms = np.sqrt(np.add.reduce(padded * padded, axis=1))
     norms[norms < NORM_EPS] = 0.0
     return reencode(padded, norms, n_qubits), norms
 

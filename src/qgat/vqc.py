@@ -9,31 +9,36 @@ single-qubit Z expectations.
 Each call compiles the ansatz once, whatever the batch size B: the gate
 list runs on the 2^n basis rows, giving R with row j = U|j>.  The real
 encoded rows E (B, 2^n) then give the final states Psi = E R as real GEMMs,
-E @ [Re R | Im R], and the expectations as |Psi|^2 @ z_sign_matrix, one
-row block at a time: Psi never exists for the whole batch.
+E @ [Re R | Im R], and the expectations as |Psi|^2 @ z_sign_matrix.
 
 Gradients come from one adjoint sweep (Jones & Gacon, arXiv:2009.02823) over
 the 2^n rows of (R, C), where the costate C = E^T Lambda, Lambda = Psi * (g Z^T),
-folds the batch into one GEMM; as E is real, sum_b 2 Re <Lambda_b, dU x_b>
-= sum_j 2 Re <C_j, dU e_j> exactly.  Input gradients are two real GEMMs,
-2 (Re Lambda Re R^T + Im Lambda Im R^T), then the normalization Jacobian.
-One path serves every qubit count: U costs 16 * 4^n bytes, 4 KB at the
-default n = 4 and 16 MB at n = 10.
+folds the batch into one (2^n, 2^n) matrix; as E is real,
+sum_b 2 Re <Lambda_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> exactly.  Input
+gradients are two real GEMMs, 2 (Re Lambda Re R^T + Im Lambda Im R^T), then
+the normalization Jacobian.  One path serves every qubit count: U costs
+16 * 4^n bytes, 4 KB at the default n = 4 and 16 MB at n = 10.
 
-The backward does not keep E: it makes the raw rows again and re-encodes
+Every pass over the batch goes one row block (``_row_blocks``) at a time.
+The forward makes a block's raw rows, encodes and runs them, and keeps only
+their norms and expectations.  The backward makes them again and re-encodes
 them with ``statevector.reencode`` and the stored norms, the forward's
-arithmetic without its norm pass.  It then forms Lambda for every block,
-C in one whole-batch GEMM, and writes each block's input gradient over
-that block's rows, so at its peak it holds E and Lambda, (B, 3 * 2^n)
-floats.  The VJP keeps the norms, R and what makes the rows.
+arithmetic without its norm pass; it forms the block's Psi and Lambda, adds
+E_blk^T Lambda_blk into C and writes the block's input gradient into the one
+(B, width) output.  So E, Psi and Lambda exist for one block only, and the
+circuit holds no (B, .) array but its norms, its expectations and its input
+gradient.  The VJP keeps the norms, R and what makes the rows.  Values and
+input gradients do not depend on the blocks; the angle gradients' last bits
+do, through the order in which C adds them up.
 
 There are two ways in: ``expectations_op``, the autodiff node, and
 ``circuit_forward_batch``, plain arrays in and out.  The node takes a
 (B, width) rows Tensor, whose array its VJP keeps, or ``autodiff.EdgeRows``,
 the rows a_i + b_j that the QGAT layer gives by its node-level terms and
-edge layouts: the VJP then keeps a's and b's (nodes, k * 2^n) arrays, never
-a (edges * k, 2^n) one, and returns a's and b's gradients through
-``edge_sum``'s VJP.  A single input vector is the B = 1 case of either.
+edge layouts: the VJP then keeps a's and b's (nodes, k * 2^n) arrays, the
+circuit gathers one block's edge rows from them at a time, and a's and b's
+gradients come back through ``edge_sum``'s VJP.  A single input vector is
+the B = 1 case of either.
 """
 
 from __future__ import annotations
@@ -144,51 +149,55 @@ def _row_blocks(batch: int, dim: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _circuit(read_rows: Callable[[], np.ndarray], angles: np.ndarray,
-             layout: EntanglingLayout):
-    """Z expectations (B, n_qubits) of a batch of raw input rows, and their backward.
+def _circuit(read_rows: Callable[[slice], np.ndarray], shape: tuple[int, int],
+             angles: np.ndarray, layout: EntanglingLayout):
+    """Z expectations (B, n_qubits) of a batch of (B, width) raw input rows,
+    width <= 2^n, and their backward.
 
-    ``read_rows()`` makes the (B, width) rows, width <= 2^n, as a fresh array:
-    once here and once in the backward, which re-encodes them with the stored
-    norms instead of keeping them.  ``backward(upstream)`` returns the exact
+    ``read_rows(rows)`` makes the rows of the slice ``rows`` as a fresh array.
+    The forward reads, encodes and runs one row block at a time and keeps of
+    the batch only the norms; the backward reads each block again and
+    re-encodes it with those norms.  ``backward(upstream)`` returns the exact
     gradients of sum(upstream * expectations): (grad_angles (L, n_q, 3),
-    grad_rows (B, 2^n)), the second with respect to the rows zero-padded to
-    2^n, written into the re-encoded rows' buffer.  Psi exists one row block
-    at a time, in the forward and again in the backward, which keeps of the
-    batch only the norms.
+    grad_rows (B, width)), the second written block by block into one array.
+    No other (B, .) array exists: E, Psi and Lambda exist one block at a time.
     """
     _check_shapes(angles, layout)
     n = layout.n_qubits
     dim = 1 << n
-    encoded, norms = encode_batch(read_rows(), n)  # E, real (B, 2^n)
+    batch, width = shape
     rows = _unitary_rows(angles, layout)
     stacked = np.concatenate([rows.real, rows.imag], axis=1)  # [Re R | Im R]
-    blocks = _row_blocks(len(encoded), dim)
-    expectations = np.empty((len(encoded), n))
+    blocks = _row_blocks(batch, dim)
+    norms = np.empty(batch)
+    expectations = np.empty((batch, n))
     for blk in blocks:
-        psi = encoded[blk] @ stacked  # [Re Psi | Im Psi], Psi = E R
+        encoded, norms[blk] = encode_batch(read_rows(blk), n)  # E, real (b, 2^n)
+        psi = encoded @ stacked  # [Re Psi | Im Psi], Psi = E R
         expectations[blk] = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
 
     def backward(upstream: np.ndarray):
-        encoded = reencode(read_rows(), norms, n)
-        lam = np.empty((len(encoded), 2 * dim))
-        for blk in blocks:
-            psi = encoded[blk] @ stacked
-            # [Re | Im] of Psi * (g Z^T), the one (b, 2^n) factor broadcast over both halves
-            halves = lam[blk].reshape(len(psi), 2, dim)
-            np.multiply(psi.reshape(len(psi), 2, dim),
-                        (upstream[blk] @ z_sign_matrix(n).T)[:, None], out=halves)
-        # sum_b 2 Re <lam_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> with C = E^T lam, one GEMM
-        # over the whole batch: it adds over rows, so blocks would change its bits
-        parts = encoded.T @ lam
+        # sum_b 2 Re <lam_b, dU x_b> = sum_j 2 Re <C_j, dU e_j> with C = E^T lam,
+        # added up block by block
+        parts = np.zeros((dim, 2 * dim))
         twice = 2.0 * stacked.T  # a power of two: the bits of 2.0 * (lam @ stacked.T)
+        grad_rows = np.empty((batch, width))
         for blk in blocks:
-            grad_amp = lam[blk] @ twice
-            radial = np.sum(grad_amp * encoded[blk], axis=1, keepdims=True)
-            # the block's rows are read for the last time: its gradient goes in their place
-            grad_rows = encoded[blk]
-            grad_rows *= radial
-            np.subtract(grad_amp, grad_rows, out=grad_rows)
+            encoded = reencode(read_rows(blk), norms[blk], n)
+            lam = encoded @ stacked
+            # [Re | Im] of Psi * (g Z^T) in Psi's place, the one (b, 2^n) factor
+            # broadcast over both halves
+            halves = lam.reshape(len(lam), 2, dim)
+            np.multiply(halves, (upstream[blk] @ z_sign_matrix(n).T)[:, None], out=halves)
+            parts += encoded.T @ lam
+            grad_amp = lam @ twice
+            radial = np.sum(grad_amp * encoded, axis=1, keepdims=True)
+            encoded *= radial
+            np.subtract(grad_amp, encoded, out=encoded)
+            nonzero = norms[blk] > 0
+            np.divide(encoded[:, :width], norms[blk, None], out=grad_rows[blk],
+                      where=nonzero[:, None])
+            grad_rows[blk][~nonzero] = 0.0
         costate = parts[:, :dim] + 1j * parts[:, dim:]
         ket = rows.copy()
         grad_angles = np.zeros_like(angles)
@@ -205,10 +214,7 @@ def _circuit(read_rows: Callable[[], np.ndarray], angles: np.ndarray,
             gate = ry_batch if kind == "RY" else rz_batch
             gate(ket, n, wires, -angle)
             gate(costate, n, wires, -angle)
-        nonzero = norms > 0
-        np.divide(encoded, norms[:, None], out=encoded, where=nonzero[:, None])
-        encoded[~nonzero] = 0.0
-        return grad_angles, encoded
+        return grad_angles, grad_rows
 
     return expectations, backward
 
@@ -217,7 +223,8 @@ def circuit_forward_batch(inputs: np.ndarray, angles: np.ndarray,
                           layout: EntanglingLayout) -> np.ndarray:
     """Z expectations (B, n_qubits) for a batch of raw input rows."""
     inputs = np.asarray(inputs, dtype=np.float64)
-    expectations, _ = _circuit(inputs.copy, np.asarray(angles, dtype=np.float64), layout)
+    expectations, _ = _circuit(lambda rows: inputs[rows].copy(), inputs.shape,
+                               np.asarray(angles, dtype=np.float64), layout)
     _count_executions(len(expectations))
     return expectations
 
@@ -228,18 +235,22 @@ def expectations_op(inputs: Tensor | EdgeRows, angles: Tensor,
 
     ``inputs`` is a (B, width) Tensor of rows, or ``EdgeRows``, rows given by
     node-level Tensors a and b and the edge layouts, whose gradients the VJP
-    returns through ``edge_sum``'s VJP.  The tape keeps the row norms and the
-    rows Tensor's array, or a's and b's arrays, never the encoded rows.
+    returns through ``edge_sum``'s VJP.  The circuit reads the rows one row
+    block at a time, in the forward and again in the backward: a block is a
+    slice of the Tensor's array, or the edge rows ``EdgeRows.reader`` gathers
+    for it.  The tape keeps the row norms and the rows Tensor's array, or a's
+    and b's arrays, never the encoded rows.
     """
     if isinstance(inputs, Tensor):
-        width = inputs.shape[-1]
-        parents, read_rows = (inputs,), inputs.data.copy
+        data = inputs.data
+        parents, shape, input_grads = (inputs,), data.shape, lambda grad_rows: (grad_rows,)
 
-        def input_grads(grad_rows):
-            return (grad_rows[:, :width],)
+        def read_rows(rows):
+            return data[rows].copy()
     else:
-        parents, read_rows, input_grads = (inputs.a, inputs.b), inputs.reader(), inputs.grads()
-    expectations, backward = _circuit(read_rows, angles.data, layout)
+        parents, shape = (inputs.a, inputs.b), (len(inputs), inputs.width)
+        read_rows, input_grads = inputs.reader(), inputs.grads()
+    expectations, backward = _circuit(read_rows, shape, angles.data, layout)
     _count_executions(len(expectations))
 
     def vjp(g: np.ndarray):

@@ -3,8 +3,8 @@
 Everything here is deliberately brute force -- dense matrices, python
 loops, direct definitions -- and shares no code with the package paths it
 checks.  The one exception is ``circuit_reference``, a bit-identity guard: it
-runs the package's unitary and adjoint gate sweep and differs from
-``vqc`` only in the row-level arithmetic around them.
+runs the package's unitary, row blocks and adjoint gate sweep and differs
+from ``vqc`` only in the row-level arithmetic around them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from qgat import statevector as sv
-from qgat.vqc import _gate_sequence, _unitary_rows
+from qgat.vqc import _gate_sequence, _row_blocks, _unitary_rows
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -146,7 +146,9 @@ def circuit_reference(inputs: np.ndarray, angles: np.ndarray, layout, upstream: 
     gradients of sum(upstream * expectations), with the plainest row arithmetic:
     a zero-filled encode that always rewrites degenerate rows, the costate
     factor g Z^T tiled over [Re | Im], the 2 applied after the input GEMM, and
-    the normalization Jacobian through boolean-mask gathers and scatters."""
+    the normalization Jacobian through boolean-mask gathers and scatters.  The
+    costate E^T Lambda adds up over ``vqc``'s row blocks, in their order, as
+    the circuit's does: a whole-batch GEMM would add the rows in another order."""
     n = layout.n_qubits
     dim = 1 << n
     encoded = np.zeros((len(inputs), dim))
@@ -166,7 +168,9 @@ def circuit_reference(inputs: np.ndarray, angles: np.ndarray, layout, upstream: 
 
     lam = psi * np.tile(upstream @ zmat.T, 2)
     grad_amp = 2.0 * (lam @ stacked.T)
-    parts = encoded.T @ lam
+    parts = np.zeros((dim, 2 * dim))
+    for blk in _row_blocks(len(inputs), dim):
+        parts += encoded[blk].T @ lam[blk]
     costate = parts[:, :dim] + 1j * parts[:, dim:]
     ket = rows.copy()
     grad_angles = np.zeros_like(angles)

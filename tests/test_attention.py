@@ -43,7 +43,7 @@ def edge_logits(layer, g, features=None):
 def circuit_rows(inputs) -> np.ndarray:
     """The rows a circuit call runs on: a rows Tensor's array, or the rows
     ``autodiff.EdgeRows`` makes."""
-    return inputs.data.copy() if isinstance(inputs, Tensor) else inputs.reader()()
+    return inputs.data.copy() if isinstance(inputs, Tensor) else inputs.reader()(slice(0, len(inputs)))
 
 
 @pytest.fixture

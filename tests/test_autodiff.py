@@ -649,7 +649,7 @@ class TestGradcheck:
 
         a, b = leaf((2, 3)), leaf((2, 3))
         err_a, err_b = gradient_errors(nan_for_second, [a, b])
-        assert err_a == 0.0
+        assert err_a < 1e-8  # the central differences of a bilinear f: rounding only
         assert np.isnan(err_b)
 
     def test_step_scales_with_the_tensor(self):

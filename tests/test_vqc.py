@@ -1,5 +1,7 @@
 """Entangling ansatz: layout rule, forward oracle equivalence, adjoint gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -249,8 +251,9 @@ class TestBatch:
         """Values, input gradients and angle gradients equal ``circuit_reference``
         bit for bit, on inputs 2^n wide or narrower, with zero and tiny rows.
 
-        The circuit runs in row blocks while the reference runs whole batches,
-        so the batches straddle block edges; one row, where BLAS takes its
+        The circuit runs in row blocks while the reference runs whole batches
+        except for the costate, which both add up over the same blocks; the
+        batches straddle block edges, and one row, where BLAS takes its
         one-row path, guards the transposed view in the costate factor.  No
         batch exceeds 14,660 rows: above that (16,000 rows at n = 4, with
         OpenBLAS 0.3.31's Haswell kernels on x86-64) BLAS switches kernel for
@@ -308,11 +311,40 @@ class TestEdgeRows:
             logits.backward(upstream)
             return logits.data, a.grad, b.grad, angles.grad
 
-        rows = EdgeRows(Tensor(a0), Tensor(b0), dst, src, dim).reader()()
+        rows = EdgeRows(Tensor(a0), Tensor(b0), dst, src, dim).reader()(slice(0, edges * n_exec))
         norms = np.linalg.norm(rows, axis=1)
         assert (norms == 0).any() and ((norms > 0) & (norms < NORM_EPS)).any()
         for got, want in zip(run(True), run(False), strict=True):
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_peak_memory_is_one_row_block(self):
+        """At n = 6, 4,200 rows in nine row blocks, two executions per edge: the
+        forward and backward together peak below their outputs (the
+        expectations, the rows' gradient and a's and b's), the norms, the
+        largest width bucket of edge_sum's reduce of that gradient, and six
+        row blocks.  E, Psi and Lambda exist one row block at a time."""
+        n_q, nodes, edges = 6, 40, 2100
+        dim = 1 << n_q
+        rng = np.random.default_rng(6)
+        ends = rng.integers(0, nodes, (2, edges))
+        dst, src = Segments(ends[0], nodes), Segments(ends[1], nodes)
+        a = Tensor(rng.standard_normal((nodes, 2 * dim)), requires_grad=True)
+        b = Tensor(rng.standard_normal((nodes, 2 * dim)), requires_grad=True)
+        angles = Tensor(rng.uniform(0, 2 * np.pi, (2, n_q, 3)), requires_grad=True)
+        upstream = rng.standard_normal((2 * edges, n_q))
+        blocks = vqc._row_blocks(2 * edges, dim)
+        block = max(blk.stop - blk.start for blk in blocks) * dim * 8
+        bucket = max(rows.size for segs in (dst, src) for _, rows, _ in segs.buckets) * 2 * dim * 8
+        outputs = 2 * edges * (n_q + dim) * 8 + a.data.nbytes + b.data.nbytes
+        tracemalloc.start()
+        try:
+            vqc.expectations_op(EdgeRows(a, b, dst, src, dim), angles, build_layout(n_q, 2)
+                                ).backward(upstream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blocks) == 9
+        assert peak < outputs + 2 * edges * 8 + bucket + 6 * block
 
     def test_rows_wider_than_the_circuit_raise(self):
         a = Tensor(np.ones((3, 5)), requires_grad=True)
@@ -334,9 +366,14 @@ class TestExactGradients:
 
     @pytest.mark.parametrize("n_q", [2, 3, 4, 6])
     @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_rows(self, n_q, layers):
+    @pytest.mark.parametrize("block_rows", [None, 2])
+    def test_rows(self, n_q, layers, block_rows, monkeypatch):
         """Rows 2^n wide at one layer and narrower at two and three, one of them
-        zero and one below ``NORM_EPS``, whose input gradients are 0."""
+        zero and one below ``NORM_EPS``, whose input gradients are 0; in one
+        row block, and in three blocks of two rows each."""
+        if block_rows:
+            monkeypatch.setattr(vqc, "BLOCK_AMPS", block_rows << n_q)
+            assert len(vqc._row_blocks(6, 1 << n_q)) == 3
         rng = np.random.default_rng(10 * n_q + layers)
         layout = build_layout(n_q, layers)
         angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
@@ -352,12 +389,18 @@ class TestExactGradients:
         assert not inputs.grad[[1, 4]].any()
 
     @pytest.mark.parametrize("n_q", [2, 3])
-    def test_edge_rows_with_two_executions_per_edge(self, n_q):
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    def test_edge_rows_with_two_executions_per_edge(self, n_q, block_rows, monkeypatch):
         """``EdgeRows`` whose edges each run the circuit twice (2 n heads), one
         edge's first row zero: a's and b's gradients are the rows' gradients
-        added over each edge's ends."""
-        rng = np.random.default_rng(n_q)
+        added over each edge's ends.  In one row block, and in five, two of
+        whose edges fall inside an edge."""
         dim, nodes, edges = 1 << n_q, 6, 12
+        if block_rows:
+            monkeypatch.setattr(vqc, "BLOCK_AMPS", block_rows * dim)
+            starts = [blk.start for blk in vqc._row_blocks(2 * edges, dim)]
+            assert starts == [0, 4, 9, 14, 19]
+        rng = np.random.default_rng(n_q)
         ends = rng.integers(0, nodes, (2, edges))
         ends[:, 0] = [0, 1]
         a0, b0 = rng.standard_normal((2, nodes, 2 * dim))
