@@ -364,16 +364,8 @@ class TestExactGradients:
     parameter shift and the quadratic form, at rounding level.  A finite
     difference cannot tell an adjoint off by 1e-10 from an exact one; these do."""
 
-    @pytest.mark.parametrize("n_q", [2, 3, 4, 6])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    @pytest.mark.parametrize("block_rows", [None, 2])
-    def test_rows(self, n_q, layers, block_rows, monkeypatch):
-        """Rows 2^n wide at one layer and narrower at two and three, one of them
-        zero and one below ``NORM_EPS``, whose input gradients are 0; in one
-        row block, and in three blocks of two rows each."""
-        if block_rows:
-            monkeypatch.setattr(vqc, "BLOCK_AMPS", block_rows << n_q)
-            assert len(vqc._row_blocks(6, 1 << n_q)) == 3
+    @staticmethod
+    def check_rows(n_q, layers):
         rng = np.random.default_rng(10 * n_q + layers)
         layout = build_layout(n_q, layers)
         angles = rng.uniform(0, 2 * np.pi, (layers, n_q, 3))
@@ -388,19 +380,27 @@ class TestExactGradients:
         assert_exact(inputs.grad, quadratic_form_reference(x, angles, layout.ranges, n_q, upstream))
         assert not inputs.grad[[1, 4]].any()
 
-    @pytest.mark.parametrize("n_q", [2, 3])
-    @pytest.mark.parametrize("block_rows", [None, 5])
-    def test_edge_rows_with_two_executions_per_edge(self, n_q, block_rows, monkeypatch):
-        """``EdgeRows`` whose edges each run the circuit twice (2 n heads), one
-        edge's first row zero: a's and b's gradients are the rows' gradients
-        added over each edge's ends.  In one row block, and in five, two of
-        whose edges fall inside an edge."""
-        dim, nodes, edges = 1 << n_q, 6, 12
-        if block_rows:
-            monkeypatch.setattr(vqc, "BLOCK_AMPS", block_rows * dim)
-            starts = [blk.start for blk in vqc._row_blocks(2 * edges, dim)]
-            assert starts == [0, 4, 9, 14, 19]
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 6])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_rows(self, n_q, layers):
+        """Rows 2^n wide at one layer and narrower at two and three, one of them
+        zero and one below ``NORM_EPS``, whose input gradients are 0."""
+        self.check_rows(n_q, layers)
+
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 6])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_rows_in_three_row_blocks(self, n_q, layers, monkeypatch):
+        """``test_rows`` with row blocks of two rows: the zero row and the one
+        below ``NORM_EPS`` fall in different blocks, and the costate adds up
+        three blocks."""
+        monkeypatch.setattr(vqc, "BLOCK_AMPS", 2 << n_q)
+        assert len(vqc._row_blocks(6, 1 << n_q)) == 3
+        self.check_rows(n_q, layers)
+
+    @staticmethod
+    def check_edge_rows(n_q):
         rng = np.random.default_rng(n_q)
+        dim, nodes, edges = 1 << n_q, 6, 12
         ends = rng.integers(0, nodes, (2, edges))
         ends[:, 0] = [0, 1]
         a0, b0 = rng.standard_normal((2, nodes, 2 * dim))
@@ -421,6 +421,22 @@ class TestExactGradients:
             want = np.zeros_like(a0)
             np.add.at(want, end, grad_rows.reshape(edges, 2 * dim))
             assert_exact(got, want)
+
+    @pytest.mark.parametrize("n_q", [2, 3])
+    def test_edge_rows_with_two_executions_per_edge(self, n_q):
+        """``EdgeRows`` whose edges each run the circuit twice (2 n heads), one
+        edge's first row zero: a's and b's gradients are the rows' gradients
+        added over each edge's ends."""
+        self.check_edge_rows(n_q)
+
+    @pytest.mark.parametrize("n_q", [2, 3])
+    def test_edge_rows_in_blocks_that_split_edges(self, n_q, monkeypatch):
+        """``test_edge_rows_with_two_executions_per_edge`` in five row blocks,
+        two of which start inside an edge: each block reads only its own rows
+        of the edges it falls in."""
+        monkeypatch.setattr(vqc, "BLOCK_AMPS", 5 << n_q)
+        assert [blk.start for blk in vqc._row_blocks(24, 1 << n_q)] == [0, 4, 9, 14, 19]
+        self.check_edge_rows(n_q)
 
 
 class TestExecutionCounter:
