@@ -672,12 +672,3 @@ def gradient_errors(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: f
         worst.append(float(np.max(scaled)))
     return worst
 
-
-def gradcheck(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float = 1e-6,
-              rtol: float = 1e-5, atol: float = 1e-8) -> float:
-    """Assert ``gradient_errors`` stays within ``rtol`` for every tensor; returns the worst."""
-    errors = gradient_errors(fn, tensors, eps, rtol, atol)
-    for i, err in enumerate(errors):
-        if not err <= rtol:
-            raise AssertionError(f"gradient mismatch in tensor {i}: relative error {err:.3e}")
-    return max(errors, default=0.0)

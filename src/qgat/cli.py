@@ -10,7 +10,9 @@ Every training run is one cell, (data, TrainConfig, noise kind, level).
 their cells through ``_run_cell``, which ``_run_cells`` calls in cell order,
 serially or in one process pool of ``--jobs`` workers; a pool returns the
 trained models by pickle, and its results equal the serial ones bit for bit.
-``train``, ``linkpred`` and ``noise-sweep`` take ``--jobs``.
+``train``, ``linkpred`` and ``noise-sweep`` take ``--seeds`` and ``--jobs``,
+and they and ``synth`` ``--out``.  ``gradcheck`` checks one layer of every
+model kind, at ``[model]``'s circuit size, against central differences.
 Set QGAT_LOG=debug|info|warning for log verbosity.
 """
 
@@ -25,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import vqc
 from .attention import MODEL_KINDS, CircuitScorer, _AttentionLayer
 from .autodiff import Tensor, gradient_errors
 from .config import (Config, ConfigError, apply_overrides, check, make_train_config,
@@ -232,31 +233,19 @@ def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
 # -- gradient checking ---------------------------------------------------------------
 
 
-def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
-                     trials: int) -> dict[str, float]:
-    """Worst relative gradient error per component, tape gradients vs central
-    differences: the circuit's on random rows, and a layer's of every model
-    kind on a 4-node path graph."""
-    rng = np.random.default_rng(7)
-    report = {"circuit.angles": 0.0, "circuit.inputs": 0.0}
-    for n_q in qubit_grid:
-        for n_layers in layer_grid:
-            layout = vqc.build_layout(n_q, n_layers)
-            for _ in range(trials):
-                angles = rng.uniform(0, 2 * np.pi, (n_layers, n_q, 3))
-                x = rng.standard_normal((3, 1 << n_q))
-                upstream = Tensor(rng.standard_normal((3, n_q)))
-                errors = gradient_errors(
-                    lambda inputs, a: vqc.expectations_op(inputs, a, layout) * upstream,
-                    [Tensor(x, requires_grad=True), Tensor(angles, requires_grad=True)],
-                    eps=1e-5)
-                for name, err in zip(("circuit.inputs", "circuit.angles"), errors):
-                    report[name] = float(np.maximum(report[name], err))  # keeps a NaN
+GRADCHECK_RTOL = 1e-4  # the worst relative error a component may show and pass
 
-    g = Graph(rng.standard_normal((4, 3)),
+
+def gradcheck_report(tc: TrainConfig) -> dict[str, float]:
+    """Worst relative gradient error, tape vs central differences, per parameter of
+    one layer of every model kind, with ``tc``'s circuit and first head count."""
+    rng = np.random.default_rng(7)
+    g = Graph(rng.standard_normal((4, 3)),  # the 4-node path
               np.array([[0, 1], [1, 2], [2, 3]]), undirected=True)
+    report = {}
     for kind in MODEL_KINDS:
-        layer = _AttentionLayer(kind, 3, 2, 2, rng=rng, n_qubits=2, entangling_layers=2)
+        layer = _AttentionLayer(kind, 3, 2, tc.heads_per_layer[0], rng=rng,
+                                n_qubits=tc.n_qubits, entangling_layers=tc.entangling_layers)
         upstream = Tensor(rng.standard_normal((4, layer.out_dim)))
         params = layer.params()
         errors = gradient_errors(lambda *_: layer.forward(g, g.features) * upstream,
@@ -265,13 +254,11 @@ def gradcheck_report(qubit_grid: list[int], layer_grid: list[int],
     return report
 
 
-def cmd_gradcheck(cfg: Config, out: Path, jobs: int) -> int:
-    report = gradcheck_report(cfg.get("gradcheck", "qubits"), cfg.get("gradcheck", "layers"),
-                              cfg.get("gradcheck", "trials"))
-    threshold = cfg.get("gradcheck", "threshold")
+def cmd_gradcheck(cfg: Config) -> int:
+    report = gradcheck_report(make_train_config(cfg, "qgat", 0))
     failed = False
     for name in sorted(report):
-        ok = report[name] <= threshold  # False for NaN
+        ok = report[name] <= GRADCHECK_RTOL  # False for NaN
         print(f"{name}: max relative error {report[name]:.3e} [{'ok' if ok else 'FAIL'}]")
         failed |= not ok
     return 1 if failed else 0
@@ -280,7 +267,7 @@ def cmd_gradcheck(cfg: Config, out: Path, jobs: int) -> int:
 # -- parameter accounting ---------------------------------------------------------------
 
 
-def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
+def cmd_params(cfg: Config) -> int:
     data = _load_data(cfg)
     if cfg.get("experiment", "task") == "link-pred":
         data = _link_split(cfg, data)
@@ -304,7 +291,7 @@ def cmd_params(cfg: Config, out: Path, jobs: int) -> int:
 # -- dataset generation ---------------------------------------------------------------
 
 
-def cmd_synth(cfg: Config, out: Path, jobs: int) -> int:
+def cmd_synth(cfg: Config, out: Path) -> int:
     if cfg.get("experiment", "task") == "multi-label":
         collection = synth_collection(2, 1, 1, n_labels=cfg.get("data", "n_classes"),
                                       **_sbm_args(cfg))
@@ -341,18 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
         ("train", "train models and report the test metric per seed"),
         ("noise-sweep", "feature/structural robustness sweep with CSV + SVG output"),
         ("linkpred", "link prediction with Hits@K and MRR"),
-        ("gradcheck", "compare adjoint gradients against finite differences"),
+        ("gradcheck", "check one layer of every model kind, at [model]'s circuit size, "
+                      "against finite differences"),
         ("params", "print trainable-parameter counts per model"),
         ("synth", "generate a synthetic dataset on disk"),
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", type=str, default=None, help="INI config file")
-        p.add_argument("--out", type=str, default="runs/latest", help="output directory")
-        p.add_argument("--seeds", type=str, default=None,
-                       help="comma-separated training seeds (overrides config)")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override, repeatable")
+        if name in ("train", "noise-sweep", "linkpred", "synth"):
+            p.add_argument("--out", type=Path, default="runs/latest", help="output directory")
         if name in ("train", "noise-sweep", "linkpred"):
+            p.add_argument("--seeds", type=str, default=None,
+                           help="comma-separated training seeds (overrides config)")
             p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size")
     return parser
 
@@ -375,10 +364,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(args.config)
         apply_overrides(cfg, args.override)
-        if args.seeds is not None:
+        if getattr(args, "seeds", None) is not None:
             cfg.set("experiment", "seeds", args.seeds)
         check(cfg)
-        return COMMANDS[args.subcommand](cfg, Path(args.out), getattr(args, "jobs", 1))
+        flags = {name: getattr(args, name) for name in ("out", "jobs") if name in args}
+        return COMMANDS[args.subcommand](cfg, **flags)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -138,12 +138,6 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
         "neg_ratio": (_at_least(int, 1), 1),
         "hits_k": (_at_least(int, 1), 50),
     },
-    "gradcheck": {
-        "qubits": (_at_least(_int_list, 1), [2, 3, 4]),
-        "layers": (_at_least(_int_list, 1), [1, 2, 3]),
-        "trials": (_at_least(int, 1), 10),
-        "threshold": (_at_least(float, 0), 1e-4),
-    },
 })
 
 

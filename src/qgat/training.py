@@ -40,6 +40,8 @@ from .files import atomic_write
 from .graph import Graph, LinkSplit
 
 TASKS = ("node-class", "multi-label", "link-pred")
+# the circuit's unitary alone takes 16 * 4**n bytes: 256 MiB at 12 qubits
+MAX_QUBITS = 12
 
 _STREAMS = {"init": 0, "dropout": 1, "negatives": 2}
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
@@ -104,6 +106,8 @@ class TrainConfig:
             raise ValueError("head counts and hidden dims must be >= 1")
         if self.n_qubits < 1 or self.entangling_layers < 1:
             raise ValueError("n_qubits and entangling_layers must be >= 1")
+        if self.n_qubits > MAX_QUBITS:
+            raise ValueError(f"n_qubits must be <= {MAX_QUBITS}, got {self.n_qubits}")
         if not 0 <= self.weight_decay < np.inf:
             raise ValueError("weight_decay must be finite and >= 0")
         if not 0.0 <= self.dropout < 1.0:

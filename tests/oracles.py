@@ -2,16 +2,22 @@
 
 Everything here is deliberately brute force -- dense matrices, python
 loops, direct definitions -- and shares no code with the package paths it
-checks.  The one exception is ``circuit_reference``, a bit-identity guard: it
-runs the package's unitary, row blocks and adjoint gate sweep and differs
-from ``vqc`` only in the row-level arithmetic around them.
+checks.  There are two exceptions.  ``circuit_reference``, a bit-identity
+guard, runs the package's unitary, row blocks and adjoint gate sweep and
+differs from ``vqc`` only in the row-level arithmetic around them.
+``gradcheck`` asserts on the package's one finite-difference checker,
+``autodiff.gradient_errors``, so that every op's tape gradient is checked
+the way ``qgat gradcheck`` checks a layer's.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
 from qgat import statevector as sv
+from qgat.autodiff import Tensor, gradient_errors
 from qgat.vqc import _gate_sequence, _row_blocks, _unitary_rows
 
 I2 = np.eye(2, dtype=complex)
@@ -300,3 +306,13 @@ def mrr_reference(pos_scores, neg_scores) -> float:
         rank = 1 + sum(1 for q in neg_scores if q > p)
         reciprocals.append(1.0 / rank)
     return math.fsum(reciprocals) / len(pos_scores)
+
+
+def gradcheck(fn: Callable[..., Tensor], tensors: Sequence[Tensor], eps: float = 1e-6,
+              rtol: float = 1e-5, atol: float = 1e-8) -> float:
+    """Assert ``gradient_errors`` stays within ``rtol`` for every tensor; returns the worst."""
+    errors = gradient_errors(fn, tensors, eps, rtol, atol)
+    for i, err in enumerate(errors):
+        if not err <= rtol:
+            raise AssertionError(f"gradient mismatch in tensor {i}: relative error {err:.3e}")
+    return max(errors, default=0.0)

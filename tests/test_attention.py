@@ -7,10 +7,11 @@ import pytest
 
 from qgat import attention, autodiff, training, vqc
 from qgat.attention import _AttentionLayer, neighborhood_softmax
-from qgat.autodiff import Tensor, gradcheck
+from qgat.autodiff import Tensor
 from qgat.graph import Graph, split_link_prediction, synth_sbm
 
-from oracles import circuit_expectations_reference, encode_reference, ry_matrix, rz_matrix
+from oracles import (circuit_expectations_reference, encode_reference, gradcheck, ry_matrix,
+                     rz_matrix)
 
 
 def elu_ref(x):

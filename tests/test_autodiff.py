@@ -20,7 +20,6 @@ from qgat.autodiff import (
     edge_sum,
     elu,
     exp,
-    gradcheck,
     gradient_errors,
     leaky_relu,
     log,
@@ -39,7 +38,7 @@ from qgat.autodiff import (
     tsum,
 )
 
-from oracles import segment_sum_reference
+from oracles import gradcheck, segment_sum_reference
 
 rng = np.random.default_rng(0)
 

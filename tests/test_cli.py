@@ -12,6 +12,7 @@ import pytest
 import qgat
 from qgat import cli, vqc
 from qgat.cli import _run_cells, main
+from qgat.config import SCHEMA
 from qgat.graph import split_link_prediction, synth_sbm
 from qgat.training import TrainConfig
 
@@ -42,6 +43,11 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.ini"
     path.write_text(TINY)
     return path
+
+
+def out_flag(command, out):
+    """``--out`` for a command that writes; ``gradcheck`` and ``params`` take none."""
+    return [] if command in ("gradcheck", "params") else ["--out", str(out)]
 
 
 def read_csv(path):
@@ -87,6 +93,10 @@ class TestTrain:
         ("model", "activation", "elu"),
         ("model", "separate_value_weights", "false"),
         ("training", "lr_min", "0.0"),
+        ("gradcheck", "qubits", "2,3,4"),
+        ("gradcheck", "layers", "1,2,3"),
+        ("gradcheck", "trials", "10"),
+        ("gradcheck", "threshold", "1e-4"),
     ])
     def test_deleted_key_exit_2(self, tmp_path, capsys, section, key, value, how):
         # keys that older configurations set, at their old defaults, are unknown now
@@ -97,7 +107,11 @@ class TestTrain:
         else:
             args = ["--override", f"{section}.{key}={value}"]
         assert main(["train", *args, "--out", str(tmp_path / "o")]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if how == "ini" and section not in SCHEMA:
+            assert f"unknown section [{section}]" in err
+        else:
+            assert f"unknown configuration key {section}.{key}" in err
         assert not (tmp_path / "o").exists()
 
     def test_override_changes_echoed_config(self, tiny_config, tmp_path):
@@ -129,7 +143,7 @@ class TestTrain:
     ])
     def test_value_a_layer_rejects_exits_2(self, tiny_config, tmp_path, capsys,
                                              command, override):
-        assert main([command, "--config", str(tiny_config), "--out", str(tmp_path / "o"),
+        assert main([command, "--config", str(tiny_config), *out_flag(command, tmp_path / "o"),
                      "--override", override]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -139,9 +153,11 @@ class TestTrain:
         ("train", "data.n_per_class=0"),
         ("synth", "data.n_classes=0"),
         ("train", "training.weight_decay=-1"),
-        ("gradcheck", "gradcheck.qubits=0"),
-        ("gradcheck", "gradcheck.layers=0"),
-        ("gradcheck", "gradcheck.trials=0"),
+        ("gradcheck", "model.n_qubits=0"),
+        ("gradcheck", "model.entangling_layers=0"),
+        ("gradcheck", "model.heads=0"),
+        ("gradcheck", "model.n_qubits=13"),
+        ("train", "model.n_qubits=13"),
         ("train", "data.source=xml data.path=graph.xml"),
         ("linkpred", "linkpred.frac_val=0.9"),
         ("linkpred", "linkpred.neg_ratio=0"),
@@ -153,8 +169,6 @@ class TestTrain:
         ("train", "data.seed=-1"),
         ("train", "data.class_sep=nan"),
         ("noise-sweep", "noise.levels=nan"),
-        ("gradcheck", "gradcheck.threshold=-1"),
-        ("gradcheck", "gradcheck.threshold=nan"),
         ("train", "data.source=json"),
         ("train", "experiment.models=gcn"),
         ("train", "experiment.seeds="),
@@ -172,9 +186,18 @@ class TestTrain:
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
         # whitespace separates the overrides of one case
         flags = [arg for item in override.split() for arg in ("--override", item)]
-        assert main([command, "--out", str(tmp_path / "o"), *flags]) == 2
+        assert main([command, *out_flag(command, tmp_path / "o"), *flags]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("gradcheck", "--out"), ("gradcheck", "--seeds"), ("params", "--out"),
+        ("params", "--seeds"), ("synth", "--seeds")])
+    def test_flags_the_command_does_not_read_exit_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
     def test_task_the_labels_cannot_serve_exits_2(self, tiny_config, tmp_path, capsys):
         assert main(["train", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
@@ -376,8 +399,7 @@ class TestLinkpred:
 
 
 class TestGradcheck:
-    ARGS = ["--override", "gradcheck.trials=2", "--override", "gradcheck.qubits=2,3",
-            "--override", "gradcheck.layers=1,2"]
+    SMALL = ["--override", "model.n_qubits=2", "--override", "model.entangling_layers=1"]
 
     @staticmethod
     def errors(printed: str) -> dict[str, tuple[float, str]]:
@@ -385,11 +407,30 @@ class TestGradcheck:
         lines = (line.split(": max relative error ") for line in printed.splitlines())
         return {name: (float(rest.split()[0]), rest.split()[1]) for name, rest in lines}
 
+    @staticmethod
+    def patch_vjp(monkeypatch, corrupt):
+        """Run the circuit with ``corrupt(input_grads, grad_angles)`` as its VJP's
+        result; the layer's circuit has a's and b's input gradients."""
+        run = vqc.expectations_op
+
+        def corrupted(inputs, angles, layout):
+            out = run(inputs, angles, layout)
+            vjp = out._vjp
+
+            def wrong(g):
+                *input_grads, grad_angles = vjp(g)
+                return corrupt(input_grads, grad_angles)
+
+            out._vjp = wrong
+            return out
+
+        monkeypatch.setattr(vqc, "expectations_op", corrupted)
+
     def test_passes_and_lists_components(self, capsys):
-        assert main(["gradcheck", *self.ARGS]) == 0
+        # the default [model]: 4 qubits, 2 entangling layers, 4 heads
+        assert main(["gradcheck"]) == 0
         errors = self.errors(capsys.readouterr().out)
         assert sorted(errors) == [
-            "circuit.angles", "circuit.inputs",
             "gat_layer.attn_dst", "gat_layer.attn_src", "gat_layer.feat_proj",
             "gat_layer.shortcut",
             "gatv2_layer.attn", "gatv2_layer.proj_dst", "gatv2_layer.proj_src",
@@ -400,53 +441,32 @@ class TestGradcheck:
         assert all(0.0 < err < 1e-6 and verdict == "[ok]" for err, verdict in errors.values())
 
     def test_single_qubit_passes(self, capsys):
-        assert main(["gradcheck", "--override", "gradcheck.trials=1",
-                     "--override", "gradcheck.qubits=1"]) == 0
+        assert main(["gradcheck", "--override", "model.n_qubits=1"]) == 0
         assert "[FAIL]" not in capsys.readouterr().out
 
     def test_corrupted_gradient_fails(self, monkeypatch, capsys):
-        run = vqc.expectations_op
-
-        def doubled_angle_vjp(inputs, angles, layout):
-            out = run(inputs, angles, layout)
-            vjp = out._vjp
-
-            def doubled(g):
-                *input_grads, grad_angles = vjp(g)  # one input gradient, or a's and b's
-                return (*input_grads, 2.0 * grad_angles)
-
-            out._vjp = doubled
-            return out
-
-        monkeypatch.setattr(vqc, "expectations_op", doubled_angle_vjp)
-        assert main(["gradcheck", "--override", "gradcheck.trials=1", "--override",
-                     "gradcheck.qubits=2", "--override", "gradcheck.layers=1"]) == 1
+        self.patch_vjp(monkeypatch, lambda inputs, angles: (*inputs, 2.0 * angles))
+        assert main(["gradcheck", *self.SMALL]) == 1
         printed = capsys.readouterr().out
-        assert "circuit.angles: max relative error 1.000e+00 [FAIL]" in printed
         assert "qgat_layer.angles: max relative error 1.000e+00 [FAIL]" in printed
-        errors = self.errors(printed)
-        assert errors["circuit.inputs"][0] < 1e-6
         # the layer's circuit takes a and b as EdgeRows: their gradients stay exact
-        assert errors["qgat_layer.compress"][0] < 1e-6
+        assert self.errors(printed)["qgat_layer.compress"][0] < 1e-6
+
+    def test_doubled_input_gradient_fails(self, monkeypatch, capsys):
+        self.patch_vjp(monkeypatch,
+                       lambda inputs, angles: (*(2.0 * g for g in inputs), angles))
+        assert main(["gradcheck", *self.SMALL]) == 1
+        errors = self.errors(capsys.readouterr().out)
+        assert errors["qgat_layer.compress"][1] == "[FAIL]"
+        assert errors["qgat_layer.angles"][0] < 1e-6
 
     def test_nan_gradient_fails(self, monkeypatch, capsys):
-        run = vqc.expectations_op
-
-        def nan_angle_vjp(inputs, angles, layout):
-            out = run(inputs, angles, layout)
-            vjp = out._vjp
-            out._vjp = lambda g: (*vjp(g)[:-1], np.full(angles.shape, np.nan))
-            return out
-
-        monkeypatch.setattr(vqc, "expectations_op", nan_angle_vjp)
-        assert main(["gradcheck", "--override", "gradcheck.trials=1", "--override",
-                     "gradcheck.qubits=2", "--override", "gradcheck.layers=1"]) == 1
+        self.patch_vjp(monkeypatch,
+                       lambda inputs, angles: (*inputs, np.full(angles.shape, np.nan)))
+        assert main(["gradcheck", *self.SMALL]) == 1
         printed = capsys.readouterr().out
-        assert "circuit.angles: max relative error nan [FAIL]" in printed
         assert "qgat_layer.angles: max relative error nan [FAIL]" in printed
-        errors = self.errors(printed)
-        assert errors["circuit.inputs"][0] < 1e-6
-        assert errors["qgat_layer.compress"][0] < 1e-6
+        assert self.errors(printed)["qgat_layer.compress"][0] < 1e-6
 
 
 class TestParams:

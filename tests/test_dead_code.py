@@ -1,5 +1,6 @@
 """Dead-code guard: every function, class and method that ``src/qgat`` defines
-is used somewhere in ``src/qgat`` or ``perfbench``.
+is used somewhere in ``src/qgat`` or ``perfbench``, and every configuration
+key is read by some module other than ``config``.
 
 A name counts as used when it appears as a ``Name``, an ``Attribute`` or an
 import alias in either tree.  A string constant in ``perfbench`` also counts,
@@ -15,7 +16,6 @@ PACKAGE = ROOT / "src" / "qgat"
 
 # module.name -> why it stays although nothing in src/ or perfbench/ uses it
 ALLOWED = {
-    "autodiff.gradcheck": "the asserting wrapper over gradient_errors that the tests use",
     "training.load_checkpoint": "reads the checkpoints that `qgat train` writes",
     "inductive.load_collection": "reads the collections that `qgat synth` writes",
 }
@@ -67,3 +67,16 @@ def test_allowlist_names_existing_unused_definitions():
     for key in ALLOWED:
         assert key in defined, f"{key} is allowlisted but not defined"
         assert defined[key] not in used, f"{key} is allowlisted but used"
+
+
+def test_every_config_key_is_read():
+    """A key is read when it configures a training run (``TRAIN_KEYS``) or a
+    module other than ``config`` names it as a string, as ``cfg.get`` does."""
+    from qgat.config import SCHEMA, TRAIN_KEYS
+
+    strings = {node.value for path in sorted(PACKAGE.glob("*.py")) if path.name != "config.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
+                    if (section, key) not in TRAIN_KEYS and key not in strings)
+    assert not unread, f"configuration keys that nothing outside config.py reads: {unread}"

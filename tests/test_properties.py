@@ -26,12 +26,12 @@ from hypothesis.extra.numpy import arrays
 
 from qgat import vqc
 from qgat.attention import CircuitScorer, GatScorer, _AttentionLayer, neighborhood_softmax
-from qgat.autodiff import (Segments, Tensor, gradcheck, gradient_errors, segment_sum,
-                           softmax_aggregate, take_rows, tslice)
+from qgat.autodiff import (Segments, Tensor, gradient_errors, segment_sum, softmax_aggregate,
+                           take_rows, tslice)
 from qgat.graph import Graph
 from qgat.statevector import NORM_EPS, encode_batch
 
-from oracles import canonical_edges_reference, segment_sum_reference
+from oracles import canonical_edges_reference, gradcheck, segment_sum_reference
 
 # No example database, and the constants Hypothesis caches from the source
 # while pytest collects go to the system temp directory, not ``.hypothesis/``:

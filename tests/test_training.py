@@ -30,8 +30,10 @@ from qgat.training import (
     train,
     write_history_csv,
 )
-from qgat.autodiff import Tensor, gradcheck
+from qgat.autodiff import Tensor
 from qgat.inductive import SPLITS, _split_unions, synth_collection, train_inductive
+
+from oracles import gradcheck
 
 
 def fixture_graph(seed=0):

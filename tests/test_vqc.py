@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from qgat import vqc
-from qgat.autodiff import EdgeRows, Segments, Tensor, edge_sum, gradcheck, reshape, tslice
+from qgat.autodiff import EdgeRows, Segments, Tensor, edge_sum, reshape, tslice
 from qgat.statevector import NORM_EPS
 from qgat.vqc import EntanglingLayout, build_layout
 
 from oracles import (
     circuit_expectations_reference,
     circuit_reference,
+    gradcheck,
     parameter_shift_reference,
     quadratic_form_reference,
 )
