@@ -45,7 +45,10 @@ Three properties matter for callers:
   through it.  A zero sum is -0.0 only when all its values are: the
   networks keep each zero's sign by their operand order, and wider buckets
   read it from the gathered block before the sort, since ``np.sort`` may
-  drop it.  The reduce holds one width bucket's block at a time.
+  drop it.  The reduce holds one member chunk of one width bucket at a
+  time: at most ``BLOCK_ELEMS`` values, or one segment's if it is wider.
+  A chunk's member count is odd, so that its lanes do not all map to one
+  cache set.
   ``softmax_aggregate`` is one attention layer from its logits to its
   output: it weights each bucket's gathered rows in place, so the weighted
   edge rows never exist all at once, and it rebuilds the attention weights
@@ -412,8 +415,10 @@ class Segments:
     index array.  Segments are bucketed by their size rounded up to a power
     of two; each bucket holds its member segments, the lane-major
     ``(width, members)`` source rows (lane ``w`` of a segment is its ``w``-th
-    row in index order) and the flat positions of the padding lanes in the
-    block's ``(width * members)`` rows.
+    row in index order) and the ``(width, members)`` mask of its padding
+    lanes.  A reduce slices both by member into chunks of at most
+    ``BLOCK_ELEMS`` values, whose size depends on the columns it reduces, so
+    the layout stores no chunk bounds.
 
     Rows are grouped by segment, each segment's in index order, by one
     argsort of the distinct keys ``index * len(index) + row``: the order a
@@ -438,7 +443,7 @@ class Segments:
             lanes = np.arange(1 << w)[:, None]
             pad = lanes >= counts[members]
             rows = order[np.where(pad, 0, starts[members] + lanes)]
-            self.buckets.append((members, rows, np.flatnonzero(pad)))
+            self.buckets.append((members, rows, pad))
 
     def __len__(self) -> int:
         return len(self.index)
@@ -472,40 +477,65 @@ def _sort_lanes(block: np.ndarray) -> None:
         lo[...] = low
 
 
-def _add_lanes(block: np.ndarray) -> np.ndarray:
-    """Left-to-right sum over axis 0.  ``np.add.reduce`` adds whole lanes in order,
-    except that a lane of one number makes it sum pairwise; ``cumsum`` never does."""
+def _fold_lanes(ufunc: np.ufunc, block: np.ndarray, identity: float) -> np.ndarray:
+    """``ufunc`` folded over axis 0, lane after lane.  ``ufunc.reduce`` folds whole
+    lanes in order, except that a lane of one number makes it reduce the
+    axis pairwise (sums) or in vector blocks (maxima, whose zero signs then
+    differ); ``accumulate`` never does."""
     if block[0].size == 1:
-        return np.cumsum(block, axis=0)[-1]
-    return np.add.reduce(block, axis=0, initial=-0.0)
+        return ufunc.accumulate(block, axis=0)[-1]
+    return ufunc.reduce(block, axis=0, initial=identity)
+
+
+# values a reduce gathers at once (512 KiB), and elements of the
+# (edges, heads * dim) products one step of the ``softmax_aggregate``
+# backward makes at once
+BLOCK_ELEMS = 1 << 16
 
 
 def _reduce_buckets(segs: Segments, cols: int, kind: str, gather: Callable) -> np.ndarray:
     """(segs.n, cols) per-segment sums or maxima.  ``gather(rows)`` gives a fresh
-    lane-major ``(width, members, cols)`` block of the values in ``rows``.
+    lane-major ``(width, members, cols)`` block of the values in ``rows``, a
+    member slice of a bucket's ``(width, members)`` rows.
+
+    Each bucket is gathered, padded and reduced in member chunks of at most
+    ``BLOCK_ELEMS`` values, so the reduce holds one chunk's block, 512 KiB,
+    at a time; a segment wider than that is a chunk of one member, whose
+    block holds width * cols values.  A chunk's member count is rounded
+    down to an odd number: with an even one a lane's stride, members * cols
+    * 8 bytes, can be a multiple of 4 KiB (128 members of 32 columns), so
+    that every lane of a column maps to one cache set and ``np.sort`` along
+    the lanes runs about twice as slow; with an odd one and cols <= 64 it
+    never is.  Every segment lies in one chunk, so the chunks change no bit.
 
     A zero sum is -0.0 only when every value added, padding included, is -0.0.
     The networks keep each zero's sign by their operand order; ``np.sort`` may
     write one of two equal zeros twice, losing the other's sign, so wider
-    buckets read from the block, before the sort, where every lane is -0.0."""
+    buckets read from the block, before the sort, where every lane is -0.0.
+    A zero maximum has the sign of the last of the segment's maximal zeros."""
     identity = -np.inf if kind == "max" else -0.0
     out = np.full((segs.n, cols), -np.inf if kind == "max" else 0.0)
-    for members, rows, pad_at in segs.buckets:
-        block = gather(rows)
-        block.reshape(rows.size, cols)[pad_at] = identity
-        if kind == "max":
-            out[members] = block.max(axis=0)
-        else:
-            negative = None if len(block) in NETWORKS else np.signbit(block).all(axis=0)
-            _sort_lanes(block)
-            sums = _add_lanes(block)
-            if negative is not None:
-                zero = sums == 0
-                sums[zero] = np.where(negative[zero], -0.0, 0.0)
-            out[members] = sums
-            del sums
-        # free this bucket's block before the next one is gathered
-        del block
+    for members, rows, pad in segs.buckets:
+        step = max(1, BLOCK_ELEMS // (len(rows) * max(cols, 1)))
+        step -= 1 - step % 2  # odd
+        for lo in range(0, len(members), step):
+            chunk = slice(lo, lo + step)
+            chunk_rows = rows[:, chunk]
+            block = gather(chunk_rows)
+            block.reshape(chunk_rows.size, cols)[np.flatnonzero(pad[:, chunk])] = identity
+            if kind == "max":
+                out[members[chunk]] = _fold_lanes(np.maximum, block, identity)
+            else:
+                negative = None if len(block) in NETWORKS else np.signbit(block).all(axis=0)
+                _sort_lanes(block)
+                sums = _fold_lanes(np.add, block, identity)
+                if negative is not None:
+                    zero = sums == 0
+                    sums[zero] = np.where(negative[zero], -0.0, 0.0)
+                out[members[chunk]] = sums
+                del sums, negative
+            # free this chunk's block before the next one is gathered
+            del block
     return out
 
 
@@ -514,8 +544,9 @@ def _segment_reduce(values: np.ndarray, segs: Segments, kind: str) -> np.ndarray
 
     ``segs`` is built once per index array (``Graph`` caches the layouts of
     its attention edges), so a call only moves values: each width bucket is
-    gathered into one contiguous lane-major ``(width, members, cols)``
-    block, padded with the reduction's identity and reduced over its lanes.
+    gathered, a member chunk of at most ``BLOCK_ELEMS`` values at a time,
+    into a contiguous lane-major ``(width, members, cols)`` block, padded
+    with the reduction's identity and reduced over its lanes.
     Sums first sort the lanes (a compare-exchange network up to width 8,
     ``np.sort`` above) and then add them left to right, so the result
     depends on the multiset of each segment's values only, not on the order
@@ -531,7 +562,7 @@ def _weighted_reduce(x: np.ndarray, weights: np.ndarray, by: Segments,
                      other: Segments) -> np.ndarray:
     """``_segment_reduce`` over ``by`` of the rows ``weights[e, h] * x[other.index[e], h]``,
     with x read as (rows, heads, cols // heads), without making those rows for
-    every edge at once: each bucket's block is gathered from ``x`` through the
+    every edge at once: each chunk's block is gathered from ``x`` through the
     composed index and weighted in place."""
     heads, cols = weights.shape[1], x.shape[1]
     per_head = cols // heads
@@ -549,11 +580,6 @@ def segment_sum(x: Tensor, segs: Segments) -> Tensor:
     """(segs.n, ...) per-segment sums of the rows of ``x``."""
     return make_op(_segment_reduce(x.data, segs, "sum"), (x,),
                    lambda g: (np.take(g, segs.index, axis=0),))
-
-
-# elements of the (edges, heads * dim) products one step of the
-# ``softmax_aggregate`` backward makes at once
-BLOCK_ELEMS = 1 << 16
 
 
 def _attention_weights(z: np.ndarray, den_e: np.ndarray, kept: np.ndarray | None,
@@ -583,7 +609,7 @@ def softmax_aggregate(logits: Tensor, v: Tensor, z: np.ndarray, den: np.ndarray,
     a gather-weight-sum would record, but this tape keeps only z, den, the
     mask and v: the backward gathers den[dst] again, rebuilds alpha with the
     forward's arithmetic and runs those ops' VJPs in the tape's order.  No
-    (edges, heads * dim) array outlives one width bucket or one row block.
+    (edges, heads * dim) array outlives one bucket chunk or one row block.
     """
     keep = 1.0 - rate
     v_shape = v.shape

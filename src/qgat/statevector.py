@@ -12,7 +12,9 @@ the B = 1 case.
 
 ``encode_batch`` returns real float64 rows: amplitude-encoded real features
 carry no phase, and the circuit multiplies them into its complex unitary as
-a real GEMM.  Its normalisation is ``reencode``, which the circuit's
+a real GEMM.  ``encode_fresh`` gives the same states from a fresh array
+without copying it, as the circuit's forward encodes the rows it has just
+made.  The normalisation of both is ``reencode``, which the circuit's
 backward also calls to rebuild the rows from the norms it kept.
 """
 
@@ -114,21 +116,30 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     Rows with norm below NORM_EPS become the |0...0> basis state.  Returns
     (states (B, 2^n) real float64, norms (B,)); zero rows report norm 0.
     Real amplitudes are all the circuit needs; cast them to complex before
-    running the gate kernels on them.
+    running the gate kernels on them.  ``x`` is left as it is.
     """
     x = np.asarray(x, dtype=np.float64)
+    # encode_fresh pads a narrower array into a copy; a 2^n-wide one is copied here
+    return encode_fresh(x.copy() if x.shape[1:] == (1 << n_qubits,) else x, n_qubits)
+
+
+def encode_fresh(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``encode_batch(x, n_qubits)``, bit for bit and with its checks, of a fresh
+    float64 array ``x``: one 2^n wide is normalized in place and returned, a
+    narrower one zero-padded into a copy first."""
     if x.ndim != 2:
-        raise ValueError("encode_batch expects a 2-D array of row vectors")
+        raise ValueError("amplitude encoding expects a 2-D array of row vectors")
     dim = 1 << n_qubits
     if x.shape[1] > dim:
         raise ValueError(f"input length {x.shape[1]} exceeds 2^{n_qubits} = {dim}")
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains non-finite entries")
-    padded = _padded(x, dim)
+    if x.shape[1] < dim:
+        x = _padded(x, dim)
     # np.linalg.norm's arithmetic for real rows, without its conj copy
-    norms = np.sqrt(np.add.reduce(padded * padded, axis=1))
+    norms = np.sqrt(np.add.reduce(x * x, axis=1))
     norms[norms < NORM_EPS] = 0.0
-    return reencode(padded, norms, n_qubits), norms
+    return reencode(x, norms, n_qubits), norms
 
 
 def _padded(x: np.ndarray, dim: int) -> np.ndarray:

@@ -20,8 +20,9 @@ the normalization Jacobian.  One path serves every qubit count: U costs
 16 * 4^n bytes, 4 KB at the default n = 4 and 16 MB at n = 10.
 
 Every pass over the batch goes one row block (``_row_blocks``) at a time.
-The forward makes a block's raw rows, encodes and runs them, and keeps only
-their norms and expectations.  The backward makes them again and re-encodes
+The forward makes a block's raw rows, encodes them in place
+(``statevector.encode_fresh``) and runs them, and keeps only their norms
+and expectations.  The backward makes them again and re-encodes
 them with ``statevector.reencode`` and the stored norms, the forward's
 arithmetic without its norm pass; it forms the block's Psi and Lambda, adds
 E_blk^T Lambda_blk into C and writes the block's input gradient into the one
@@ -51,7 +52,8 @@ import numpy as np
 from .autodiff import EdgeRows, Tensor, make_op
 from .statevector import (
     cnot_batch,
-    encode_batch,
+    encode_batch,  # noqa: F401  perfbench's tracer patches vqc.encode_batch
+    encode_fresh,
     pauli_y_half_batch,
     pauli_z_half_batch,
     reencode,
@@ -172,7 +174,7 @@ def _circuit(read_rows: Callable[[slice], np.ndarray], shape: tuple[int, int],
     norms = np.empty(batch)
     expectations = np.empty((batch, n))
     for blk in blocks:
-        encoded, norms[blk] = encode_batch(read_rows(blk), n)  # E, real (b, 2^n)
+        encoded, norms[blk] = encode_fresh(read_rows(blk), n)  # E, real (b, 2^n)
         psi = encoded @ stacked  # [Re Psi | Im Psi], Psi = E R
         expectations[blk] = (psi[:, :dim] ** 2 + psi[:, dim:] ** 2) @ z_sign_matrix(n)
 

@@ -147,6 +147,31 @@ def quadratic_form_reference(inputs: np.ndarray, angles: np.ndarray,
     return grad[:, : inputs.shape[1]]
 
 
+def qgat_logits_reference(a: np.ndarray, b: np.ndarray, dst: np.ndarray, src: np.ndarray,
+                          angles: np.ndarray, ranges: tuple[int, ...], n: int,
+                          heads: int) -> np.ndarray:
+    """(edges, heads) QGAT logits of edge rows a[dst] + b[src], from dense linear
+    algebra alone.  An edge row holds one 2^n-wide chunk per circuit
+    execution; chunk c, a real x, gives the logit of head c * n + k as the
+    Rayleigh quotient x^T M_k x / x^T x with M_k = Re(R diag(z_k) R^H), R
+    the matrix whose row j is U|j>, U the dense ``circuit_unitary`` and z_k
+    the diagonal of Z on qubit k.  A chunk below ``NORM_EPS`` encodes as
+    |0...0>, so its logits are M_k[0, 0].  Logits past ``heads`` are
+    dropped."""
+    dim = 1 << n
+    r = circuit_unitary(angles, ranges, n).T
+    observables = [(r @ np.diag(np.diag(single_qubit_unitary(Z, k, n))) @ r.conj().T).real
+                   for k in range(n)]
+    rows = (a[dst] + b[src]).reshape(len(dst), -1, dim)
+    logits = np.zeros(rows.shape[:2] + (n,))
+    for e, chunks in enumerate(rows):
+        for c, x in enumerate(chunks):
+            if np.linalg.norm(x) < sv.NORM_EPS:
+                x = np.eye(dim)[0]
+            logits[e, c] = [x @ m @ x / (x @ x) for m in observables]
+    return logits.reshape(len(dst), -1)[:, :heads]
+
+
 def circuit_reference(inputs: np.ndarray, angles: np.ndarray, layout, upstream: np.ndarray):
     """(expectations, grad_inputs, grad_angles) of the batched circuit, for the
     gradients of sum(upstream * expectations), with the plainest row arithmetic:
@@ -217,6 +242,27 @@ def segment_sum_reference(values, seg, n_segments: int) -> np.ndarray:
                 for v in column[1:]:
                     total += v
                 out[s, c] = total
+    return out.reshape((n_segments,) + values.shape[1:])
+
+
+def segment_max_reference(values, seg, n_segments: int) -> np.ndarray:
+    """Per-segment maxima: each segment's values, column by column, in row
+    order, each one taking the running maximum's place unless it is below
+    it, so that of equal values (zeros of either sign) the last one's bits
+    stay, as numpy's ``maximum`` keeps its second operand; a NaN stays.  An
+    empty segment gives -inf."""
+    values = np.asarray(values, dtype=np.float64)
+    flat = values.reshape(len(values), int(np.prod(values.shape[1:])))
+    out = np.full((n_segments, flat.shape[1]), -np.inf)
+    for s in range(n_segments):
+        rows = [r for r in range(len(seg)) if seg[r] == s]
+        for c in range(flat.shape[1]):
+            best = -np.inf
+            for r in rows:
+                v = float(flat[r, c])
+                if not v < best and best == best:
+                    best = v
+            out[s, c] = best
     return out.reshape((n_segments,) + values.shape[1:])
 
 

@@ -7,11 +7,11 @@ import pytest
 
 from qgat import attention, autodiff, training, vqc
 from qgat.attention import _AttentionLayer, neighborhood_softmax
-from qgat.autodiff import Tensor
+from qgat.autodiff import Segments, Tensor
 from qgat.graph import Graph, split_link_prediction, synth_sbm
 
-from oracles import (circuit_expectations_reference, encode_reference, gradcheck, ry_matrix,
-                     rz_matrix)
+from oracles import (circuit_expectations_reference, encode_reference, gradcheck,
+                     qgat_logits_reference, ry_matrix, rz_matrix)
 
 
 def elu_ref(x):
@@ -158,6 +158,34 @@ class TestLogits:
         base = edge_logits(layer, g)
         np.testing.assert_array_equal(edge_logits(layer, g, 2.0 * g.features), base)
         np.testing.assert_allclose(edge_logits(layer, g, 3.7 * g.features), base, atol=1e-12)
+
+
+    @pytest.mark.parametrize("n_exec", [1, 2])
+    @pytest.mark.parametrize("n_qubits", [2, 3, 4, 6])
+    def test_edge_logits_are_the_quadratic_forms(self, n_qubits, n_exec):
+        """``CircuitScorer.edge_logits`` against ``qgat_logits_reference``, the
+        Rayleigh quotients of M_k = Re(R diag(z_k) R^H) from the dense unitary,
+        with heads that fill one execution and heads that need two.  Node 0's
+        terms cancel on its self-loop, a zero row in every execution; node
+        1's cancel in the first execution only.  Both encode as |0...0>."""
+        heads = n_qubits * n_exec - (n_exec - 1)
+        scorer = attention.CircuitScorer(3, 2, heads, np.random.default_rng(n_qubits),
+                                         n_qubits=n_qubits, entangling_layers=2)
+        assert scorer.n_exec == n_exec
+        gen = np.random.default_rng(20 + n_qubits)
+        nodes, dim = 6, 1 << n_qubits
+        a = gen.standard_normal((nodes, scorer.encoding_dim))
+        b = gen.standard_normal((nodes, scorer.encoding_dim))
+        b[0] = -a[0]
+        b[1, :dim] = -a[1, :dim]
+        dst = np.r_[0, 1, gen.integers(0, nodes, 30)]
+        src = np.r_[0, 1, gen.integers(0, nodes, 30)]
+        got = scorer.edge_logits(Tensor(a), Tensor(b), Segments(dst, nodes),
+                                 Segments(src, nodes)).data
+        want = qgat_logits_reference(a, b, dst, src, scorer.params["angles"].data,
+                                     scorer.layout.ranges, n_qubits, heads)
+        assert got.shape == want.shape == (len(dst), heads)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestHeadPacking:

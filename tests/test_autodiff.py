@@ -9,11 +9,13 @@ import pytest
 from qgat import vqc
 from qgat.attention import neighborhood_softmax
 from qgat.autodiff import (
+    BLOCK_ELEMS,
     NETWORKS,
     Segments,
     Tensor,
     _segment_reduce,
     _sort_lanes,
+    _weighted_reduce,
     central_difference,
     div,
     dropout,
@@ -38,7 +40,7 @@ from qgat.autodiff import (
     tsum,
 )
 
-from oracles import gradcheck, segment_sum_reference
+from oracles import gradcheck, segment_max_reference, segment_sum_reference
 
 rng = np.random.default_rng(0)
 
@@ -186,15 +188,16 @@ class TestSegmentOps:
     @pytest.mark.parametrize("kind", ["sum", "max"])
     def test_one_bucket_block_at_a_time(self, kind):
         """Two 4 MB width buckets (widths 4 and 8) in 32 columns: a reduce holds
-        one bucket's block, the output and one lane of scratch at a time, plus
-        a few KiB of Python objects, not two blocks."""
+        one member chunk of one bucket at a time, at most BLOCK_ELEMS values,
+        and one lane of it (a quarter of a 4-lane chunk), plus the output
+        and a few KiB of Python objects, not a whole bucket's block."""
         m, cols = 2000, 32
         sizes = np.r_[np.full(m, 8), np.full(2 * m, 4)]
         index = np.random.default_rng(0).permutation(np.repeat(np.arange(len(sizes)), sizes))
         segs = Segments(index, len(sizes))
         values = np.random.default_rng(1).standard_normal((len(index), cols))
         block = max(rows.size for _, rows, _ in segs.buckets) * cols * 8
-        lane = max(len(members) for members, _, _ in segs.buckets) * cols * 8
+        chunk = BLOCK_ELEMS * 8
         tracemalloc.start()
         try:
             _segment_reduce(values, segs, kind)
@@ -202,14 +205,14 @@ class TestSegmentOps:
         finally:
             tracemalloc.stop()
         assert len(segs.buckets) == 2 and block == 4_096_000
-        assert peak < block + len(sizes) * cols * 8 + lane + (64 << 10)
+        assert peak < 1.25 * chunk + len(sizes) * cols * 8 + (64 << 10)
 
     def test_zero_sums_read_their_signs_from_the_block(self):
         """One 64-lane bucket, 300 segments of 50 rows in 16 columns, 60% of the
         segments all zeros: a third of those all -0.0, the rest of mixed sign.
-        The reduce reads the zero sums' signs from the block it holds, so it
-        peaks at the block, its sign mask (an eighth of it) and the output,
-        without gathering any lane a second time."""
+        The reduce reads the zero sums' signs from the chunk it holds, so it
+        peaks at one BLOCK_ELEMS chunk, its sign mask (an eighth of it) and
+        the output, without gathering any lane a second time."""
         segments, width, cols = 300, 50, 16
         gen = np.random.default_rng(3)
         index = gen.permutation(np.repeat(np.arange(segments), width))
@@ -220,7 +223,7 @@ class TestSegmentOps:
         values[negative[index]] = -0.0
         segs = Segments(index, segments)
         rows = segs.buckets[0][1]
-        block, output = rows.size * cols * 8, segments * cols * 8
+        block, chunk, output = rows.size * cols * 8, BLOCK_ELEMS * 8, segments * cols * 8
         tracemalloc.start()
         try:
             sums = _segment_reduce(values, segs, "sum")
@@ -228,10 +231,45 @@ class TestSegmentOps:
         finally:
             tracemalloc.stop()
         assert len(segs.buckets) == 1 and len(rows) == 64 and block == 2_457_600
-        assert peak < 1.25 * block + output + (64 << 10)
+        assert peak < 1.25 * chunk + output + (64 << 10)
         assert not sums[zero].any()
         np.testing.assert_array_equal(np.signbit(sums[zero]), np.broadcast_to(
             negative[zero, None], (180, cols)))
+
+    @pytest.mark.parametrize("reduce", ["segment", "attention"])
+    def test_wide_bucket_is_reduced_one_chunk_at_a_time(self, reduce):
+        """One 64-lane bucket of 300 segments of 50 rows in 32 columns, a
+        4.9 MB block: ``_segment_reduce`` and ``softmax_aggregate``'s forward
+        peak below one BLOCK_ELEMS chunk and its sign mask (1.25 chunks), the
+        output, one lane of the chunk and 64 KiB; the attention forward also
+        holds the (edges, 1) weights and the gathered per-node sums."""
+        segments, width, cols = 300, 50, 32
+        gen = np.random.default_rng(4)
+        index = gen.permutation(np.repeat(np.arange(segments), width))
+        segs = Segments(index, segments)
+        rows = segs.buckets[0][1]
+        block, chunk = rows.size * cols * 8, BLOCK_ELEMS * 8
+        lane, output = chunk // len(rows), segments * cols * 8
+        extra = 0
+        if reduce == "segment":
+            values = gen.standard_normal((len(index), cols))
+            run = lambda: _segment_reduce(values, segs, "sum")  # noqa: E731
+        else:
+            src = Segments(gen.permutation(index), segments)
+            logits = gen.standard_normal((len(index), 1))
+            v = Tensor(gen.standard_normal((segments, 1, cols)))
+            z, den = neighborhood_softmax(logits, segs)
+            extra = 2 * logits.nbytes
+            run = lambda: softmax_aggregate(Tensor(logits), v, z, den, src, segs,  # noqa: E731
+                                            None, 0.0)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(segs.buckets) == 1 and len(rows) == 64 and block == 4_915_200
+        assert peak < 1.25 * chunk + output + lane + extra + (64 << 10)
 
 
 # every network width, the np.sort path above it, and the widths either side of each bucket edge
@@ -265,6 +303,32 @@ def special_inputs():
     return (*shuffled(seg, values, 8), len(segments))
 
 
+# (width, members, cols) of width buckets that span several member chunks:
+# network and np.sort widths, 128 and 256 members of 32 columns (whose lane
+# stride would be a multiple of 4 KiB in chunks of an even member count),
+# and segments wider than BLOCK_ELEMS, one member to a chunk (in one column,
+# a chunk of one number per lane)
+CHUNKED = [(8, 256, 32), (4, 256, 128), (2, 128, 512), (16, 256, 32), (32, 128, 32),
+           (64, 128, 32), (4096, 3, 32), (32768, 2, 1)]
+
+
+def chunked_inputs(width: int, members: int, cols: int, seed: int):
+    """(seg, values, gen): ``members`` segments whose sizes round up to
+    ``width``, in ``cols`` columns, rows shuffled.  Every eighth segment is
+    all -0.0 and every eighth from the second zeros of mixed sign."""
+    gen = np.random.default_rng(seed)
+    seg = np.repeat(np.arange(members), gen.integers(width // 2 + 1, width + 1, members))
+    values = gen.standard_normal((len(seg), cols))
+    values[seg % 8 == 0] = -0.0
+    mixed = seg % 8 == 1
+    values[mixed] = np.copysign(0.0, gen.standard_normal((mixed.sum(), cols)))
+    return *shuffled(seg, values, seed + 1), gen
+
+
+def assert_bits(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_array_equal(got, want)
     signed = ~np.isnan(want)
@@ -295,6 +359,57 @@ class TestSegmentOracle:
             take_rows(x, Segments(seg, n)).backward(values)
         assert_same_bits(got, want)
         assert_same_bits(x.grad, want)
+
+    @pytest.mark.parametrize("width, members, cols", CHUNKED)
+    def test_chunked_buckets_keep_every_bit(self, width, members, cols):
+        """Sums and maxima of buckets reduced in several member chunks, and of
+        segments wider than one chunk, have the oracles' bits, signed zeros
+        included."""
+        seg, values, _ = chunked_inputs(width, members, cols, seed=width + cols)
+        segs = Segments(seg, members)
+        (_, rows, _), = segs.buckets
+        # all powers of two: the odd chunks hold fewer members than the bucket
+        assert len(rows) == width and rows.size * cols >= BLOCK_ELEMS
+        want = segment_sum_reference(values, seg, members)
+        assert np.signbit(want[::8]).all() and not want[1::8].any()
+        assert_bits(_segment_reduce(values, segs, "sum"), want)
+        assert_bits(_segment_reduce(values, segs, "max"),
+                    segment_max_reference(values, seg, members))
+
+    def test_zero_maxima_keep_the_last_zeros_sign(self):
+        """In one column, a bucket of one member gives lanes of one number each,
+        which ``np.maximum.reduce`` would fold in vector blocks; the maximum of
+        a segment of signed zeros is still its last zero, in row order, as it
+        is in every wider chunk."""
+        gen = np.random.default_rng(11)
+        widths = [2, 3, 5, 9, 17, 33, 65, 129]
+        seg = np.repeat(np.arange(len(widths)), widths)
+        segs = Segments(seg, len(widths))
+        assert [len(members) for members, _, _ in segs.buckets] == [1] * len(widths)
+        for _ in range(10):
+            values = np.copysign(0.0, gen.standard_normal((len(seg), 1)))
+            assert_bits(segment_max(values, segs),
+                        segment_max_reference(values, seg, len(widths)))
+
+    @pytest.mark.parametrize("width, members, cols", CHUNKED)
+    def test_chunked_weighted_reduce_keeps_every_bit(self, width, members, cols):
+        """``_weighted_reduce`` over chunked buckets has the bits of the oracle's
+        sums of the weighted rows.  The values are positive, so the weights
+        sign the zeros: -0.0 into every eighth segment, zeros of either sign
+        into every eighth from the second."""
+        seg, _, gen = chunked_inputs(width, members, cols, seed=width + cols)
+        heads, nodes = min(4, cols), 50
+        src = gen.integers(0, nodes, len(seg))
+        x = np.abs(gen.standard_normal((nodes, cols)))
+        weights = gen.standard_normal((len(seg), heads))
+        weights[seg % 8 == 0] = -0.0
+        mixed = seg % 8 == 1
+        weights[mixed] = np.copysign(0.0, gen.standard_normal((mixed.sum(), heads)))
+        rows = weights[:, :, None] * x[src].reshape(len(seg), heads, cols // heads)
+        want = segment_sum_reference(rows.reshape(len(seg), cols), seg, members)
+        assert np.signbit(want[::8]).all() and not np.signbit(want[1::8]).all()
+        assert_bits(_weighted_reduce(x, weights, Segments(seg, members), Segments(src, nodes)),
+                    want)
 
     @pytest.mark.parametrize("width, comparators", [(2, 1), (4, 5), (8, 19)])
     def test_networks_sort_every_binary_input(self, width, comparators):

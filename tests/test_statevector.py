@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from qgat.statevector import (
+    NORM_EPS,
     cnot_batch,
     encode_batch,
+    encode_fresh,
     pauli_z_half_batch,
     ry_batch,
     rz_batch,
@@ -107,6 +109,29 @@ class TestAmplitudeEncode:
     def test_non_finite_raises(self):
         with pytest.raises(ValueError, match="finite"):
             encode([1.0, np.nan], 1)
+
+    @pytest.mark.parametrize("width", [8, 5])
+    def test_fresh_rows_encode_in_place_with_the_same_bits(self, width):
+        """encode_fresh gives encode_batch's states and norms bit for bit, zero
+        and sub-NORM_EPS rows included; a 2^n-wide array is normalized in
+        place and returned, while encode_batch leaves its input as it is."""
+        rows = np.random.default_rng(4).standard_normal((6, width))
+        rows[1] = 0.0
+        rows[2] = NORM_EPS / 10
+        kept = rows.copy()
+        want = encode_batch(rows, 3)
+        np.testing.assert_array_equal(rows, kept)
+        fresh = rows.copy()
+        got = encode_fresh(fresh, 3)
+        assert (got[0] is fresh) == (width == 8)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+    def test_fresh_rows_keep_the_checks(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            encode_fresh(np.ones((2, 3)), 1)
+        with pytest.raises(ValueError, match="finite"):
+            encode_fresh(np.array([[1.0, np.inf]]), 1)
 
 
 class TestApplyGate:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgat import vqc
-from qgat.autodiff import EdgeRows, Segments, Tensor, edge_sum, reshape, tslice
+from qgat.autodiff import BLOCK_ELEMS, EdgeRows, Segments, Tensor, edge_sum, reshape, tslice
 from qgat.statevector import NORM_EPS
 from qgat.vqc import EntanglingLayout, build_layout
 
@@ -321,9 +321,11 @@ class TestEdgeRows:
     def test_peak_memory_is_one_row_block(self):
         """At n = 6, 4,200 rows in nine row blocks, two executions per edge: the
         forward and backward together peak below their outputs (the
-        expectations, the rows' gradient and a's and b's), the norms, the
-        largest width bucket of edge_sum's reduce of that gradient, and six
-        row blocks.  E, Psi and Lambda exist one row block at a time."""
+        expectations, the rows' gradient and a's and b's), the norms, one
+        BLOCK_ELEMS chunk of edge_sum's reduce of that gradient with its sign
+        mask (1.25 chunks), and six row blocks.  E, Psi and Lambda exist one
+        row block at a time, and the reduce never holds a whole width bucket
+        (2.6 MB here)."""
         n_q, nodes, edges = 6, 40, 2100
         dim = 1 << n_q
         rng = np.random.default_rng(6)
@@ -336,6 +338,7 @@ class TestEdgeRows:
         blocks = vqc._row_blocks(2 * edges, dim)
         block = max(blk.stop - blk.start for blk in blocks) * dim * 8
         bucket = max(rows.size for segs in (dst, src) for _, rows, _ in segs.buckets) * 2 * dim * 8
+        chunk = BLOCK_ELEMS * 8
         outputs = 2 * edges * (n_q + dim) * 8 + a.data.nbytes + b.data.nbytes
         tracemalloc.start()
         try:
@@ -344,8 +347,8 @@ class TestEdgeRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(blocks) == 9
-        assert peak < outputs + 2 * edges * 8 + bucket + 6 * block
+        assert len(blocks) == 9 and bucket == 2_621_440
+        assert peak < outputs + 2 * edges * 8 + 1.25 * chunk + 6 * block
 
     def test_rows_wider_than_the_circuit_raise(self):
         a = Tensor(np.ones((3, 5)), requires_grad=True)
