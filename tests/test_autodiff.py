@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -253,15 +254,14 @@ class TestSegmentOps:
         extra = 0
         if reduce == "segment":
             values = gen.standard_normal((len(index), cols))
-            run = lambda: _segment_reduce(values, segs, "sum")  # noqa: E731
+            run = partial(_segment_reduce, values, segs, "sum")
         else:
             src = Segments(gen.permutation(index), segments)
             logits = gen.standard_normal((len(index), 1))
             v = Tensor(gen.standard_normal((segments, 1, cols)))
             z, den = neighborhood_softmax(logits, segs)
             extra = 2 * logits.nbytes
-            run = lambda: softmax_aggregate(Tensor(logits), v, z, den, src, segs,  # noqa: E731
-                                            None, 0.0)
+            run = partial(softmax_aggregate, Tensor(logits), v, z, den, src, segs, None, 0.0)
         tracemalloc.start()
         try:
             run()
