@@ -11,8 +11,12 @@ their cells through ``_run_cell``, which ``_run_cells`` calls in cell order,
 serially or in one process pool of ``--jobs`` workers; a pool returns the
 trained models by pickle, and its results equal the serial ones bit for bit.
 ``train``, ``linkpred`` and ``noise-sweep`` take ``--seeds`` and ``--jobs``,
-and they and ``synth`` ``--out``.  ``gradcheck`` checks one layer of every
-model kind, at ``[model]``'s circuit size, against central differences.
+and they and ``synth`` ``--out``.  ``config.check`` validates the training
+keys once for every command.  Only the config sets a run's task (``linkpred``
+sets ``link-pred`` in it); noise kinds, file formats and tasks are read from
+``graph.NOISE``, ``graph.LOADERS`` and ``training.TASKS``.  ``gradcheck``
+checks one layer of every model kind, at ``[model]``'s circuit size, against
+central differences.
 Set QGAT_LOG=debug|info|warning for log verbosity.
 """
 
@@ -32,12 +36,9 @@ from .autodiff import Tensor, gradient_errors
 from .config import (Config, ConfigError, apply_overrides, check, make_train_config,
                      parse_config)
 from .graph import (
-    FEATURE_NOISE_GRID,
-    STRUCTURAL_NOISE_GRID,
+    NOISE,
     Graph,
     LinkSplit,
-    add_feature_noise,
-    add_structural_noise,
     load_graph,
     random_split_masks,
     save_graph_csv,
@@ -91,12 +92,11 @@ def _link_split(cfg: Config, graph: Graph):
                                  cfg.get("linkpred", "neg_ratio"), cfg.get("data", "seed"))
 
 
-def _train_configs(cfg: Config, data, task: str | None = None, models: list[str] | None = None
-                   ) -> list[TrainConfig]:
+def _train_configs(cfg: Config, data, models: list[str] | None = None) -> list[TrainConfig]:
     """One ``TrainConfig`` per (model, seed), model-major, over
     ``experiment.models`` by default; data that the task cannot read is a
     configuration error."""
-    tcs = [make_train_config(cfg, model, seed, task)
+    tcs = [make_train_config(cfg, model, seed)
            for model in models or cfg.get("experiment", "models")
            for seed in cfg.get("experiment", "seeds")]
     try:
@@ -117,8 +117,7 @@ def _run_cell(cell: Cell) -> tuple[Model, TrainResult]:
     data, tc, kind, level = cell
     log.info("training %s seed %d, noise level %r", tc.model, tc.seed, level)
     if level > 0:
-        noise = add_feature_noise if kind == "feature" else add_structural_noise
-        data = noise(data, level, tc.seed)
+        data = NOISE[kind].perturb(data, level, tc.seed)
     return run_training(data, tc)
 
 
@@ -185,8 +184,7 @@ def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
 
 def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
     kind = cfg.get("noise", "kind")
-    levels = cfg.get("noise", "levels") or list(
-        FEATURE_NOISE_GRID if kind == "feature" else STRUCTURAL_NOISE_GRID)
+    levels = cfg.get("noise", "levels") or list(NOISE[kind].grid)
     graph = _load_data(cfg)
     cells = [(graph, tc, kind, level) for tc in _train_configs(cfg, graph) for level in levels]
     _prepare_out(cfg, out)
@@ -217,7 +215,8 @@ def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
     if not len(split.splits["test"].positives):
         raise ConfigError(f"linkpred.frac_test = {cfg.get('linkpred', 'frac_test')} holds out "
                           "no test edge of this graph")
-    cells = [(split, tc, None, 0.0) for tc in _train_configs(cfg, split, task="link-pred")]
+    cfg.set("experiment", "task", "link-pred")
+    cells = [(split, tc, None, 0.0) for tc in _train_configs(cfg, split)]
     _prepare_out(cfg, out)
     reports = [link_eval(model, split, k)["test"] for model, _ in _run_cells(cells, jobs)]
     scores = [(report[f"hits@{k}"], report["mrr"]) for report in reports]

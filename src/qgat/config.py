@@ -8,7 +8,9 @@ Each key has exactly one rule.  A key's rule sits beside its default in
 ``SCHEMA``: its parser rejects a value of the wrong type or range, and a
 list whose items repeat or are out of order where that matters.  The keys
 that configure one training run are checked by ``TrainConfig.validate``
-alone.  ``check`` holds the few rules that join two keys.
+alone, which ``check`` runs once.  ``check`` also holds the few rules that
+join two keys.  Each choice list is read from its table: ``attention.SCORERS``,
+``training.TASKS`` (in ``validate``), ``graph.LOADERS`` and ``graph.NOISE``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Any, Sequence
 
 from .files import atomic_write
 from .attention import MODEL_KINDS
+from .graph import LOADERS, NOISE
 from .training import TrainConfig
 
 
@@ -115,7 +118,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
                   [0]),
     },
     "data": {
-        "source": (_one_of(str, ("synth", "csv", "json")), "synth"),
+        "source": (_one_of(str, ("synth", *LOADERS)), "synth"),
         "path": (str, ""),  # required unless source is synth
         "n_per_class": (_at_least(int, 1), 30),
         "n_classes": (_at_least(int, 1), 2),
@@ -128,7 +131,7 @@ SCHEMA: dict[str, dict[str, tuple[Any, Any]]] = _with_train_defaults({
     "model": {},
     "training": {},
     "noise": {
-        "kind": (_one_of(str, ("feature", "structural")), "feature"),
+        "kind": (_one_of(str, NOISE), "feature"),
         # empty -> protocol grid for the kind; the sweep's summary reads the last level
         "levels": (_pairwise(_at_least(_float_list, 0), operator.lt, "strictly increase"), []),
     },
@@ -212,7 +215,7 @@ def apply_overrides(cfg: Config, overrides: list[str]) -> None:
 
 
 def check(cfg: Config) -> None:
-    """The rules that join two keys; every other rule runs when a key is set."""
+    """The rules that join two keys, then ``TrainConfig.validate``; the rest run on set."""
     p_in, p_out = cfg.get("data", "p_in"), cfg.get("data", "p_out")
     if p_out > p_in:
         raise ConfigError(f"data.p_out must not exceed data.p_in, got {p_out} > {p_in}")
@@ -222,14 +225,14 @@ def check(cfg: Config) -> None:
                           f"got {frac_val} and {frac_test}")
     if cfg.get("data", "source") != "synth" and not cfg.get("data", "path"):
         raise ConfigError("data.path is required when data.source is not 'synth'")
+    make_train_config(cfg, cfg.get("experiment", "models")[0], cfg.get("experiment", "seeds")[0])
 
 
-def make_train_config(cfg: Config, model: str, seed: int, task: str | None = None) -> TrainConfig:
+def make_train_config(cfg: Config, model: str, seed: int) -> TrainConfig:
     fields = {}
     for (section, key), (_, name) in TRAIN_KEYS.items():
         value = cfg.get(section, key)
         fields[name] = list(value) if isinstance(value, list) else value
-    fields["task"] = task or fields["task"]
     tc = TrainConfig(**fields, seed=seed, model=model)
     try:
         tc.validate()

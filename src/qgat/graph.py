@@ -14,7 +14,8 @@ n_nodes)`` gives the pair back.  Keys stay below 2**63 for up to about
 3e9 nodes.  ``edges`` is the decoded sorted unique keys (src, dst);
 ``undirected_pairs()`` (keys (lo, hi)) and ``attention_edges()`` (keys
 (dst, src), self-loops added) are built once per graph and returned
-read-only.
+read-only.  Features are finite.  Each file format is an entry of
+``LOADERS``, each noise kind one of ``NOISE``.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,6 +59,8 @@ class Graph:
         self.features = np.ascontiguousarray(features, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValueError("feature matrix must be 2-D (nodes x dims)")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features contain non-finite entries")
         self.n_nodes = self.features.shape[0]
         self.edges = self._canonicalize(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
                                         undirected)
@@ -173,13 +177,13 @@ def _load_csv_bundle(directory: Path) -> Graph:
         if not p.exists():
             raise GraphFormatError(f"missing file {p}")
 
-    lines = [ln for ln in _read_text(feat_path) if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(_read_text(feat_path), start=1) if ln.strip()]
     if not lines:
         raise GraphFormatError(f"{feat_path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[0][1].split(",")]
     label_col = header.index("label") if "label" in header else None
     rows, labels = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise GraphFormatError(
@@ -187,6 +191,8 @@ def _load_csv_bundle(directory: Path) -> Graph:
             )
         try:
             values = [float(c) for i, c in enumerate(cells) if i != label_col]
+            if not np.isfinite(values).all():
+                raise ValueError("features contain non-finite entries")
             if label_col is not None:
                 labels.append(int(cells[label_col]))
         except ValueError as exc:
@@ -249,8 +255,11 @@ def _load_json_bundle(path: Path) -> Graph:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
+LOADERS: dict[str, Callable[[Path], Graph]] = {"csv": _load_csv_bundle, "json": _load_json_bundle}
+
+
 def load_graph(path: str | Path, format: str = "json") -> Graph:
-    """Load a graph from disk.
+    """Load a graph from disk with the ``format`` entry of ``LOADERS``.
 
     ``format='csv'``: ``path`` is a directory holding ``features.csv`` (header
     row; a column named ``label`` carries integer labels) and ``edges.txt``
@@ -258,12 +267,9 @@ def load_graph(path: str | Path, format: str = "json") -> Graph:
     with features, edges, optional labels/masks and a ``directed`` flag.
     Edge lists are treated as undirected unless the bundle says otherwise.
     """
-    path = Path(path)
-    if format == "csv":
-        return _load_csv_bundle(path)
-    if format == "json":
-        return _load_json_bundle(path)
-    raise ValueError(f"unknown graph format {format!r}")
+    if format not in LOADERS:
+        raise ValueError(f"unknown graph format {format!r}")
+    return LOADERS[format](Path(path))
 
 
 def save_graph_json(g: Graph, path: str | Path) -> None:
@@ -316,15 +322,16 @@ def random_split_masks(n: int, rng: np.random.Generator) -> dict[str, np.ndarray
 
 # node pairs ``synth_sbm`` draws at once (whole rows, at least one)
 SBM_BLOCK_PAIRS = 1 << 16
+# the per-feature std of the synthetic features around their class mean
+FEATURE_STD = 0.25
 
 
 def synth_sbm(n_per_class: int, n_classes: int, p_in: float, p_out: float,
-              d: int, class_sep: float, seed: int,
-              feature_std: float = 0.25) -> Graph:
+              d: int, class_sep: float, seed: int) -> Graph:
     """Stochastic block model with Gaussian class-mean features.
 
     Class c's feature mean is ``class_sep`` along basis direction c mod d;
-    within-class spread is ``feature_std``.  Nodes get a deterministic
+    within-class spread is ``FEATURE_STD``.  Nodes get a deterministic
     60/20/20 train/val/test split.  Fully reproducible under ``seed``.
     """
     if not (0.0 <= p_out <= p_in <= 1.0):
@@ -351,16 +358,13 @@ def synth_sbm(n_per_class: int, n_classes: int, p_in: float, p_out: float,
     means = np.zeros((n_classes, d))
     for c in range(n_classes):
         means[c, c % d] = class_sep
-    features = means[labels] + feature_std * rng.standard_normal((n, d))
+    features = means[labels] + FEATURE_STD * rng.standard_normal((n, d))
 
     masks = random_split_masks(n, rng)
     return Graph(features, edges, labels=labels, masks=masks, undirected=True)
 
 
 # -- noise protocols ------------------------------------------------------
-
-FEATURE_NOISE_GRID = (0.0, 0.01, 0.05, 0.1, 0.2)
-STRUCTURAL_NOISE_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
 
 
 def add_feature_noise(g: Graph, epsilon: float, seed: int) -> Graph:
@@ -405,6 +409,17 @@ def add_structural_noise(g: Graph, eta: float, seed: int) -> Graph:
     chosen = _free_pairs(g, np.random.default_rng(seed), n_new)
     new_edges = np.concatenate([g.edges, chosen, chosen[:, ::-1]], axis=0)
     return g.replace(edges=new_edges)
+
+
+class Noise(NamedTuple):
+    perturb: Callable[[Graph, float, int], Graph]  # of (graph, level, seed)
+    grid: tuple[float, ...]  # the protocol's levels
+
+
+NOISE = {
+    "feature": Noise(add_feature_noise, (0.0, 0.01, 0.05, 0.1, 0.2)),
+    "structural": Noise(add_structural_noise, (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)),
+}
 
 
 # -- link prediction splits -------------------------------------------------

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .files import atomic_write
-from .graph import Graph, load_graph, save_graph_json, synth_sbm
+from .graph import FEATURE_STD, Graph, load_graph, save_graph_json, synth_sbm
 from .training import Model, TrainConfig, TrainResult, Unions, train
 
 # perfbench's tracer patches these names on this module; nothing here calls them
@@ -81,7 +81,7 @@ def _multilabelize(g: Graph, n_labels: int, class_sep: float, density: float,
     directions = np.zeros((n_labels, d))
     for label in range(n_labels):
         directions[label, label % d] = class_sep
-    features = bits @ directions + 0.25 * rng.standard_normal((n, d))
+    features = bits @ directions + FEATURE_STD * rng.standard_normal((n, d))
     masks = None if g.masks is None else {k: v.copy() for k, v in g.masks.items()}
     return Graph(features, g.edges.copy(), labels=bits, masks=masks)
 

@@ -57,15 +57,3 @@ def mrr(pos_scores: np.ndarray, neg_scores: np.ndarray) -> float:
     neg = np.sort(np.asarray(neg_scores, dtype=np.float64))
     ranks = 1 + len(neg) - np.searchsorted(neg, pos_scores, side="right")
     return math.fsum((1.0 / ranks).tolist()) / len(ranks)
-
-
-def task_metric(task: str, predictions, targets) -> float:
-    """Primary metric of a task's readout: accuracy, micro-F1, or for link-pred
-    the MRR of the target-1 pair scores against the target-0 ones."""
-    if task == "node-class":
-        return accuracy(predictions, targets)
-    if task == "multi-label":
-        return micro_f1(predictions, targets)
-    if task == "link-pred":
-        return mrr(predictions[targets == 1], predictions[targets == 0])
-    raise ValueError(f"unknown task {task!r}")

@@ -118,15 +118,13 @@ def encode_batch(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     Real amplitudes are all the circuit needs; cast them to complex before
     running the gate kernels on them.  ``x`` is left as it is.
     """
-    x = np.asarray(x, dtype=np.float64)
-    # encode_fresh pads a narrower array into a copy; a 2^n-wide one is copied here
-    return encode_fresh(x.copy() if x.shape[1:] == (1 << n_qubits,) else x, n_qubits)
+    return encode_fresh(np.array(x, dtype=np.float64), n_qubits)
 
 
 def encode_fresh(x: np.ndarray, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """``encode_batch(x, n_qubits)``, bit for bit and with its checks, of a fresh
-    float64 array ``x``: one 2^n wide is normalized in place and returned, a
-    narrower one zero-padded into a copy first."""
+    """``encode_batch(x, n_qubits)`` without its copy, of a fresh float64 array
+    ``x``: one 2^n wide is normalized in place and returned, a narrower one
+    zero-padded into a copy first."""
     if x.ndim != 2:
         raise ValueError("amplitude encoding expects a 2-D array of row vectors")
     dim = 1 << n_qubits

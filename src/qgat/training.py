@@ -17,8 +17,8 @@ Every data shape and task has one readout: ``split_views`` gives, once per
 run, the training step's view and the one graph evaluation reads, with each
 split's selection on it (the reduce layout of its node ids, or one per column
 of its (P, 2) node pairs) and targets; ``readout`` turns the model output
-into predictions for it, and one task loss and metric score them.  So every
-evaluation is one forward, whatever the data shape.
+into predictions for it, and the task's loss and metric in ``TASKS`` score
+them.  So every evaluation is one forward, whatever the data shape.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field, fields, asdict
 from math import cos, pi
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import json
 import numpy as np
@@ -39,7 +40,6 @@ from .autodiff import (Segments, Tensor, exp, log, mul, pair_dot, softplus, sub,
 from .files import atomic_write
 from .graph import Graph, LinkSplit
 
-TASKS = ("node-class", "multi-label", "link-pred")
 # the circuit's unitary alone takes 16 * 4**n bytes: 256 MiB at 12 qubits
 MAX_QUBITS = 12
 
@@ -92,11 +92,11 @@ class TrainConfig:
         if self.model not in MODEL_KINDS:
             raise ValueError(f"model must be one of {MODEL_KINDS}, got {self.model!r}")
         if self.task not in TASKS:
-            raise ValueError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise ValueError(f"task must be one of {tuple(TASKS)}, got {self.task!r}")
         n_layers = len(self.heads_per_layer)
         if n_layers < 1:
             raise ValueError("need at least one attention layer")
-        needed = n_layers if self.task == "link-pred" else n_layers - 1
+        needed = n_layers - 1 if TASKS[self.task].label_rank else n_layers
         if len(self.hidden_dims) < needed:
             raise ValueError(
                 f"hidden_dims supplies {len(self.hidden_dims)} dims but "
@@ -193,14 +193,18 @@ def bce_with_logits(pred: Tensor, targets: np.ndarray) -> Tensor:
     return tmean(sub(softplus(pred), mul(pred, Tensor(targets))))
 
 
-def _task_loss(task: str, pred: Tensor, targets) -> Tensor:
-    """Softmax cross-entropy for node-class; binary cross-entropy with logits
-    for multi-label cells and link-pred pair scores."""
-    if task == "node-class":
-        return cross_entropy_logits(pred, targets)
-    if task in ("multi-label", "link-pred"):
-        return bce_with_logits(pred, targets)
-    raise ValueError(f"unknown task {task!r}")
+class Task(NamedTuple):
+    loss: Callable[[Tensor, np.ndarray], Tensor]  # of (readout, targets)
+    metric: Callable[[np.ndarray, np.ndarray], float]  # of (predictions, targets)
+    label_rank: int  # of the node labels read: 1 a class per node, 2 (N, L), 0 none
+
+
+TASKS = {
+    "node-class": Task(cross_entropy_logits, metrics_mod.accuracy, 1),
+    "multi-label": Task(bce_with_logits, metrics_mod.micro_f1, 2),
+    "link-pred": Task(bce_with_logits, lambda scores, targets: metrics_mod.mrr(
+        scores[targets == 1], scores[targets == 0]), 0),
+}
 
 
 def loss(task: str, predictions: np.ndarray, labels) -> float:
@@ -208,7 +212,7 @@ def loss(task: str, predictions: np.ndarray, labels) -> float:
     ``TrainingDivergedError``."""
     if not np.all(np.isfinite(predictions)):
         raise TrainingDivergedError("non-finite model output")
-    return _task_loss(task, Tensor(predictions), labels).item()
+    return TASKS[task].loss(Tensor(predictions), labels).item()
 
 
 # -- model assembly -----------------------------------------------------------
@@ -265,11 +269,8 @@ def build_model(cfg: TrainConfig, in_dim: int, out_dim: int) -> Model:
     dim = in_dim
     for i in range(n_layers):
         last = i == n_layers - 1
-        if last:
-            head_dim = cfg.hidden_dims[i] if cfg.task == "link-pred" else out_dim
-        else:
-            head_dim = cfg.hidden_dims[i]
-        layer = _AttentionLayer(cfg.model, dim, head_dim, cfg.heads_per_layer[i], output=last,
+        layer = _AttentionLayer(cfg.model, dim, out_dim if last else cfg.hidden_dims[i],
+                                cfg.heads_per_layer[i], output=last,
                                 dropout=cfg.dropout, rng=rng, n_qubits=cfg.n_qubits,
                                 entangling_layers=cfg.entangling_layers)
         layers.append(layer)
@@ -278,7 +279,8 @@ def build_model(cfg: TrainConfig, in_dim: int, out_dim: int) -> Model:
 
 
 def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
-    if cfg.task == "link-pred":
+    rank = TASKS[cfg.task].label_rank
+    if not rank:
         if not isinstance(data, LinkSplit):
             raise ValueError("link prediction training expects a LinkSplit")
         return data.train_graph.feature_dim, cfg.hidden_dims[len(cfg.heads_per_layer) - 1]
@@ -286,13 +288,11 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
         raise ValueError(f"task {cfg.task} expects a Graph")
     if data.labels is None or data.masks is None:
         raise ValueError(f"task {cfg.task} needs node labels and train/val/test masks")
-    if data.labels.ndim != (1 if cfg.task == "node-class" else 2):
-        wanted = "one class per node" if cfg.task == "node-class" else "an (N, L) label matrix"
+    if data.labels.ndim != rank:
+        wanted = ("one class per node", "an (N, L) label matrix")[rank - 1]
         raise ValueError(f"task {cfg.task} needs {wanted}, but the graph's labels "
                          f"have shape {data.labels.shape}")
-    if cfg.task == "node-class":
-        return data.feature_dim, int(data.labels.max()) + 1
-    return data.feature_dim, data.labels.shape[1]
+    return data.feature_dim, int(data.labels.max()) + 1 if rank == 1 else data.labels.shape[1]
 
 
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
@@ -404,7 +404,7 @@ def training_step(model: Model, view: View, cfg: TrainConfig,
     model.zero_grad()
     graph, select, targets = view
     out = model.forward(graph, training=True, rng=rng)
-    value = _task_loss(cfg.task, readout(out, select), targets)
+    value = TASKS[cfg.task].loss(readout(out, select), targets)
     if not np.isfinite(value.item()):
         raise TrainingDivergedError("training loss diverged")
     value.backward()
@@ -438,7 +438,7 @@ def evaluate(model: Model, views: Views, task: str
     losses, task_scores = {}, {}
     for name, (pred, targets) in _predictions(model, views).items():
         losses[name] = loss(task, pred, targets)
-        task_scores[name] = metrics_mod.task_metric(task, pred, targets)
+        task_scores[name] = TASKS[task].metric(pred, targets)
     return losses, task_scores
 
 

@@ -32,14 +32,14 @@ gradient.  The VJP keeps the norms, R and what makes the rows.  Values and
 input gradients do not depend on the blocks; the angle gradients' last bits
 do, through the order in which C adds them up.
 
-There are two ways in: ``expectations_op``, the autodiff node, and
-``circuit_forward_batch``, plain arrays in and out.  The node takes a
-(B, width) rows Tensor, whose array its VJP keeps, or ``autodiff.EdgeRows``,
-the rows a_i + b_j that the QGAT layer gives by its node-level terms and
-edge layouts: the VJP then keeps a's and b's (nodes, k * 2^n) arrays, the
-circuit gathers one block's edge rows from them at a time, and a's and b's
-gradients come back through ``edge_sum``'s VJP.  A single input vector is
-the B = 1 case of either.
+There is one way in, ``expectations_op``, the autodiff node;
+``circuit_forward_batch`` is that node on constant Tensors, plain arrays in
+and out.  The node takes a (B, width) rows Tensor, whose array its VJP
+keeps, or ``autodiff.EdgeRows``, the rows a_i + b_j that the QGAT layer
+gives by its node-level terms and edge layouts: the VJP then keeps a's and
+b's (nodes, k * 2^n) arrays, the circuit gathers one block's edge rows from
+them at a time, and a's and b's gradients come back through ``edge_sum``'s
+VJP.  A single input vector is the B = 1 case of either.
 """
 
 from __future__ import annotations
@@ -223,12 +223,8 @@ def _circuit(read_rows: Callable[[slice], np.ndarray], shape: tuple[int, int],
 
 def circuit_forward_batch(inputs: np.ndarray, angles: np.ndarray,
                           layout: EntanglingLayout) -> np.ndarray:
-    """Z expectations (B, n_qubits) for a batch of raw input rows."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    expectations, _ = _circuit(lambda rows: inputs[rows].copy(), inputs.shape,
-                               np.asarray(angles, dtype=np.float64), layout)
-    _count_executions(len(expectations))
-    return expectations
+    """Z expectations (B, n_qubits) of raw input rows: ``expectations_op`` on constants."""
+    return expectations_op(Tensor(inputs), Tensor(angles), layout).data
 
 
 def expectations_op(inputs: Tensor | EdgeRows, angles: Tensor,

@@ -1,6 +1,7 @@
 """CLI: artifacts, exit codes, overrides, reproducibility from the config echo."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -182,6 +183,8 @@ class TestTrain:
         ("train", "experiment.models=gat,qgat,gat"),
         ("noise-sweep", "noise.levels=0.2,0.0"),
         ("noise-sweep", "noise.levels=0.0,0.1,0.1"),
+        ("synth", "experiment.task=multilabel"),
+        ("linkpred", "experiment.task=bogus"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
         # whitespace separates the overrides of one case
@@ -372,6 +375,8 @@ class TestLinkpred:
         rows = read_csv(out / "linkpred.csv")
         assert set(rows[0]) == {"model", "seed", "hits@5", "mrr"}
         assert 0.0 <= float(rows[0]["mrr"]) <= 1.0
+        # the config sets the task: the echo reads the one linkpred ran
+        assert "\ntask = link-pred\n" in (out / "config_echo.ini").read_text()
 
     def test_default_hidden_dims_cover_link_prediction(self, tmp_path):
         # link prediction needs one hidden dim per layer, the output layer included
@@ -536,6 +541,32 @@ class TestSynth:
         for ra, rb in zip(rows_a, rows_b, strict=True):
             ra.pop("seconds"), rb.pop("seconds")  # wall time
             assert ra == rb
+
+    @pytest.mark.parametrize("model", ["qgat", "gat"])
+    @pytest.mark.parametrize("source", ["csv", "json"])
+    def test_non_finite_feature_names_the_file(self, tiny_config, tmp_path, capsys,
+                                               source, model):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--config", str(tiny_config), "--out", str(ds)]) == 0
+        if source == "csv":
+            path, lines = ds / "features.csv", (ds / "features.csv").read_text().splitlines()
+            lines[2] = "nan" + lines[2][lines[2].index(","):]
+            path.write_text("\n".join(lines) + "\n")
+            where = f"{path}:3: "
+        else:
+            path = ds / "graph.json"
+            payload = json.loads(path.read_text())
+            payload["features"][1][0] = float("nan")
+            path.write_text(json.dumps(payload))
+            where = f"{path}: "
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(tiny_config), "--out", str(out),
+                     "--override", f"experiment.models={model}",
+                     "--override", f"data.source={source}",
+                     "--override", f"data.path={path if source == 'json' else ds}"]) == 1
+        assert f"error: {where}features contain non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multilabel_collection_manifest(self, tmp_path):
         cfg = tmp_path / "ml.ini"

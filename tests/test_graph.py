@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from qgat.graph import (
-    FEATURE_NOISE_GRID,
-    STRUCTURAL_NOISE_GRID,
+    NOISE,
     Graph,
     GraphFormatError,
     add_feature_noise,
@@ -66,6 +65,12 @@ class TestLoaders:
         with pytest.raises(GraphFormatError, match="features.csv:3"):
             load_graph(tmp_path, format="csv")
 
+    def test_non_finite_cell_reports_position(self, tmp_path):
+        # blank lines count: the bad row is on file line 4
+        write_csv_bundle(tmp_path, ["f0,f1", "1,2", "", "3,inf"], ["0 1"])
+        with pytest.raises(GraphFormatError, match="features.csv:4: .*non-finite"):
+            load_graph(tmp_path, format="csv")
+
     def test_non_utf8_rejected(self, tmp_path):
         (tmp_path / "features.csv").write_bytes(b"f0\n\xff\xfe\n")
         (tmp_path / "edges.txt").write_text("")
@@ -122,6 +127,11 @@ class TestGraphInvariants:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError, match="outside"):
             Graph(np.zeros((2, 1)), [[0, 2]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            Graph(np.array([[0.0], [value]]), [[0, 1]])
 
     def test_overlapping_masks_rejected(self):
         m = np.array([True, False])
@@ -195,7 +205,7 @@ class TestFeatureNoise:
 
     def test_grid_levels_accepted(self):
         g = synth_sbm(6, 2, 0.3, 0.1, 4, 1.0, seed=3)
-        for eps in FEATURE_NOISE_GRID:
+        for eps in NOISE["feature"].grid:
             add_feature_noise(g, eps, seed=1)
 
     def test_structure_and_labels_untouched(self):
@@ -244,7 +254,7 @@ class TestStructuralNoise:
 
     def test_grid_accepted(self):
         g = self.fixture_graph()
-        for eta in STRUCTURAL_NOISE_GRID:
+        for eta in NOISE["structural"].grid:
             noisy = add_structural_noise(g, eta, seed=2)
             assert noisy.undirected_pairs().shape[0] == 10 + int(eta * 10)
 

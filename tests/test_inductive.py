@@ -95,15 +95,15 @@ class TestBatchedForward:
 class TestHeldOutIsolation:
     def test_training_never_reads_val_or_test_features(self, monkeypatch):
         """``train`` on the unions ``train_inductive`` builds does the same
-        arithmetic when the val and test graphs hold only NaN features: every
+        arithmetic when the val and test graphs hold other features: every
         training-step loss, every recorded loss and metric and the best
         weights are unchanged.  Both runs evaluate every split on the clean
-        collection's union (QGAT's encoder rejects a NaN row), so only a
-        training step that read a held-out graph could see the NaNs."""
+        collection's union, so only a training step that read a held-out
+        graph could see the poisoned features."""
         coll = fixture_collection()
         cfg = fixture_cfg(epochs=5)
         poisoned = GraphCollection(
-            [g if tag == "train" else g.replace(features=np.full_like(g.features, np.nan))
+            [g if tag == "train" else g.replace(features=np.full_like(g.features, 1e6))
              for g, tag in zip(coll.graphs, coll.splits)], coll.splits)
         evaluate_all, step = training.evaluate, training.training_step
         clean_views = split_views(_split_unions(coll), cfg.task)
@@ -122,7 +122,7 @@ class TestHeldOutIsolation:
             model = build_model(cfg, unions.step.feature_dim, 4)
             runs.append((steps, train(model, unions, cfg)))
         (clean_steps, clean), (dirty_steps, dirty) = runs
-        assert np.isnan(poisoned.graphs[-1].features).all()
+        assert (poisoned.graphs[-1].features == 1e6).all()
         assert len(clean_steps) == cfg.epochs and np.isfinite(clean_steps).all()
         assert dirty_steps == clean_steps
         assert [(rec.losses, rec.metrics) for rec in dirty.history] == \

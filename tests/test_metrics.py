@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qgat.metrics import accuracy, hits_at_k, micro_f1, mrr, task_metric
+from qgat.metrics import accuracy, hits_at_k, micro_f1, mrr
+from qgat.training import TASKS, TrainConfig
 
 from oracles import (
     accuracy_reference,
@@ -46,10 +47,10 @@ class TestTrivialCases:
 
     def test_task_dispatch(self):
         logits = np.array([[1.0, 0.0]])
-        assert task_metric("node-class", logits, np.array([0])) == 1.0
-        assert task_metric("multi-label", logits, np.array([[1, 0]])) == 1.0
-        with pytest.raises(ValueError):
-            task_metric("regression", logits, None)
+        assert TASKS["node-class"].metric(logits, np.array([0])) == 1.0
+        assert TASKS["multi-label"].metric(logits, np.array([[1, 0]])) == 1.0
+        with pytest.raises(ValueError, match="task must be one of"):
+            TrainConfig(task="regression").validate()
 
 
 class TestOracleAgreement:
@@ -88,7 +89,7 @@ class TestOracleAgreement:
             n_pos, n_neg = local.integers(1, 20), local.integers(1, 40)
             scores = np.round(local.standard_normal(n_pos + n_neg), 1)
             targets = local.permutation(np.r_[np.ones(n_pos), np.zeros(n_neg)])
-            assert task_metric("link-pred", scores, targets) == mrr_reference(
+            assert TASKS["link-pred"].metric(scores, targets) == mrr_reference(
                 scores[targets == 1], scores[targets == 0])
 
     def test_all_metrics_in_unit_interval(self):
