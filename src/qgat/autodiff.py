@@ -16,7 +16,7 @@ Three properties matter for callers:
 
 * graph nodes are only recorded when some input requires a gradient; an
   evaluation forward clears the flags of the model's parameters
-  (``training._predictions``), so it records no tape;
+  (``training.evaluate``), so it records no tape;
 * the tape keeps only what the VJPs read, and ``backward`` consumes it: one
   backward per forward.  ``add``, ``sub``, ``tsum``, ``reshape``,
   ``tslice``, ``take_rows`` and ``edge_sum`` (the attention logits' input

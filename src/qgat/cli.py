@@ -8,12 +8,12 @@ exit 2 means nothing was written.
 Every training run is one cell, (data, TrainConfig, noise kind, level).
 ``train``, ``linkpred`` and ``noise-sweep`` load their data once and run
 their cells through ``_run_cell``, which ``_run_cells`` calls in cell order,
-serially or in one process pool of ``--jobs`` workers; a pool returns the
-trained models by pickle, and its results equal the serial ones bit for bit.
+serially or in one process pool of ``--jobs`` workers; a pool returns each
+run's result, and its results equal the serial ones bit for bit.
 ``train``, ``linkpred`` and ``noise-sweep`` take ``--seeds`` and ``--jobs``,
 and they and ``synth`` ``--out``.  ``config.check`` validates the training
 keys once for every command.  Only the config sets a run's task (``linkpred``
-sets ``link-pred`` in it); noise kinds, file formats and tasks are read from
+replaces only the default); noise kinds, file formats and tasks are read from
 ``graph.NOISE``, ``graph.LOADERS`` and ``training.TASKS``.  ``gradcheck``
 checks one layer of every model kind, at ``[model]``'s circuit size, against
 central differences.
@@ -49,14 +49,13 @@ from .graph import (
 from .files import atomic_write
 from .inductive import save_collection, synth_collection
 from .svgplot import Series, line_plot
+from .metrics import hits_at_k
 from .training import (
-    Model,
     TrainConfig,
     TrainingDivergedError,
     TrainResult,
     build_model,
     infer_dims,
-    link_eval,
     one_blas_thread,
     run_training,
     save_checkpoint,
@@ -111,17 +110,17 @@ def _train_configs(cfg: Config, data, models: list[str] | None = None) -> list[T
 Cell = tuple[Graph | LinkSplit, TrainConfig, str | None, float]
 
 
-def _run_cell(cell: Cell) -> tuple[Model, TrainResult]:
+def _run_cell(cell: Cell) -> TrainResult:
     """Train on the cell's data, perturbed first when its level is above 0;
     top level, and its result picklable, so that a process pool can run it."""
     data, tc, kind, level = cell
     log.info("training %s seed %d, noise level %r", tc.model, tc.seed, level)
     if level > 0:
         data = NOISE[kind].perturb(data, level, tc.seed)
-    return run_training(data, tc)
+    return run_training(data, tc)[1]
 
 
-def _run_cells(cells: list[Cell], jobs: int) -> list[tuple[Model, TrainResult]]:
+def _run_cells(cells: list[Cell], jobs: int) -> list[TrainResult]:
     """``_run_cell`` of each cell, in cell order, serially or on ``jobs`` workers,
     but never on more workers than there are cells."""
     workers = min(jobs, len(cells))
@@ -168,7 +167,7 @@ def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
     graph = _load_data(cfg)
     cells = [(graph, tc, None, 0.0) for tc in _train_configs(cfg, graph)]
     _prepare_out(cfg, out)
-    results = [result for _, result in _run_cells(cells, jobs)]
+    results = _run_cells(cells, jobs)
     for (_, tc, _, _), result in zip(cells, results):
         write_history_csv(result.history, out / f"metrics_{tc.model}_seed{tc.seed}.csv")
         save_checkpoint(out / f"checkpoint_{tc.model}_seed{tc.seed}.json", tc,
@@ -189,7 +188,7 @@ def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
     cells = [(graph, tc, kind, level) for tc in _train_configs(cfg, graph) for level in levels]
     _prepare_out(cfg, out)
     log.info("noise sweep: %d cells (%s)", len(cells), kind)
-    metrics = [result.test_metric for _, result in _run_cells(cells, jobs)]
+    metrics = [result.test_metric for result in _run_cells(cells, jobs)]
     _write_csv(out / "sweep.csv", "model,level,seed,metric",
                sorted((tc.model, level, tc.seed, metric)
                       for (_, tc, _, level), metric in zip(cells, metrics)))
@@ -210,6 +209,8 @@ def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
 
 
 def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
+    if (task := cfg.get("experiment", "task")) not in (TrainConfig.task, "link-pred"):
+        raise ConfigError(f"task {task} is not link prediction: run it with `qgat train`")
     k = cfg.get("linkpred", "hits_k")
     split = _link_split(cfg, _load_data(cfg))
     if not len(split.splits["test"].positives):
@@ -218,8 +219,10 @@ def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
     cfg.set("experiment", "task", "link-pred")
     cells = [(split, tc, None, 0.0) for tc in _train_configs(cfg, split)]
     _prepare_out(cfg, out)
-    reports = [link_eval(model, split, k)["test"] for model, _ in _run_cells(cells, jobs)]
-    scores = [(report[f"hits@{k}"], report["mrr"]) for report in reports]
+    scores = []
+    for result in _run_cells(cells, jobs):
+        pred, targets = result.predictions["test"]
+        scores.append((hits_at_k(pred[targets == 1], pred[targets == 0], k), result.test_metric))
     for model, per_seed in _by_model(cells, scores).items():
         hits, mrrs = zip(*per_seed)
         _summarize(model, f"hits@{k}", hits)

@@ -4,8 +4,10 @@ Training is full batch: one forward/backward over the whole graph per
 epoch, evaluation on every split each epoch, early stopping on the
 validation metric, and the test figure reported at the best-validation
 checkpoint.  ``train`` is the one early-stopping loop and ``evaluate`` the
-one evaluator.  Everything is driven by explicit seeded generators so a
-(seed, config) pair reproduces its metric history bit-exactly.
+one evaluator, of each split's loss, metric and (predictions, targets);
+``TrainResult`` keeps the best epoch's predictions, so no run is evaluated
+twice.  Everything is driven by explicit seeded generators so a (seed,
+config) pair reproduces its metric history bit-exactly.
 
 ``train`` fixes glibc's mmap and trim thresholds (``_keep_freed_pages``),
 because the default dynamic ones hand the pages a consumed tape frees back to
@@ -43,7 +45,7 @@ from .graph import Graph, LinkSplit
 # the circuit's unitary alone takes 16 * 4**n bytes: 256 MiB at 12 qubits
 MAX_QUBITS = 12
 
-_STREAMS = {"init": 0, "dropout": 1, "negatives": 2}
+_STREAMS = {"init": 0, "dropout": 1}
 ADAM_BETAS, ADAM_EPS = (0.9, 0.999), 1e-8
 
 
@@ -282,7 +284,7 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
     rank = TASKS[cfg.task].label_rank
     if not rank:
         if not isinstance(data, LinkSplit):
-            raise ValueError("link prediction training expects a LinkSplit")
+            raise ValueError("task link-pred trains on held-out edges: run it with `qgat linkpred`")
         return data.train_graph.feature_dim, cfg.hidden_dims[len(cfg.heads_per_layer) - 1]
     if not isinstance(data, Graph):
         raise ValueError(f"task {cfg.task} expects a Graph")
@@ -343,6 +345,7 @@ def one_blas_thread() -> str:
 
 Selection = Segments | tuple[Segments, Segments]
 View = tuple[Graph, Selection, np.ndarray]
+Scored = dict[str, tuple[np.ndarray, np.ndarray]]  # split -> (predictions, targets)
 
 
 @dataclass(frozen=True)
@@ -416,42 +419,24 @@ def training_step(model: Model, view: View, cfg: TrainConfig,
     return value.item()
 
 
-def _predictions(model: Model, views: Views) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """(predictions, targets) per split in evaluation mode, from one forward
-    over ``views.graph``.  The parameters' flags are cleared meanwhile, so no
-    op records a tape."""
+def evaluate(model: Model, views: Views, task: str
+             ) -> tuple[dict[str, float], dict[str, float], Scored]:
+    """Per-split losses, task metrics and the (predictions, targets) they score,
+    from one forward over ``views.graph`` without dropout.  The parameters'
+    flags are cleared meanwhile, so no op records a tape."""
     params = [t for t in model.params().values() if t.requires_grad]
     try:
         for t in params:
             t.requires_grad = False
         out = model.forward(views.graph)
-        return {name: (readout(out, select).data, targets)
-                for name, (select, targets) in views.splits.items()}
+        scored = {name: (readout(out, select).data, targets)
+                  for name, (select, targets) in views.splits.items()}
     finally:
         for t in params:
             t.requires_grad = True
-
-
-def evaluate(model: Model, views: Views, task: str
-             ) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-split losses and task metrics of ``split_views`` output, no dropout."""
-    losses, task_scores = {}, {}
-    for name, (pred, targets) in _predictions(model, views).items():
-        losses[name] = loss(task, pred, targets)
-        task_scores[name] = TASKS[task].metric(pred, targets)
-    return losses, task_scores
-
-
-def link_eval(model: Model, data: LinkSplit, k: int) -> dict[str, dict[str, float]]:
-    """Hits@k and MRR per split from the current model state."""
-    report: dict[str, dict[str, float]] = {}
-    for name, (scores, targets) in _predictions(model, split_views(data, "link-pred")).items():
-        pos, neg = scores[targets == 1], scores[targets == 0]
-        report[name] = {
-            f"hits@{k}": metrics_mod.hits_at_k(pos, neg, k),
-            "mrr": metrics_mod.mrr(pos, neg),
-        }
-    return report
+    losses = {name: loss(task, *pair) for name, pair in scored.items()}
+    metrics = {name: TASKS[task].metric(*pair) for name, pair in scored.items()}
+    return losses, metrics, scored
 
 
 @dataclass
@@ -461,6 +446,7 @@ class TrainResult:
     best_epoch: int
     val_metric: float
     test_metric: float
+    predictions: Scored  # evaluate's, at the best epoch
 
 
 def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
@@ -469,8 +455,8 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
 
     Epoch 0 records the initial-weights evaluation; ``epochs=0`` therefore
     returns that evaluation alone.  The monitored split is "val" when
-    evaluation reports one, else "train".  The reported test metric is the
-    one observed at the best-monitored epoch.
+    evaluation reports one, else "train".  The reported test metric and the
+    kept predictions are those of the best-monitored epoch.
     """
     cfg.validate()
     _keep_freed_pages()
@@ -483,32 +469,32 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     best_state = model.state_dict()
     stale = 0
 
-    def run_epoch(epoch: int, lr_now: float) -> MetricsRecord:
+    def run_epoch(epoch: int, lr_now: float) -> tuple[MetricsRecord, Scored]:
         t0 = time.perf_counter()
         try:
             if epoch:
                 training_step(model, views.step, cfg, opt, lr_now, drop_rng)
-            losses, scores = evaluate(model, views, cfg.task)
+            losses, scores, scored = evaluate(model, views, cfg.task)
         except TrainingDivergedError as exc:
             raise TrainingDivergedError(f"{exc} (epoch {epoch})") from None
         rec = MetricsRecord(epoch, losses, scores, lr_now, time.perf_counter() - t0)
         history.append(rec)
-        return rec
+        return rec, scored
 
     def goodness(rec: MetricsRecord) -> tuple[float, float]:
         # metric first; loss breaks ties once the metric saturates
         return rec.metrics.get(monitor, -np.inf), -rec.losses.get(monitor, np.inf)
 
-    rec = run_epoch(0, cfg.learning_rate)
+    rec, best_scored = run_epoch(0, cfg.learning_rate)
     # monitor validation when present; fall back to train (e.g. 0-fraction splits)
     monitor = "val" if "val" in rec.metrics else "train"
     best = goodness(rec)
 
     for epoch in range(1, cfg.epochs + 1):
-        rec = run_epoch(epoch, cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate))
+        rec, scored = run_epoch(epoch, cosine_lr(epoch - 1, max(cfg.epochs, 1), cfg.learning_rate))
         if goodness(rec) > best:
             best, best_epoch, stale = goodness(rec), epoch, 0
-            best_state = model.state_dict()
+            best_state, best_scored = model.state_dict(), scored
         else:
             stale += 1
             if stale > cfg.patience:
@@ -522,6 +508,7 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
         best_epoch=best_epoch,
         val_metric=best_rec.metrics.get("val", float("nan")),
         test_metric=best_rec.metrics.get("test", float("nan")),
+        predictions=best_scored,
     )
 
 

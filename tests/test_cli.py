@@ -185,6 +185,8 @@ class TestTrain:
         ("noise-sweep", "noise.levels=0.0,0.1,0.1"),
         ("synth", "experiment.task=multilabel"),
         ("linkpred", "experiment.task=bogus"),
+        ("train", "experiment.task=link-pred"),
+        ("noise-sweep", "experiment.task=link-pred"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
         # whitespace separates the overrides of one case
@@ -201,6 +203,19 @@ class TestTrain:
             main([command, flag, "0"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,task,runner", [
+        ("train", "link-pred", "qgat linkpred"), ("noise-sweep", "link-pred", "qgat linkpred"),
+        ("linkpred", "multi-label", "qgat train")])
+    def test_task_another_command_runs_exits_2(self, tmp_path, capsys, command, task, runner):
+        """A task the command does not run, as a ``linkpred`` run's echo sets
+        for ``train``, names the command that runs it; ``linkpred`` replaces
+        only the default task."""
+        assert main([command, "--out", str(tmp_path / "o"),
+                     "--override", f"experiment.task={task}"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and f"run it with `{runner}`" in err
+        assert not (tmp_path / "o").exists()
 
     def test_task_the_labels_cannot_serve_exits_2(self, tiny_config, tmp_path, capsys):
         assert main(["train", "--config", str(tiny_config), "--out", str(tmp_path / "o"),
@@ -357,11 +372,15 @@ class TestCellRunner:
                                     dropout=0.2), None, 0.0)
                  for model in ("qgat", "gat") for seed in (0, 1)]
         serial, pooled = _run_cells(cells, 1), _run_cells(cells, 2)
-        for (_, a), (_, b) in zip(serial, pooled, strict=True):
+        for a, b in zip(serial, pooled, strict=True):
             assert ([(rec.losses, rec.metrics) for rec in a.history]
                     == [(rec.losses, rec.metrics) for rec in b.history])
             assert ({name: arr.tobytes() for name, arr in a.best_state.items()}
                     == {name: arr.tobytes() for name, arr in b.best_state.items()})
+            assert ({name: (pred.tobytes(), targets.tobytes())
+                     for name, (pred, targets) in a.predictions.items()}
+                    == {name: (pred.tobytes(), targets.tobytes())
+                        for name, (pred, targets) in b.predictions.items()})
 
 
 class TestLinkpred:

@@ -6,9 +6,15 @@ A name counts as used when it appears as a ``Name``, an ``Attribute`` or an
 import alias in either tree.  A string constant in ``perfbench`` also counts,
 because the tracer names the attributes it patches by string.  Tests do not
 count: a name that only tests reach is an entry point nothing else needs.
+
+The package's own text names no definition that is gone: every
+``module.name`` it quotes resolves.
 """
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +86,23 @@ def test_every_config_key_is_read():
     unread = sorted(f"{section}.{key}" for section, keys in SCHEMA.items() for key in keys
                     if (section, key) not in TRAIN_KEYS and key not in strings)
     assert not unread, f"configuration keys that nothing outside config.py reads: {unread}"
+
+
+def test_docstring_references_resolve():
+    """Every ``module.name`` or ``module.Class.attr`` that ``src/qgat`` quotes
+    in double backticks, ``module`` one of the package's, resolves by
+    ``getattr``."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    quoted, stale = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for dotted in re.findall(r"``([A-Za-z_]\w*(?:\.\w+)+)``", path.read_text()):
+            head, *attrs = dotted.split(".")
+            if head not in modules:
+                continue
+            quoted += 1
+            try:
+                functools.reduce(getattr, attrs, importlib.import_module(f"qgat.{head}"))
+            except AttributeError:
+                stale.append(f"{path.name}: {dotted}")
+    assert quoted, "the pattern found no reference to check"
+    assert not stale, f"references to names that do not exist: {stale}"

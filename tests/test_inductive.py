@@ -141,8 +141,7 @@ class TestOneUnion:
         cfg = fixture_cfg(model=model_kind, heads_per_layer=[heads, heads], n_qubits=n_qubits)
         model = build_model(cfg, 8, 4)
         views = split_views(_split_unions(coll), "multi-label")
-        preds = training._predictions(model, views)
-        losses, scores = evaluate(model, views, "multi-label")
+        losses, scores, preds = evaluate(model, views, "multi-label")
         assert list(preds) == list(SPLITS)
         for split in SPLITS:
             union, _ = batch_graphs(coll.by_split(split))
@@ -161,7 +160,7 @@ class TestEvaluation:
         coll = fixture_collection(label_density=0.5, class_sep=0.0)
         cfg = fixture_cfg()
         model = build_model(cfg, 8, 4)
-        _, scores = evaluate_unions(model, coll)
+        _, scores, _ = evaluate_unions(model, coll)
         # random-init logits against ~50% positive labels: far from the
         # trained regime, close to the uninformed operating point
         assert scores["test"] < 0.75
@@ -180,7 +179,7 @@ class TestEvaluation:
         union, _ = batch_graphs(coll.by_split("train"))
         model = build_model(cfg, union.feature_dim, 4)
         result = train_inductive(model, coll, cfg)
-        losses, scores = evaluate_unions(model, coll)
+        losses, scores, _ = evaluate_unions(model, coll)
         best = result.history[result.best_epoch]
         assert scores == best.metrics and losses == best.losses
 
@@ -190,7 +189,7 @@ class TestEvaluation:
         model = build_model(cfg, 8, 4)
         union, _ = batch_graphs(coll.by_split("test"))
         out = model.forward(union).data
-        _, scores = evaluate_unions(model, coll)
+        _, scores, _ = evaluate_unions(model, coll)
         assert scores["test"] == micro_f1(out, union.labels)
 
     def test_training_on_empty_split_rejected(self):

@@ -9,9 +9,11 @@ import pytest
 
 from qgat import autodiff, training, vqc
 from qgat.graph import Graph, split_link_prediction, synth_sbm
+from qgat.metrics import hits_at_k, mrr
 from qgat.training import (
     AdamWState,
     Model,
+    TASKS,
     TrainConfig,
     TrainingDivergedError,
     adamw_step,
@@ -21,7 +23,6 @@ from qgat.training import (
     cross_entropy_logits,
     evaluate,
     infer_dims,
-    link_eval,
     load_checkpoint,
     loss,
     run_training,
@@ -268,7 +269,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(Model, "forward", counted)
         views = split_views(data, task)
-        losses, scores = evaluate(model, views, task)
+        losses, scores, _ = evaluate(model, views, task)
         assert graphs == [views.graph]
         assert set(losses) == set(scores) == set(SPLITS)
 
@@ -418,29 +419,56 @@ class TestLinkPrediction:
         cfg = TrainConfig(model="gat", task="link-pred", epochs=300, patience=300,
                           dropout=0.0, learning_rate=0.02, hidden_dims=[8, 8],
                           heads_per_layer=[2, 2], weight_decay=0.0, seed=0)
-        model, _ = run_training(split, cfg)
-        report = link_eval(model, split, 1)
-        assert report["train"]["hits@1"] == 1.0
-        assert report["train"]["mrr"] == 1.0
+        _, result = run_training(split, cfg)
+        pos, neg = ranked(result.predictions["train"])
+        assert hits_at_k(pos, neg, 1) == 1.0
+        assert mrr(pos, neg) == 1.0
 
     def test_heldout_eval_reports_both_metrics(self):
         g = fixture_graph()
         split = split_link_prediction(g, 0.1, 0.2, 1, seed=0)
         cfg = TrainConfig(model="gat", task="link-pred", epochs=15, patience=30,
                           dropout=0.0, hidden_dims=[4, 4], heads_per_layer=[2, 2], seed=0)
-        model, _ = run_training(split, cfg)
-        report = link_eval(model, split, 10)
+        _, result = run_training(split, cfg)
+        assert set(result.predictions) == {"train", "val", "test"}
         for name in ("train", "val", "test"):
-            assert set(report[name]) == {"hits@10", "mrr"}
-            assert 0.0 <= report[name]["mrr"] <= 1.0
+            pos, neg = ranked(result.predictions[name])
+            assert 0.0 <= hits_at_k(pos, neg, 10) <= 1.0
+            assert 0.0 <= mrr(pos, neg) <= 1.0
 
-    def test_history_metric_is_link_eval_mrr(self):
-        split = split_link_prediction(fixture_graph(), 0.1, 0.2, 1, seed=0)
-        cfg = TrainConfig(model="gat", task="link-pred", epochs=10, patience=30,
-                          hidden_dims=[4, 4], heads_per_layer=[2, 2], seed=0)
-        model, result = run_training(split, cfg)
+
+def ranked(scored):
+    """A link split's (positive scores, negative scores) from its (scores, targets)."""
+    scores, targets = scored
+    return scores[targets == 1], scores[targets == 0]
+
+
+class TestBestPredictions:
+    @pytest.mark.parametrize("task", ["node-class", "multi-label", "link-pred"])
+    def test_restored_model_reproduces_predictions(self, task):
+        """``evaluate`` of the model ``train`` returns reproduces the kept
+        predictions bit for bit, and the test metric is the task's metric of
+        the kept test predictions: nothing needs a second evaluation."""
+        if task == "node-class":
+            data = fixture_graph()
+            model, result = run_training(data, small_cfg(model="qgat", n_qubits=2))
+        elif task == "multi-label":
+            coll = synth_collection(2, 1, 1, n_labels=3, seed=0)
+            cfg = small_cfg(model="qgat", task=task, n_qubits=2)
+            model = build_model(cfg, 8, 3)
+            result, data = train_inductive(model, coll, cfg), _split_unions(coll)
+        else:
+            data = split_link_prediction(fixture_graph(), 0.1, 0.2, 1, seed=0)
+            model, result = run_training(data, small_cfg(task=task, hidden_dims=[4, 4],
+                                                         dropout=0.5))
         assert result.best_epoch > 0
-        assert result.test_metric == link_eval(model, split, 10)["test"]["mrr"]
+        _, _, again = evaluate(model, split_views(data, task), task)
+        assert list(again) == list(result.predictions)
+        for name, (pred, targets) in result.predictions.items():
+            np.testing.assert_array_equal(again[name][0].view(np.int64), pred.view(np.int64))
+            np.testing.assert_array_equal(again[name][1], targets)
+        test = TASKS[task].metric(*result.predictions["test"])
+        assert np.float64(result.test_metric).view(np.int64) == np.float64(test).view(np.int64)
 
 
 class TestPersistence:
@@ -460,7 +488,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("model_kind", ["qgat", "gat", "gatv2"])
     def test_trained_model_pickles_bit_exact(self, model_kind):
-        # a process pool hands each trained model back by pickle
+        # a trained model, its QGAT circuits included, survives a pickle round trip
         g = fixture_graph()
         model, _ = run_training(g, small_cfg(model=model_kind, epochs=3, dropout=0.2,
                                              n_qubits=2))
