@@ -1,28 +1,29 @@
 """Command-line entry point.
 
-Subcommands: train, noise-sweep, linkpred, gradcheck, params, synth.
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 The whole configuration is checked before a command creates ``--out``, so
 exit 2 means nothing was written.
 
 Every training run is one cell, (data, TrainConfig, noise kind, level).
-``train``, ``linkpred`` and ``noise-sweep`` load their data once and run
-their cells through ``_run_cell``, which ``_run_cells`` calls in cell order,
-serially or in one process pool of ``--jobs`` workers; a pool returns each
-run's result, and its results equal the serial ones bit for bit.
-``train``, ``linkpred`` and ``noise-sweep`` take ``--seeds`` and ``--jobs``,
-and they and ``synth`` ``--out``.  ``config.check`` validates the training
-keys once for every command.  Only the config sets a run's task (``linkpred``
-replaces only the default); noise kinds, file formats and tasks are read from
-``graph.NOISE``, ``graph.LOADERS`` and ``training.TASKS``.  ``gradcheck``
-checks one layer of every model kind, at ``[model]``'s circuit size, against
-central differences.
+``train`` and ``noise-sweep`` load their data once and run their cells
+through ``_run_cell``, which ``_run_cells`` calls in cell order, serially or
+in one process pool of ``--jobs`` workers; a pool returns each run's result,
+and its results equal the serial ones bit for bit.  ``COMMANDS`` is the one
+table of subcommands: each one's help is its docstring's first line, and it
+takes ``--out`` when it reads ``out`` and ``--seeds`` and ``--jobs`` when it
+reads ``jobs``.  ``config.check`` validates the training keys once for every
+command.  Only the config sets a run's task, and ``_training_data`` reads the
+data shape that task trains on; noise kinds, file formats and tasks are read
+from ``graph.NOISE``, ``graph.LOADERS`` and ``training.TASKS``.
+``gradcheck`` checks one layer of every model kind, at ``[model]``'s circuit
+size, against central differences.
 Set QGAT_LOG=debug|info|warning for log verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import logging
 import os
 import sys
@@ -85,10 +86,19 @@ def _load_data(cfg: Config) -> Graph:
     return graph
 
 
-def _link_split(cfg: Config, graph: Graph):
-    return split_link_prediction(graph, cfg.get("linkpred", "frac_val"),
-                                 cfg.get("linkpred", "frac_test"),
-                                 cfg.get("linkpred", "neg_ratio"), cfg.get("data", "seed"))
+def _training_data(cfg: Config) -> Graph | LinkSplit:
+    """The data the config's task trains on: the graph for a node task, its
+    seeded edge split for ``link-pred``, which must hold out a test edge."""
+    graph = _load_data(cfg)
+    if cfg.get("experiment", "task") != "link-pred":
+        return graph
+    split = split_link_prediction(graph, cfg.get("linkpred", "frac_val"),
+                                  cfg.get("linkpred", "frac_test"),
+                                  cfg.get("linkpred", "neg_ratio"), cfg.get("data", "seed"))
+    if not len(split.splits["test"].positives):
+        raise ConfigError(f"linkpred.frac_test = {cfg.get('linkpred', 'frac_test')} holds out "
+                          "no test edge of this graph")
+    return split
 
 
 def _train_configs(cfg: Config, data, models: list[str] | None = None) -> list[TrainConfig]:
@@ -117,7 +127,7 @@ def _run_cell(cell: Cell) -> TrainResult:
     log.info("training %s seed %d, noise level %r", tc.model, tc.seed, level)
     if level > 0:
         data = NOISE[kind].perturb(data, level, tc.seed)
-    return run_training(data, tc)[1]
+    return run_training(data, tc)
 
 
 def _run_cells(cells: list[Cell], jobs: int) -> list[TrainResult]:
@@ -164,8 +174,9 @@ def _prepare_out(cfg: Config, out: Path) -> None:
 
 
 def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
-    graph = _load_data(cfg)
-    cells = [(graph, tc, None, 0.0) for tc in _train_configs(cfg, graph)]
+    """train models and report the test metric per seed"""
+    data = _training_data(cfg)
+    cells = [(data, tc, None, 0.0) for tc in _train_configs(cfg, data)]
     _prepare_out(cfg, out)
     results = _run_cells(cells, jobs)
     for (_, tc, _, _), result in zip(cells, results):
@@ -175,6 +186,15 @@ def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
     metrics = _by_model(cells, [result.test_metric for result in results])
     _write_csv(out / "summary.csv", "model,mean,std,n_seeds",
                [_summarize(model, "test metric", values) for model, values in metrics.items()])
+    if cfg.get("experiment", "task") == "link-pred":
+        k = cfg.get("linkpred", "hits_k")
+        hits = [hits_at_k(pred[targets == 1], pred[targets == 0], k)
+                for pred, targets in (result.predictions["test"] for result in results)]
+        for model, values in _by_model(cells, hits).items():
+            _summarize(model, f"hits@{k}", values)
+        _write_csv(out / "linkpred.csv", f"model,seed,hits@{k},mrr",
+                   [(tc.model, tc.seed, h, result.test_metric)
+                    for (_, tc, _, _), h, result in zip(cells, hits, results)])
     return 0
 
 
@@ -182,6 +202,7 @@ def cmd_train(cfg: Config, out: Path, jobs: int) -> int:
 
 
 def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
+    """feature/structural robustness sweep with CSV + SVG output"""
     kind = cfg.get("noise", "kind")
     levels = cfg.get("noise", "levels") or list(NOISE[kind].grid)
     graph = _load_data(cfg)
@@ -202,33 +223,6 @@ def cmd_noise_sweep(cfg: Config, out: Path, jobs: int) -> int:
         _summarize(model, f"metric at max {kind} noise", per_level[-1])
     line_plot(series, title=f"Robustness under {kind} noise",
               xlabel="noise level", ylabel="test metric", path=out / "sweep.svg")
-    return 0
-
-
-# -- link prediction ---------------------------------------------------------------
-
-
-def cmd_linkpred(cfg: Config, out: Path, jobs: int) -> int:
-    if (task := cfg.get("experiment", "task")) not in (TrainConfig.task, "link-pred"):
-        raise ConfigError(f"task {task} is not link prediction: run it with `qgat train`")
-    k = cfg.get("linkpred", "hits_k")
-    split = _link_split(cfg, _load_data(cfg))
-    if not len(split.splits["test"].positives):
-        raise ConfigError(f"linkpred.frac_test = {cfg.get('linkpred', 'frac_test')} holds out "
-                          "no test edge of this graph")
-    cfg.set("experiment", "task", "link-pred")
-    cells = [(split, tc, None, 0.0) for tc in _train_configs(cfg, split)]
-    _prepare_out(cfg, out)
-    scores = []
-    for result in _run_cells(cells, jobs):
-        pred, targets = result.predictions["test"]
-        scores.append((hits_at_k(pred[targets == 1], pred[targets == 0], k), result.test_metric))
-    for model, per_seed in _by_model(cells, scores).items():
-        hits, mrrs = zip(*per_seed)
-        _summarize(model, f"hits@{k}", hits)
-        _summarize(model, "mrr", mrrs)
-    _write_csv(out / "linkpred.csv", f"model,seed,hits@{k},mrr",
-               [(tc.model, tc.seed, *score) for (_, tc, _, _), score in zip(cells, scores)])
     return 0
 
 
@@ -257,6 +251,7 @@ def gradcheck_report(tc: TrainConfig) -> dict[str, float]:
 
 
 def cmd_gradcheck(cfg: Config) -> int:
+    """check one layer of every model kind, at [model]'s circuit size, against finite differences"""
     report = gradcheck_report(make_train_config(cfg, "qgat", 0))
     failed = False
     for name in sorted(report):
@@ -270,9 +265,8 @@ def cmd_gradcheck(cfg: Config) -> int:
 
 
 def cmd_params(cfg: Config) -> int:
-    data = _load_data(cfg)
-    if cfg.get("experiment", "task") == "link-pred":
-        data = _link_split(cfg, data)
+    """print trainable-parameter counts per model"""
+    data = _training_data(cfg)
     tcs = _train_configs(cfg, data, models=list(MODEL_KINDS))
     print(f"{'model':<8}{'layer':<10}{'component':<16}{'parameters':>12}")
     for tc in tcs[::len(cfg.get("experiment", "seeds"))]:  # each model's first seed
@@ -294,6 +288,7 @@ def cmd_params(cfg: Config) -> int:
 
 
 def cmd_synth(cfg: Config, out: Path) -> int:
+    """generate a synthetic dataset on disk"""
     if cfg.get("experiment", "task") == "multi-label":
         collection = synth_collection(2, 1, 1, n_labels=cfg.get("data", "n_classes"),
                                       **_sbm_args(cfg))
@@ -320,42 +315,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+COMMANDS = {
+    "train": cmd_train,
+    "noise-sweep": cmd_noise_sweep,
+    "gradcheck": cmd_gradcheck,
+    "params": cmd_params,
+    "synth": cmd_synth,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgat",
         description="Quantum and classical graph attention experiments at desk scale.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, helptext in [
-        ("train", "train models and report the test metric per seed"),
-        ("noise-sweep", "feature/structural robustness sweep with CSV + SVG output"),
-        ("linkpred", "link prediction with Hits@K and MRR"),
-        ("gradcheck", "check one layer of every model kind, at [model]'s circuit size, "
-                      "against finite differences"),
-        ("params", "print trainable-parameter counts per model"),
-        ("synth", "generate a synthetic dataset on disk"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
+    for name, command in COMMANDS.items():
+        reads = inspect.signature(command).parameters
+        p = sub.add_parser(name, help=command.__doc__.splitlines()[0])
         p.add_argument("--config", type=str, default=None, help="INI config file")
         p.add_argument("--override", action="append", default=[],
                        metavar="SECTION.KEY=VALUE", help="config override, repeatable")
-        if name in ("train", "noise-sweep", "linkpred", "synth"):
+        if "out" in reads:
             p.add_argument("--out", type=Path, default="runs/latest", help="output directory")
-        if name in ("train", "noise-sweep", "linkpred"):
+        if "jobs" in reads:
             p.add_argument("--seeds", type=str, default=None,
                            help="comma-separated training seeds (overrides config)")
             p.add_argument("--jobs", type=_positive_int, default=1, help="worker pool size")
     return parser
-
-
-COMMANDS = {
-    "train": cmd_train,
-    "noise-sweep": cmd_noise_sweep,
-    "linkpred": cmd_linkpred,
-    "gradcheck": cmd_gradcheck,
-    "params": cmd_params,
-    "synth": cmd_synth,
-}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -284,7 +284,7 @@ def infer_dims(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[int, int]:
     rank = TASKS[cfg.task].label_rank
     if not rank:
         if not isinstance(data, LinkSplit):
-            raise ValueError("task link-pred trains on held-out edges: run it with `qgat linkpred`")
+            raise ValueError("task link-pred trains on held-out edges: run it with `qgat train`")
         return data.train_graph.feature_dim, cfg.hidden_dims[len(cfg.heads_per_layer) - 1]
     if not isinstance(data, Graph):
         raise ValueError(f"task {cfg.task} expects a Graph")
@@ -512,10 +512,8 @@ def train(model: Model, data: TrainData, cfg: TrainConfig) -> TrainResult:
     )
 
 
-def run_training(data: Graph | LinkSplit, cfg: TrainConfig) -> tuple[Model, TrainResult]:
-    in_dim, out_dim = infer_dims(data, cfg)
-    model = build_model(cfg, in_dim, out_dim)
-    return model, train(model, data, cfg)
+def run_training(data: Graph | LinkSplit, cfg: TrainConfig) -> TrainResult:
+    return train(build_model(cfg, *infer_dims(data, cfg)), data, cfg)
 
 
 # -- persistence ----------------------------------------------------------------

@@ -12,10 +12,11 @@ import pytest
 
 import qgat
 from qgat import cli, vqc
-from qgat.cli import _run_cells, main
-from qgat.config import SCHEMA
+from qgat.cli import _run_cells, _training_data, main
+from qgat.config import SCHEMA, parse_config
 from qgat.graph import split_link_prediction, synth_sbm
-from qgat.training import TrainConfig
+from qgat.training import (TrainConfig, build_model, evaluate, infer_dims, load_checkpoint,
+                           split_views)
 
 TINY = """
 [experiment]
@@ -37,6 +38,9 @@ dropout = 0.2
 epochs = 6
 patience = 10
 """
+
+
+LINK_PRED = ["--override", "experiment.task=link-pred"]
 
 
 @pytest.fixture
@@ -160,8 +164,8 @@ class TestTrain:
         ("gradcheck", "model.n_qubits=13"),
         ("train", "model.n_qubits=13"),
         ("train", "data.source=xml data.path=graph.xml"),
-        ("linkpred", "linkpred.frac_val=0.9"),
-        ("linkpred", "linkpred.neg_ratio=0"),
+        ("train", "experiment.task=link-pred linkpred.frac_val=0.9"),
+        ("train", "experiment.task=link-pred linkpred.neg_ratio=0"),
         ("noise-sweep", "noise.levels=-0.5"),
         ("train", "data.p_in=2"),
         ("train", "data.p_out=-0.1"),
@@ -184,8 +188,7 @@ class TestTrain:
         ("noise-sweep", "noise.levels=0.2,0.0"),
         ("noise-sweep", "noise.levels=0.0,0.1,0.1"),
         ("synth", "experiment.task=multilabel"),
-        ("linkpred", "experiment.task=bogus"),
-        ("train", "experiment.task=link-pred"),
+        ("train", "experiment.task=bogus"),
         ("noise-sweep", "experiment.task=link-pred"),
     ])
     def test_invalid_value_exits_2(self, tmp_path, capsys, command, override):
@@ -205,12 +208,9 @@ class TestTrain:
         assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,task,runner", [
-        ("train", "link-pred", "qgat linkpred"), ("noise-sweep", "link-pred", "qgat linkpred"),
-        ("linkpred", "multi-label", "qgat train")])
+        ("noise-sweep", "link-pred", "qgat train")])
     def test_task_another_command_runs_exits_2(self, tmp_path, capsys, command, task, runner):
-        """A task the command does not run, as a ``linkpred`` run's echo sets
-        for ``train``, names the command that runs it; ``linkpred`` replaces
-        only the default task."""
+        """A task the command does not run names the command that runs it."""
         assert main([command, "--out", str(tmp_path / "o"),
                      "--override", f"experiment.task={task}"]) == 2
         err = capsys.readouterr().err
@@ -225,9 +225,10 @@ class TestTrain:
         assert "multi-label" in err and "shape (20,)" in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("command", ["train", "linkpred"])
+    @pytest.mark.parametrize("task", ["node-class", "link-pred"],
+                             ids=["train", "train-link-pred"])
     def test_parallel_jobs_reproduce_serial_artifacts(self, tmp_path, capsys, monkeypatch,
-                                                      command):
+                                                      task):
         """Every artifact is byte-identical at ``--jobs 1`` and ``--jobs 2``
         (``artifact_bytes``)."""
         requested, pool = [], cli.ProcessPoolExecutor
@@ -237,12 +238,14 @@ class TestTrain:
         cfg.write_text(TINY.replace("hidden_dims = 4", "hidden_dims = 4,4"))
         outs, printed = [tmp_path / "serial", tmp_path / "par"], []
         for out, jobs in zip(outs, ["1", "2"]):
-            assert main([command, "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+            assert main(["train", "--config", str(cfg), "--out", str(out), "--jobs", jobs,
+                         "--override", f"experiment.task={task}"]) == 0
             printed.append(capsys.readouterr().out)
         assert requested == [2] and printed[0] == printed[1]
         names = sorted(path.name for path in outs[0].iterdir())
         assert names == sorted(path.name for path in outs[1].iterdir())
-        assert len(names) == (6 if command == "train" else 2)
+        # the echo, the summary, each seed's metrics and checkpoint, and linkpred.csv
+        assert len(names) == (6 if task == "node-class" else 7)
         for name in names:
             assert artifact_bytes(outs[0] / name) == artifact_bytes(outs[1] / name), name
 
@@ -389,26 +392,50 @@ class TestLinkpred:
         cfg.write_text(TINY.replace("hidden_dims = 4", "hidden_dims = 4,4")
                        + "\n[linkpred]\nhits_k = 5\n")
         out = tmp_path / "lp"
-        assert main(["linkpred", "--config", str(cfg), "--out", str(out),
+        assert main(["train", "--config", str(cfg), "--out", str(out), *LINK_PRED,
                      "--seeds", "0"]) == 0
         rows = read_csv(out / "linkpred.csv")
         assert set(rows[0]) == {"model", "seed", "hits@5", "mrr"}
         assert 0.0 <= float(rows[0]["mrr"]) <= 1.0
-        # the config sets the task: the echo reads the one linkpred ran
+        # the config sets the task: the echo reads the one the run trained
         assert "\ntask = link-pred\n" in (out / "config_echo.ini").read_text()
 
     def test_default_hidden_dims_cover_link_prediction(self, tmp_path):
         # link prediction needs one hidden dim per layer, the output layer included
-        assert main(["linkpred", "--out", str(tmp_path / "lp"),
+        assert main(["train", "--out", str(tmp_path / "lp"), *LINK_PRED,
                      "--override", "experiment.models=gat",
                      "--override", "data.n_per_class=10",
                      "--override", "training.epochs=2"]) == 0
 
+    def test_checkpoint_reproduces_the_recorded_mrr(self, tmp_path):
+        """A seed's checkpoint, on the data its echo rebuilds, evaluates to the
+        seed's test MRR in linkpred.csv, bit for bit."""
+        out = tmp_path / "lp"
+        assert main(["train", "--out", str(out), *LINK_PRED,
+                     "--override", "experiment.models=gat",
+                     "--override", "data.n_per_class=10",
+                     "--override", "training.epochs=3"]) == 0
+        tc, state = load_checkpoint(out / "checkpoint_gat_seed0.json")
+        data = _training_data(parse_config(out / "config_echo.ini"))
+        model = build_model(tc, *infer_dims(data, tc))
+        model.load_state_dict(state)
+        _, metrics, _ = evaluate(model, split_views(data, "link-pred"), "link-pred")
+        [row] = [row for row in read_csv(out / "linkpred.csv") if row["seed"] == "0"]
+        assert repr(metrics["test"]) == row["mrr"]
+
+    def test_linkpred_is_an_unknown_subcommand(self, tmp_path, capsys):
+        # link prediction is a task of `train`, not a subcommand of its own
+        with pytest.raises(SystemExit) as err:
+            main(["linkpred", "--out", str(tmp_path / "lp")])
+        assert err.value.code == 2
+        assert "invalid choice: 'linkpred'" in capsys.readouterr().err
+        assert not (tmp_path / "lp").exists()
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_non_positive_hits_k_exit_2(self, tmp_path, capsys, k):
         out = tmp_path / "lp"
-        assert main(["linkpred", "--out", str(out), "--override", f"linkpred.hits_k={k}"]) == 2
+        assert main(["train", "--out", str(out), *LINK_PRED,
+                     "--override", f"linkpred.hits_k={k}"]) == 2
         assert "hits_k" in capsys.readouterr().err
         assert not out.exists()
 
@@ -416,7 +443,8 @@ class TestLinkpred:
     def test_no_test_edges_exit_2(self, tmp_path, capsys, frac):
         # the split floors frac_test * pairs, so a small fraction can hold out nothing
         out = tmp_path / "lp"
-        assert main(["linkpred", "--out", str(out), "--override", f"linkpred.frac_test={frac}",
+        assert main(["train", "--out", str(out), *LINK_PRED,
+                     "--override", f"linkpred.frac_test={frac}",
                      "--override", "training.epochs=1"]) == 2
         assert "linkpred.frac_test" in capsys.readouterr().err
         assert not out.exists()

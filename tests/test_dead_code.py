@@ -8,7 +8,8 @@ because the tracer names the attributes it patches by string.  Tests do not
 count: a name that only tests reach is an entry point nothing else needs.
 
 The package's own text names no definition that is gone: every
-``module.name`` it quotes resolves.
+``module.name`` it quotes resolves, and every `qgat <command>` it quotes
+names a subcommand.
 """
 
 import ast
@@ -106,3 +107,19 @@ def test_docstring_references_resolve():
                 stale.append(f"{path.name}: {dotted}")
     assert quoted, "the pattern found no reference to check"
     assert not stale, f"references to names that do not exist: {stale}"
+
+
+def test_command_references_resolve():
+    """Every `qgat <word>` that ``src/qgat`` quotes in backticks, as an error
+    message does to name the command that runs a task, names a key of
+    ``cli.COMMANDS``."""
+    from qgat.cli import COMMANDS
+
+    quoted, stale = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for word in re.findall(r"`qgat ([\w-]+)`", path.read_text()):
+            quoted += 1
+            if word not in COMMANDS:
+                stale.append(f"{path.name}: qgat {word}")
+    assert quoted, "the pattern found no reference to check"
+    assert not stale, f"references to subcommands that do not exist: {stale}"

@@ -158,7 +158,7 @@ def no_libc(name):
 class TestTrainLoop:
     def test_zero_epochs_returns_initial_evaluation(self):
         g = fixture_graph()
-        _, result = run_training(g, small_cfg(epochs=0))
+        result = run_training(g, small_cfg(epochs=0))
         assert len(result.history) == 1
         assert result.best_epoch == 0
 
@@ -166,8 +166,8 @@ class TestTrainLoop:
         g = fixture_graph()
         cfg = small_cfg(model="qgat", epochs=6, dropout=0.5,
                         heads_per_layer=[2, 2], n_qubits=2)
-        _, a = run_training(g, cfg)
-        _, b = run_training(g, cfg)
+        a = run_training(g, cfg)
+        b = run_training(g, cfg)
         assert len(a.history) == len(b.history)
         for ra, rb in zip(a.history, b.history):
             assert ra.losses == rb.losses
@@ -180,29 +180,29 @@ class TestTrainLoop:
         up in) ``train`` runs as usual, and the BLAS is described as unknown."""
         g = fixture_graph()
         cfg = small_cfg(epochs=3)
-        _, want = run_training(g, cfg)
+        want = run_training(g, cfg)
         monkeypatch.setattr(training.ctypes, "CDLL", cdll)
         assert training.one_blas_thread() == "unknown"
-        _, got = run_training(g, cfg)
+        got = run_training(g, cfg)
         assert [r.losses for r in got.history] == [r.losses for r in want.history]
 
     @pytest.mark.parametrize("model", ["qgat", "gat", "gatv2"])
     def test_loss_decreases_over_first_ten_epochs(self, model):
         g = fixture_graph()
         cfg = TrainConfig(model=model, epochs=10, patience=100, seed=0)
-        _, result = run_training(g, cfg)
+        result = run_training(g, cfg)
         assert result.history[10].losses["train"] < result.history[0].losses["train"]
 
     def test_early_stopping_checkpoint_is_validation_argmax(self):
         g = fixture_graph()
-        _, result = run_training(g, small_cfg(model="gat", epochs=30, patience=5))
+        result = run_training(g, small_cfg(model="gat", epochs=30, patience=5))
         vals = [r.metrics["val"] for r in result.history]
         assert result.val_metric == max(vals)
         assert vals[result.best_epoch] == max(vals)
 
     def test_metrics_stay_in_unit_interval(self):
         g = fixture_graph()
-        _, result = run_training(g, small_cfg(epochs=8))
+        result = run_training(g, small_cfg(epochs=8))
         for rec in result.history:
             for value in rec.metrics.values():
                 assert 0.0 <= value <= 1.0
@@ -419,7 +419,7 @@ class TestLinkPrediction:
         cfg = TrainConfig(model="gat", task="link-pred", epochs=300, patience=300,
                           dropout=0.0, learning_rate=0.02, hidden_dims=[8, 8],
                           heads_per_layer=[2, 2], weight_decay=0.0, seed=0)
-        _, result = run_training(split, cfg)
+        result = run_training(split, cfg)
         pos, neg = ranked(result.predictions["train"])
         assert hits_at_k(pos, neg, 1) == 1.0
         assert mrr(pos, neg) == 1.0
@@ -429,12 +429,19 @@ class TestLinkPrediction:
         split = split_link_prediction(g, 0.1, 0.2, 1, seed=0)
         cfg = TrainConfig(model="gat", task="link-pred", epochs=15, patience=30,
                           dropout=0.0, hidden_dims=[4, 4], heads_per_layer=[2, 2], seed=0)
-        _, result = run_training(split, cfg)
+        result = run_training(split, cfg)
         assert set(result.predictions) == {"train", "val", "test"}
         for name in ("train", "val", "test"):
             pos, neg = ranked(result.predictions[name])
             assert 0.0 <= hits_at_k(pos, neg, 10) <= 1.0
             assert 0.0 <= mrr(pos, neg) <= 1.0
+
+
+def trained(data, cfg):
+    """The trained model and ``train``'s result, where ``run_training`` returns
+    the result alone."""
+    model = build_model(cfg, *infer_dims(data, cfg))
+    return model, train(model, data, cfg)
 
 
 def ranked(scored):
@@ -451,7 +458,7 @@ class TestBestPredictions:
         the kept test predictions: nothing needs a second evaluation."""
         if task == "node-class":
             data = fixture_graph()
-            model, result = run_training(data, small_cfg(model="qgat", n_qubits=2))
+            model, result = trained(data, small_cfg(model="qgat", n_qubits=2))
         elif task == "multi-label":
             coll = synth_collection(2, 1, 1, n_labels=3, seed=0)
             cfg = small_cfg(model="qgat", task=task, n_qubits=2)
@@ -459,8 +466,8 @@ class TestBestPredictions:
             result, data = train_inductive(model, coll, cfg), _split_unions(coll)
         else:
             data = split_link_prediction(fixture_graph(), 0.1, 0.2, 1, seed=0)
-            model, result = run_training(data, small_cfg(task=task, hidden_dims=[4, 4],
-                                                         dropout=0.5))
+            model, result = trained(data, small_cfg(task=task, hidden_dims=[4, 4],
+                                                    dropout=0.5))
         assert result.best_epoch > 0
         _, _, again = evaluate(model, split_views(data, task), task)
         assert list(again) == list(result.predictions)
@@ -475,7 +482,7 @@ class TestPersistence:
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         g = fixture_graph()
         cfg = small_cfg(model="qgat", epochs=3, heads_per_layer=[2, 2], n_qubits=2)
-        model, result = run_training(g, cfg)
+        model, result = trained(g, cfg)
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, cfg, result.best_state)
         cfg2, state = load_checkpoint(path)
@@ -490,8 +497,8 @@ class TestPersistence:
     def test_trained_model_pickles_bit_exact(self, model_kind):
         # a trained model, its QGAT circuits included, survives a pickle round trip
         g = fixture_graph()
-        model, _ = run_training(g, small_cfg(model=model_kind, epochs=3, dropout=0.2,
-                                             n_qubits=2))
+        model, _ = trained(g, small_cfg(model=model_kind, epochs=3, dropout=0.2,
+                                        n_qubits=2))
         copy = pickle.loads(pickle.dumps(model))
         assert ({name: arr.tobytes() for name, arr in copy.state_dict().items()}
                 == {name: arr.tobytes() for name, arr in model.state_dict().items()})
@@ -543,7 +550,7 @@ class TestPersistence:
 
     def test_history_csv_schema(self, tmp_path):
         g = fixture_graph()
-        _, result = run_training(g, small_cfg(epochs=2))
+        result = run_training(g, small_cfg(epochs=2))
         path = tmp_path / "history.csv"
         write_history_csv(result.history, path)
         lines = path.read_text().strip().splitlines()
